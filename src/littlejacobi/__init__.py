@@ -26,7 +26,6 @@ from .eigensolver import (
 from .family import (
     MomentFunctional,
     ParamPair,
-    QDeformation,
     eigenvalue,
     explicit_poly,
     generate_monic,
@@ -74,7 +73,6 @@ from .susyqm import (
     L1Image,
     PhiPoly,
     SchrodingerParams,
-    WaveSample,
     apply_H1,
     apply_L1,
     conjugation_check,

@@ -3,13 +3,12 @@
 With X the (shifted, halved) eigenvalue operator, Y multiplication by x,
 and Z the twisted reflection (x-1)R, the three anticommutators close
 linearly: YZ+ZY = 0, ZX+XZ = Y + beta I, XY+YX = Z + omega3 I with
-|omega3| = alpha.  This is the q = -1 degeneration of the three-generator
+omega3 = -alpha.  This is the q = -1 degeneration of the three-generator
 Askey-Wilson algebra, and Y^2 + Z^2 is its Casimir element, equal to the
 identity in this realization.
 
-The structure constants are extracted empirically from the exact operator
-tables rather than assumed, so a sign discrepancy in the sources is
-surfaced instead of baked in.
+The structure constants are extracted from the exact operator tables
+rather than assumed; callers compare them with (0, beta, -alpha).
 """
 
 from __future__ import annotations

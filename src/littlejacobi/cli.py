@@ -36,6 +36,21 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
+def _glue_negative_values(argv: list[str]) -> list[str]:
+    """Glue a negative value onto the option before it: "--alpha -9/10"
+    becomes "--alpha=-9/10".  argparse would read "-9/10" as a flag, since
+    it only recognises negative integers and decimals as values."""
+    out: list[str] = []
+    for arg in argv:
+        prev = out[-1] if out else ""
+        option = prev.startswith("--") and prev != "--" and "=" not in prev
+        if option and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def _writer(out) -> "csv.writer":
     return csv.writer(out, lineterminator="\n")
 
@@ -201,7 +216,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_glue_negative_values(argv))
     try:
         if args.output == "-":
             return args.func(args, sys.stdout)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .family import ParamPair, explicit_poly
-from .polys import as_fraction
+from .polys import as_fraction, horner
 
 __all__ = [
     "EigenSolution",
@@ -73,13 +73,6 @@ def _series(a: float, b: float, c: float, scale: float) -> tuple[float, ...]:
     return tuple(coeffs)
 
 
-def _horner(coeffs, z: float) -> float:
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * z + c
-    return out
-
-
 def _horner_d(coeffs, z: float) -> float:
     out = 0.0
     for k in range(len(coeffs) - 1, 0, -1):
@@ -105,7 +98,7 @@ class EigenSolution:
     trunc_terms: int
 
     def f(self, x: float) -> float:
-        return _horner(self.f_series_coeffs, x * x)
+        return horner(self.f_series_coeffs, x * x)
 
     def f_prime(self, x: float) -> float:
         return 2.0 * x * _horner_d(self.f_series_coeffs, x * x)
@@ -117,15 +110,15 @@ class EigenSolution:
         )
 
     def g(self, x: float) -> float:
-        return x * _horner(self.g_series_coeffs, x * x)
+        return x * horner(self.g_series_coeffs, x * x)
 
     def g_over_x(self, x: float) -> float:
         # the odd part divided by x is an even series: no singularity at 0
-        return _horner(self.g_series_coeffs, x * x)
+        return horner(self.g_series_coeffs, x * x)
 
     def g_prime(self, x: float) -> float:
         z = x * x
-        return _horner(self.g_series_coeffs, z) + 2.0 * z * _horner_d(
+        return horner(self.g_series_coeffs, z) + 2.0 * z * _horner_d(
             self.g_series_coeffs, z
         )
 
@@ -292,7 +285,7 @@ def second_branch_value(params: ParamPair, lam: float, x: float) -> complex:
         1.0,
     )
     prefactor = cmath.exp((1.0 - alpha) * cmath.log(complex(x)))
-    return prefactor * _horner(coeffs, x * x)
+    return prefactor * horner(coeffs, x * x)
 
 
 @dataclass(frozen=True)

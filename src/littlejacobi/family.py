@@ -23,7 +23,6 @@ from .polys import Poly, as_fraction, pochhammer, terminating_2f1
 __all__ = [
     "MomentFunctional",
     "ParamPair",
-    "QDeformation",
     "eigenvalue",
     "explicit_poly",
     "generate_monic",
@@ -277,67 +276,47 @@ def weight_moment(params: ParamPair, k: int) -> float:
 # -- deformation limit -------------------------------------------------------
 
 
-class QDeformation:
-    """Deformed base q = -exp(eps) with a = -exp(eps alpha), b = -exp(eps beta).
+def qjacobi_recurrence(epsilon: float, alpha, beta, n: int) -> tuple[Optional[float], float]:
+    """Little q-Jacobi recurrence data (u_n, b_n) at the deformed base
+    q = -exp(eps), a = -exp(eps alpha), b = -exp(eps beta).
 
-    As eps -> 0+ the little q-Jacobi recurrence coefficients built from
-    (q, a, b) converge linearly in eps to the family's exact u_n, b_n.
+    As eps -> 0+ these converge linearly in eps to the family's exact
+    u_n, b_n.  u_n = A_{n-1} C_n and b_n = A_n + C_n; u_0 is None (C_0 = 0
+    and A_{-1} is undefined).
     """
-
-    __slots__ = ("epsilon", "alpha", "beta", "q", "a", "b")
-
-    def __init__(self, epsilon: float, alpha, beta):
-        epsilon = float(epsilon)
-        if epsilon <= 0:
-            raise ValueError("deformation epsilon must be positive")
-        self.epsilon = epsilon
-        self.alpha = float(alpha)
-        self.beta = float(beta)
-        self.q = -math.exp(epsilon)
-        self.a = -math.exp(epsilon * self.alpha)
-        self.b = -math.exp(epsilon * self.beta)
-
-    def __repr__(self):
-        return (
-            f"QDeformation(epsilon={self.epsilon}, alpha={self.alpha}, "
-            f"beta={self.beta})"
-        )
-
-
-def _qjacobi_A(d: QDeformation, n: int) -> float:
-    q, a, b = d.q, d.a, d.b
-    den = (1 - a * b * q ** (2 * n + 1)) * (1 - a * b * q ** (2 * n + 2))
-    if abs(den) < 1e-12:
-        raise ValueError(f"near-singular denominator in A_{n} at eps={d.epsilon}")
-    return q**n * (1 - a * q ** (n + 1)) * (1 - a * b * q ** (n + 1)) / den
-
-
-def _qjacobi_C(d: QDeformation, n: int) -> float:
-    q, a, b = d.q, d.a, d.b
-    den = (1 - a * b * q ** (2 * n + 1)) * (1 - a * b * q ** (2 * n))
-    if abs(den) < 1e-12:
-        raise ValueError(f"near-singular denominator in C_{n} at eps={d.epsilon}")
-    return a * q**n * (1 - q**n) * (1 - b * q**n) / den
-
-
-def qjacobi_recurrence(d: QDeformation, n: int) -> tuple[Optional[float], float]:
-    """Little q-Jacobi recurrence data (u_n, b_n) at the deformed base.
-
-    u_n = A_{n-1} C_n and b_n = A_n + C_n; u_0 is None (C_0 = 0 and
-    A_{-1} is undefined).
-    """
+    epsilon = float(epsilon)
+    if epsilon <= 0:
+        raise ValueError("deformation epsilon must be positive")
     if n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    b_n = _qjacobi_A(d, n) + _qjacobi_C(d, n)
+    q = -math.exp(epsilon)
+    a = -math.exp(epsilon * float(alpha))
+    b = -math.exp(epsilon * float(beta))
+
+    def checked(den: float, name: str) -> float:
+        if abs(den) < 1e-12:
+            raise ValueError(f"near-singular denominator in {name} at eps={epsilon}")
+        return den
+
+    def big_a(k: int) -> float:
+        den = checked((1 - a * b * q ** (2 * k + 1)) * (1 - a * b * q ** (2 * k + 2)), f"A_{k}")
+        return q**k * (1 - a * q ** (k + 1)) * (1 - a * b * q ** (k + 1)) / den
+
+    def big_c(k: int) -> float:
+        if k == 0:
+            return 0.0  # the numerator carries 1 - q^0, whatever the denominator
+        den = checked((1 - a * b * q ** (2 * k + 1)) * (1 - a * b * q ** (2 * k)), f"C_{k}")
+        return a * q**k * (1 - q**k) * (1 - b * q**k) / den
+
+    b_n = big_a(n) + big_c(n)
     if n == 0:
         return None, b_n
-    return _qjacobi_A(d, n - 1) * _qjacobi_C(d, n), b_n
+    return big_a(n - 1) * big_c(n), b_n
 
 
 def qlimit_error(params: ParamPair, n: int, epsilon: float) -> tuple[Optional[float], float]:
     """Absolute deviations |u_n(eps) - u_n|, |b_n(eps) - b_n|."""
-    d = QDeformation(epsilon, float(params.alpha), float(params.beta))
-    uq, bq = qjacobi_recurrence(d, n)
+    uq, bq = qjacobi_recurrence(epsilon, params.alpha, params.beta, n)
     u, b = recurrence_coeffs(params, n)
     du = None if n == 0 else abs(uq - float(u))
     return du, abs(bq - float(b))

@@ -150,13 +150,6 @@ class BandedOp:
 
     # -- serialization ------------------------------------------------------
 
-    def dump(self) -> dict[int, list[list]]:
-        """JSON-ready map: n -> sorted [output power, "p/q"] pairs."""
-        return {
-            n: [[k, str(c)] for k, c in sorted(action.items())]
-            for n, action in enumerate(self.actions)
-        }
-
     def __repr__(self):
         return f"BandedOp(trunc_degree={self.trunc_degree}, max_raise={self.max_raise})"
 

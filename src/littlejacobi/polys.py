@@ -17,6 +17,7 @@ __all__ = [
     "ParityPair",
     "Poly",
     "as_fraction",
+    "horner",
     "monomial",
     "parity_split",
     "pochhammer",
@@ -40,6 +41,15 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def horner(coeffs: Sequence, x):
+    """sum_k coeffs[k] x**k by Horner's rule, in the arithmetic of x:
+    exact for Fraction/int input with Fraction coefficients, float for float."""
+    out = x * 0  # matches the input's arithmetic type
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
 
 
 class Poly:
@@ -151,10 +161,7 @@ class Poly:
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction/int input, float for float."""
-        out = x * 0  # matches the input's arithmetic type
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
+        return horner(self.coeffs, x)
 
     # -- serialization ----------------------------------------------------
 

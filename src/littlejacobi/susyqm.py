@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .operators import jacobi_sturm_liouville
-from .polys import NEG_INFINITY, Poly, as_fraction, terminating_2f1
+from .polys import NEG_INFINITY, Poly, as_fraction, horner
+from .transforms import JacobiParams, jacobi_series
 
 __all__ = [
     "DEFAULT_MARGIN",
@@ -27,7 +28,6 @@ __all__ = [
     "L1Image",
     "PhiPoly",
     "SchrodingerParams",
-    "WaveSample",
     "apply_H1",
     "apply_L1",
     "conjugation_check",
@@ -39,7 +39,6 @@ __all__ = [
     "ground_state",
     "node_count",
     "potential",
-    "sample_states",
     "superpotential",
     "superpotential_prime",
     "wavefunction",
@@ -133,20 +132,20 @@ class PhiPoly:
     def value(self, y) -> float:
         y = _check_y(y)
         s, _, phi, _ = self._pieces(y)
-        return phi * _horner(self._p, s)
+        return phi * horner(self._p, s)
 
     def d1(self, y) -> float:
         y = _check_y(y)
         s, c, phi, ell = self._pieces(y)
-        return phi * (ell * _horner(self._p, s) + c * _horner(self._dp, s))
+        return phi * (ell * horner(self._p, s) + c * horner(self._dp, s))
 
     def d2(self, y) -> float:
         y = _check_y(y)
         s, c, phi, ell = self._pieces(y)
         ell_prime = (s - 2.0 * (self.a + 1.0)) / (2.0 * c * c)
-        p0 = _horner(self._p, s)
-        p1 = _horner(self._dp, s)
-        p2 = _horner(self._ddp, s)
+        p0 = horner(self._p, s)
+        p1 = horner(self._dp, s)
+        p2 = horner(self._ddp, s)
         return phi * (
             (ell * ell + ell_prime) * p0
             + (2.0 * ell * c - s) * p1
@@ -154,18 +153,10 @@ class PhiPoly:
         )
 
 
-def _horner(coeffs: tuple[float, ...], s: float) -> float:
-    out = 0.0
-    for c in reversed(coeffs):
-        out = out * s + c
-    return out
-
-
 def _state_poly(a, n: int) -> Poly:
     # 2F1(-n, n+2a+2; a+1; (1-s)/2) as an exact polynomial in s
     af = as_fraction(a)
-    series = terminating_2f1(-n, n + 2 * af + 2, af + 1)
-    return series.compose(Poly([Fraction(1, 2), Fraction(-1, 2)]))
+    return jacobi_series(JacobiParams(af, af + 1), n)
 
 
 def eigenstate(a, n: int) -> PhiPoly:
@@ -376,46 +367,3 @@ def node_count(a, n: int, points: int = 400, margin: float = DEFAULT_MARGIN) -> 
             changes += 1
         previous = sign
     return changes
-
-
-@dataclass(frozen=True)
-class WaveSample:
-    """Sampled state: grid strictly inside the well, all values finite."""
-
-    grid: tuple[float, ...]
-    values: tuple[float, ...]
-    derivative_values: tuple[float, ...]
-
-    def __post_init__(self):
-        if len(self.grid) != len(self.values) or len(self.grid) != len(
-            self.derivative_values
-        ):
-            raise ValueError("sample columns must have equal length")
-        if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
-            raise ValueError("grid must be strictly increasing")
-        for y in self.grid:
-            _check_y(y)
-        for column in (self.values, self.derivative_values):
-            if any(not math.isfinite(v) for v in column):
-                raise ValueError("sample values must be finite")
-
-
-def sample_states(
-    a, levels: int, points: int, margin: float = DEFAULT_MARGIN
-) -> tuple[tuple[float, ...], list[WaveSample]]:
-    """Grid plus one WaveSample per level 0..levels."""
-    _check_a(a)
-    if levels < 0:
-        raise ValueError("levels must be nonnegative")
-    grid = default_grid(points, margin)
-    samples = []
-    for n in range(levels + 1):
-        state = eigenstate(a, n)
-        samples.append(
-            WaveSample(
-                grid=grid,
-                values=tuple(state.value(y) for y in grid),
-                derivative_values=tuple(state.d1(y) for y in grid),
-            )
-        )
-    return grid, samples

@@ -29,6 +29,7 @@ __all__ = [
     "geronimus_combination",
     "identify_little",
     "intertwiner_check",
+    "jacobi_series",
     "monic_jacobi_01",
     "monic_jacobi_sym",
     "raising_check",
@@ -58,26 +59,33 @@ def _monic(p: Poly, n: int, what: str) -> Poly:
     return p / p.leading_coefficient
 
 
-def monic_jacobi_01(jp: JacobiParams, n: int) -> Poly:
-    """Monic Jacobi polynomial on [0,1] with weight x^xi (1-x)^eta."""
+def _jacobi_2f1(jp: JacobiParams, n: int) -> Poly:
+    """The terminating series 2F1(-n, n+xi+eta+1; xi+1; t) as a polynomial in t."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    series = terminating_2f1(-n, n + jp.xi + jp.eta + 1, jp.xi + 1)
-    return _monic(series, n, "Jacobi series")
+    return terminating_2f1(-n, n + jp.xi + jp.eta + 1, jp.xi + 1)
+
+
+def monic_jacobi_01(jp: JacobiParams, n: int) -> Poly:
+    """Monic Jacobi polynomial on [0,1] with weight x^xi (1-x)^eta."""
+    return _monic(_jacobi_2f1(jp, n), n, "Jacobi series")
+
+
+def jacobi_series(jp: JacobiParams, n: int) -> Poly:
+    """Standard Jacobi polynomial on [-1,1], weight (1-x)^xi (1+x)^eta, not
+    made monic: the series 2F1(-n, n+xi+eta+1; xi+1; (1-x)/2), which equals
+    1 at x = 1."""
+    return _jacobi_2f1(jp, n).compose(Poly([Fraction(1, 2), Fraction(-1, 2)]))
 
 
 def monic_jacobi_sym(jp: JacobiParams, n: int) -> Poly:
     """Monic standard Jacobi polynomial on [-1,1], weight (1-x)^xi (1+x)^eta.
 
-    Built from the terminating series in (1-x)/2; the prefactor
-    2^n (xi+1)_n / (xi+eta+n+1)_n that makes the classical normalization
-    monic is recovered here by direct leading-coefficient rescale.
+    The prefactor 2^n (xi+1)_n / (xi+eta+n+1)_n that makes the classical
+    normalization of jacobi_series monic is recovered here by direct
+    leading-coefficient rescale.
     """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    series = terminating_2f1(-n, n + jp.xi + jp.eta + 1, jp.xi + 1)
-    half = Poly([Fraction(1, 2), Fraction(-1, 2)])  # (1-x)/2
-    return _monic(series.compose(half), n, "Jacobi series")
+    return _monic(jacobi_series(jp, n), n, "Jacobi series")
 
 
 def symmetric_gegenbauer(jp: JacobiParams, n: int) -> Poly:

@@ -1,60 +1,78 @@
 """Acceptance gate: one test and one printed PASS/FAIL line per criterion.
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the lines.  Every
-check here is a hard gate; the per-module test files cover the same
-ground in more detail.
+criterion that has a ``verify`` suite is judged by that suite at its
+pinned defaults (the three default parameter pairs), so the CLI and this
+gate run one implementation of each check.  Each suite runs once per
+test run; its wall time is held to the criterion's timing gate.
 """
 
 import time
 from fractions import Fraction
+from functools import cache
 
-from littlejacobi.awalgebra import verify_casimir, verify_relations
+import pytest
+
 from littlejacobi.eigensolver import build_solution, ode_residual
-from littlejacobi.family import (
-    ParamPair,
-    eigenvalue,
-    explicit_poly,
-    generate_monic,
-    moments,
-    norm_square,
-    qlimit_error,
-    weight_moment,
-)
+from littlejacobi.family import ParamPair, eigenvalue
 from littlejacobi.operators import (
     commutator,
-    derivative,
-    dunkl_derivative,
     identity_scalar,
     jacobi_sturm_liouville,
     little_jacobi_operator,
-    op_equal,
 )
-from littlejacobi.polys import Poly
-from littlejacobi.susyqm import (
-    L1Image,
-    PhiPoly,
-    apply_H1,
-    apply_L1,
-    default_grid,
-    eigenstate,
-    energy,
-    factorization_check,
-    potential,
-    superpotential,
-    superpotential_prime,
-)
-from littlejacobi.transforms import (
-    dunkl_classical_check,
-    identify_little,
-    intertwiner_check,
-    raising_check,
-)
+from littlejacobi.verify import DEFAULT_PAIRS, SuiteOptions, run_suites
 
-PAIRS = (
-    ParamPair(Fraction(1, 2), Fraction(3, 2)),
-    ParamPair(Fraction(0), Fraction(2)),
-    ParamPair(Fraction(1), Fraction(1)),
-)
+
+def _closed_form_eigenvalues():
+    """lambda_n = -2n for even n and 2(alpha+beta+n+1) for odd n, n <= 20."""
+    return all(
+        eigenvalue(params, n) == (2 * (params.alpha + params.beta + n + 1) if n % 2 else -2 * n)
+        for params in DEFAULT_PAIRS
+        for n in range(21)
+    )
+
+
+# criterion, suite, prefixes of the check names it requires, timing gate in
+# seconds (None: untimed), what the PASS line states, and an extra check of
+# the criterion that no suite makes (None: none)
+CRITERIA = [
+    (1, "orthogonality", ("pair vanishing n<=20", "norm product rule n<=20"), 5.0,
+     "pairwise orthogonality and norm products exact, n <= 20, 3 parameter pairs", None),
+    (2, "eigen", ("L P_n = lambda_n P_n n<=20",), 2.0,
+     "operator eigen-identity coefficient-exact with even/odd eigenvalues, n <= 20",
+     _closed_form_eigenvalues),
+    (3, "explicit", ("hypergeometric = recurrence n<=12",), None,
+     "hypergeometric construction equals recurrence exactly, n <= 12", None),
+    (4, "dunkl", ("lowering n<=12", "alpha=0 degeneration T_0 = d/dx"), None,
+     "generalized derivative lowers exactly to the beta+2 family, n <= 12; "
+     "alpha = 0 collapses to d/dx through degree 30", None),
+    (5, "raising", ("degree raising n<=10 (1/2,5/2)",), None,
+     "raising operator lands on the beta-2 family exactly, n <= 10", None),
+    (6, "transforms", ("Christoffel/Geronimus identification n<=12",), None,
+     "Christoffel quotient and two-term Geronimus combination (second parameter "
+     "shifted by one) both reproduce the family exactly, n <= 12", None),
+    (7, "prop2", ("intertwiner route n<=10 (1,1)", "intertwiner route n<=10 (1/2,3/2)"), None,
+     "scaled intertwiner image of standard Jacobi matches, n <= 10", None),
+    (8, "aw", ("anticommutator closure", "Casimir Y^2+Z^2 = I"), None,
+     "anticommutator relations exact at truncation 24: scalars 0, beta and "
+     "-alpha; squares sum to the identity", None),
+    (10, "qlimit", ("linear convergence n<=10 (1/2,3/2)",), None,
+     "deformed recurrence errors scale linearly: coarse/fine ratio in [8, 12] for n <= 10", None),
+    (11, "orthogonality", ("weight quadrature k<=8 (1/2,3/2)",), 5.0,
+     "quadrature of the weight reproduces exact moments, k <= 8", None),
+    (13, "susy", ("L1 eigen-relation", "H1 eigen-relation", "square root L1^2 = H1",
+                  "superpotential factorization"), 3.0,
+     "square-root operator and Hamiltonian eigen-relations, operator square, "
+     "and superpotential factorization all hold", None),
+]
+
+
+@cache
+def _suite(name):
+    start = time.perf_counter()
+    results = run_suites([name], SuiteOptions())
+    return results, time.perf_counter() - start
 
 
 def _report(number: int, ok: bool, detail: str) -> None:
@@ -63,119 +81,23 @@ def _report(number: int, ok: bool, detail: str) -> None:
     assert ok, f"criterion {number}: {detail}"
 
 
-def test_criterion_01_exact_orthogonality():
-    start = time.perf_counter()
-    ok = True
-    for params in PAIRS:
-        functional = moments(params, 40)
-        members = [generate_monic(params, n) for n in range(21)]
-        for n in range(21):
-            for m in range(n):
-                ok = ok and functional.inner_product(members[m], members[n]) == 0
-            ok = ok and functional.inner_product(members[n], members[n]) == norm_square(
-                params, n
-            )
-    elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 5.0
-    _report(
-        1,
-        ok,
-        f"pairwise orthogonality and norm products exact, n <= 20, "
-        f"3 parameter pairs, {elapsed:.2f}s",
-    )
-
-
-def test_criterion_02_exact_eigen_identity():
-    start = time.perf_counter()
-    ok = True
-    for params in PAIRS:
-        op = little_jacobi_operator(params.alpha, params.beta, 21)
-        for n in range(21):
-            member = generate_monic(params, n)
-            lam = eigenvalue(params, n)
-            expected = -2 * n if n % 2 == 0 else 2 * (params.alpha + params.beta + n + 1)
-            ok = ok and lam == expected
-            ok = ok and op.apply(member) == lam * member
-    elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 2.0
-    _report(
-        2,
-        ok,
-        f"operator eigen-identity coefficient-exact with even/odd eigenvalues, "
-        f"n <= 20, {elapsed:.2f}s",
-    )
-
-
-def test_criterion_03_explicit_formula():
-    ok = True
-    for params in PAIRS:
-        for n in range(13):
-            ok = ok and explicit_poly(params, n) == generate_monic(params, n)
-    _report(3, ok, "hypergeometric construction equals recurrence exactly, n <= 12")
-
-
-def test_criterion_04_dunkl_lowering():
-    ok = True
-    for params in PAIRS:
-        for n in range(1, 13):
-            ok = ok and dunkl_classical_check(params, n).holds
-    # alpha = 0 degenerates the reflection part: the generalized
-    # derivative collapses to d/dx on the whole truncation window
-    degenerate = op_equal(dunkl_derivative(Fraction(0), 30), derivative(30))
-    ok = ok and degenerate.holds and degenerate.safe_degree == 30
-    _report(
-        4,
-        ok,
-        "generalized derivative lowers exactly to the beta+2 family, n <= 12; "
-        "alpha = 0 collapses to d/dx",
-    )
-
-
-def test_criterion_05_raising():
-    params = ParamPair(Fraction(1, 2), Fraction(5, 2))
-    ok = all(raising_check(params, n).holds for n in range(11))
-    _report(5, ok, "raising operator lands on the beta-2 family exactly, n <= 10")
-
-
-def test_criterion_06_two_route_identification():
-    ok = True
-    for params in PAIRS:
-        for n in range(13):
-            ok = ok and identify_little(params, n).holds
-    _report(
-        6,
-        ok,
-        "Christoffel quotient and two-term Geronimus combination (second "
-        "parameter shifted by one) both reproduce the family exactly, n <= 12",
-    )
-
-
-def test_criterion_07_intertwiner_route():
-    ok = True
-    for params in (ParamPair(Fraction(1), Fraction(1)), ParamPair(Fraction(1, 2), Fraction(3, 2))):
-        for n in range(11):
-            ok = ok and intertwiner_check(params, n).holds
-    _report(7, ok, "scaled intertwiner image of standard Jacobi matches, n <= 10")
-
-
-def test_criterion_08_algebra_relations():
-    ok = True
-    signs = []
-    for params in PAIRS:
-        structure = verify_relations(params, trunc_degree=24)
-        ok = ok and structure.omega1 == 0
-        ok = ok and structure.omega2 == params.beta
-        ok = ok and structure.omega3 is not None and abs(structure.omega3) == params.alpha
-        signs.append(structure.omega3_sign)
-        ok = ok and verify_casimir(params, trunc_degree=24)
-    sign_text = ",".join(str(s) for s in signs)
-    _report(
-        8,
-        ok,
-        "anticommutator relations exact at truncation 24: scalars 0 and beta, "
-        f"third has magnitude alpha with signs [{sign_text}]; "
-        "squares sum to the identity",
-    )
+@pytest.mark.parametrize(
+    "number, suite, prefixes, seconds, claim, extra",
+    CRITERIA,
+    ids=[f"criterion_{c[0]:02d}" for c in CRITERIA],
+)
+def test_suite_criterion(number, suite, prefixes, seconds, claim, extra):
+    results, elapsed = _suite(suite)
+    checks = [r for r in results if r.name.startswith(prefixes)]
+    ok = all(any(r.name.startswith(p) for r in checks) for p in prefixes)
+    ok = ok and all(r.passed for r in checks)
+    ok = ok and (extra is None or extra())
+    timing = ""
+    if seconds is not None:
+        ok = ok and elapsed < seconds
+        timing = f", {suite} suite {elapsed:.2f}s < {seconds:g}s"
+    details = "; ".join(dict.fromkeys(r.detail for r in checks))
+    _report(number, ok, f"{claim}{timing} [{len(checks)} checks: {details}]")
 
 
 def test_criterion_09_sturm_liouville_identities():
@@ -191,43 +113,6 @@ def test_criterion_09_sturm_liouville_identities():
         ok,
         "alpha = 0 operator commutes with the Sturm-Liouville operator and "
         "satisfies the exact quadratic relation at truncation 24",
-    )
-
-
-def test_criterion_10_deformation_limit():
-    params = ParamPair(Fraction(1, 2), Fraction(3, 2))
-    coarse, fine = 1e-3, 1e-4
-    ok = True
-    for n in range(11):
-        du_c, db_c = qlimit_error(params, n, coarse)
-        du_f, db_f = qlimit_error(params, n, fine)
-        if du_c is not None:
-            ratio_u = du_c / du_f if du_f > 0.0 else float("inf")
-            ok = ok and 8.0 <= ratio_u <= 12.0
-        ratio_b = db_c / db_f if db_f > 0.0 else float("inf")
-        ok = ok and 8.0 <= ratio_b <= 12.0
-    _report(
-        10,
-        ok,
-        "deformed recurrence errors scale linearly: coarse/fine ratio in "
-        "[8, 12] for n <= 10",
-    )
-
-
-def test_criterion_11_weight_moment_consistency():
-    start = time.perf_counter()
-    params = ParamPair(Fraction(1, 2), Fraction(3, 2))
-    functional = moments(params, 8)
-    worst = max(
-        abs(weight_moment(params, k) - float(functional.c(k))) for k in range(9)
-    )
-    elapsed = time.perf_counter() - start
-    ok = worst < 1e-8 and elapsed < 5.0
-    _report(
-        11,
-        ok,
-        f"quadrature of the weight reproduces exact moments, k <= 8, "
-        f"worst {worst:.2e}, {elapsed:.2f}s",
     )
 
 
@@ -250,54 +135,4 @@ def test_criterion_12_general_solution_residuals():
         ok,
         f"second-order residuals below 1e-10 (worst {worst:.2e}) including the "
         "elementary eigenvalue; odd component exactly parity-odd",
-    )
-
-
-def test_criterion_13_well_suite():
-    start = time.perf_counter()
-    a = Fraction(3, 2)
-    grid = default_grid(200)
-    ok = True
-    worst_op = 0.0
-    for n in range(6):
-        state = eigenstate(a, n)
-        values = [state.value(y) for y in grid]
-        peak = max(abs(v) for v in values)
-        root = float(a) + n + 1.0
-        target = (-1.0) ** (n + 1) * root
-        e_n = energy(a, n)
-        for y, v in zip(grid, values):
-            worst_op = max(worst_op, abs(apply_L1(a, state, y) - target * v) / peak)
-            worst_op = max(worst_op, abs(apply_H1(a, state, y) - e_n * v) / peak)
-    ok = ok and worst_op < 1e-8
-
-    worst_square = 0.0
-    for p in (Poly.ONE, Poly.X, Poly([Fraction(-1, 2), 0, 1]), Poly([0, 1, 0, 2])):
-        f = PhiPoly(a, p)
-        image = L1Image(a, f)
-        for y in grid[::5]:
-            twice = apply_L1(a, image, y)
-            direct = apply_H1(a, f, y)
-            worst_square = max(
-                worst_square, abs(twice - direct) / max(1.0, abs(direct))
-            )
-    ok = ok and worst_square < 1e-8
-
-    factor = factorization_check(
-        lambda y: superpotential(a, y),
-        lambda y: superpotential_prime(a, y),
-        lambda y: potential(a, y),
-        0.0,
-        grid,
-    )
-    ok = ok and factor.holds and all(v <= 1e-10 for v in factor.worst.values())
-
-    elapsed = time.perf_counter() - start
-    ok = ok and elapsed < 3.0
-    _report(
-        13,
-        ok,
-        f"square-root operator and Hamiltonian eigen-relations (worst "
-        f"{worst_op:.2e}), operator square (worst {worst_square:.2e}), and "
-        f"superpotential factorization all hold, {elapsed:.2f}s",
     )

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from littlejacobi import cli
+from littlejacobi import cli, verify
 
 
 def run(args):
@@ -32,6 +32,16 @@ def test_table_json(capsys):
     assert data[0]["u"] is None
     assert data[1]["u"] == "15/64"
     assert isinstance(data[3]["coefficients"], list)
+
+
+def test_table_negative_rational_after_space(capsys):
+    assert run(["table", "--alpha", "-9/10", "--beta", "-1/2", "--n", "1"]) == 0
+    out = capsys.readouterr().out
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert rows[0]["b"] == "1/6"
+    # argparse abbreviations take a spaced negative value too
+    assert run(["table", "--alph", "-9/10", "--bet", "-1/2", "--n", "1"]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_table_rejects_bad_params(capsys):
@@ -74,6 +84,35 @@ def test_verify_unknown_suite():
     with pytest.raises(SystemExit) as exc:
         run(["verify", "--suite", "nonsense"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "suite, alpha, beta",
+    [
+        ("aw", "-1/2", "3/2"),
+        ("qlimit", "1/2", "-1/2"),
+        ("qlimit", "-1/2", "1/2"),
+        ("qlimit", "3/10", "-3/10"),
+    ],
+)
+def test_verify_off_the_default_pairs(suite, alpha, beta, capsys):
+    # omega3 = -alpha also for alpha < 0; alpha + beta = 0 leaves C_0 = 0
+    assert run(["verify", "--suite", suite, "--alpha", alpha, "--beta", beta]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("coarse", [1e-3, 0.0], ids=["nonzero_coarse", "zero_coarse"])
+def test_qlimit_rejects_zero_fine_error(monkeypatch, coarse):
+    def fake(params, n, eps):
+        if n == 0:
+            return None, (coarse if eps == 1e-3 else 0.0)
+        return eps, eps
+
+    monkeypatch.setattr(verify, "qlimit_error", fake)
+    options = verify.SuiteOptions(pairs=verify.DEFAULT_PAIRS[:1])
+    [result] = verify.run_suites(["qlimit"], options)
+    assert not result.passed
+    assert result.detail == "ratio inf at n=0 outside [8,12]"
 
 
 def test_verify_seed_env(monkeypatch, capsys):

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from littlejacobi.family import (
     ParamPair,
-    QDeformation,
     eigenvalue,
     explicit_poly,
     generate_monic,
@@ -189,14 +188,21 @@ def test_weight_normalizes_to_one():
 
 def test_qdeformation_validation():
     with pytest.raises(ValueError, match="epsilon"):
-        QDeformation(0.0, 0.5, 1.5)
+        qjacobi_recurrence(0.0, 0.5, 1.5, 1)
 
 
 def test_qjacobi_u0_is_none():
-    d = QDeformation(1e-3, 0.5, 1.5)
-    u, b = qjacobi_recurrence(d, 0)
+    u, b = qjacobi_recurrence(1e-3, 0.5, 1.5, 0)
     assert u is None
     assert math.isfinite(b)
+
+
+def test_qjacobi_balanced_pair():
+    # alpha + beta = 0 zeroes the denominator of C_0, whose numerator
+    # carries 1 - q^0: C_0 = 0 and b_0 stays near (alpha+1)/(alpha+beta+2)
+    u, b = qjacobi_recurrence(1e-4, 0.5, -0.5, 0)
+    assert u is None
+    assert b == pytest.approx(0.75, abs=1e-3)
 
 
 def test_qlimit_linear_convergence():

@@ -66,17 +66,6 @@ def test_action_validation():
         BandedOp([{-1: Fraction(1)}])
 
 
-def test_dump_format():
-    dumped = little_jacobi_operator(0, 0, 4).dump()
-    assert dumped == {
-        0: [],
-        1: [[0, "-2"], [1, "4"]],
-        2: [[1, "4"], [2, "-4"]],
-        3: [[2, "-6"], [3, "8"]],
-        4: [[3, "8"], [4, "-8"]],
-    }
-
-
 def test_identity_scalar_rejects_offdiagonal():
     assert identity_scalar(mult_x(4)) is None
     assert identity_scalar(Fraction(-3, 2) * identity(4)) == Fraction(-3, 2)

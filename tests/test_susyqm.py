@@ -11,7 +11,6 @@ from littlejacobi.susyqm import (
     L1Image,
     PhiPoly,
     SchrodingerParams,
-    WaveSample,
     apply_H1,
     apply_L1,
     conjugation_check,
@@ -23,7 +22,6 @@ from littlejacobi.susyqm import (
     ground_state,
     node_count,
     potential,
-    sample_states,
     superpotential,
     superpotential_prime,
     wavefunction,
@@ -220,20 +218,3 @@ def test_default_grid_properties():
         default_grid(1)
     with pytest.raises(ValueError):
         default_grid(10, margin=0.0)
-
-
-def test_wave_sample_validation():
-    grid, samples = sample_states(A, 2, 50)
-    assert len(samples) == 3
-    assert samples[0].grid == grid
-    assert len(samples[1].values) == 50
-    with pytest.raises(ValueError, match="increasing"):
-        WaveSample(grid=(0.5, 0.1), values=(1.0, 1.0), derivative_values=(0.0, 0.0))
-    with pytest.raises(ValueError, match="finite"):
-        WaveSample(
-            grid=(0.1, 0.5),
-            values=(1.0, math.inf),
-            derivative_values=(0.0, 0.0),
-        )
-    with pytest.raises(ValueError, match="equal length"):
-        WaveSample(grid=(0.1, 0.5), values=(1.0,), derivative_values=(0.0, 0.0))
