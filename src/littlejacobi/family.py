@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional
-
-from scipy.integrate import quad
+from operator import mul
+from typing import Optional, Sequence
 
 from .polys import Poly, as_fraction, pochhammer, terminating_2f1
 
@@ -89,13 +88,24 @@ def eigenvalue(params: ParamPair, n: int) -> Fraction:
     return 2 * (params.alpha + params.beta + n + 1)
 
 
+#: Largest number of nested recurrence steps one generate_monic call makes.
+_STRIDE = 64
+
+
 @lru_cache(maxsize=None)
 def generate_monic(params: ParamPair, n: int) -> Poly:
-    """Monic family member of degree n, from the three-term recurrence."""
+    """Monic family member of degree n, from the three-term recurrence.
+
+    A cold call first builds the members at multiples of _STRIDE below n,
+    in increasing order, so the recursion below reaches a cached member
+    within _STRIDE levels: the stack depth does not grow with n.
+    """
     if n < 0:
         raise ValueError("degree must be nonnegative")
     if n == 0:
         return Poly.ONE
+    for k in range(_STRIDE, n, _STRIDE):
+        generate_monic(params, k)
     _, b_prev = recurrence_coeffs(params, n - 1)
     tail = Poly([-b_prev, 1]) * generate_monic(params, n - 1)
     if n == 1:
@@ -167,6 +177,39 @@ class MomentFunctional:
             Fraction(0),
         )
 
+    def gram(self, polys: Sequence[Poly]) -> list[list[Fraction]]:
+        """Lower triangle of the Gram matrix: ``gram(ps)[n][m] = <ps[n], ps[m]>``
+        for m <= n, exact and equal to ``inner_product`` entry by entry.
+
+        No polynomial product is formed.  The moments are scaled to
+        integers C_k = D c_k over one common denominator D, and each
+        polynomial to integers over its own denominator d_n.  The moment
+        image L[x^j p_n] = sum_i p_n[i] C_{i+j} is computed once per
+        polynomial, and each entry is the integer dot product of p_m with
+        it, divided by D d_n d_m once.  For N polynomials of degree <= N
+        that is O(N^3) integer multiply-adds, against O(N^4) Fraction
+        products for the pairwise ``inner_product`` scan.
+        """
+        top = max([0] + [2 * len(p.coeffs) - 2 for p in polys])
+        if top >= len(self.moments):
+            raise ValueError(
+                f"inner product needs moment {top}, have 0..{len(self.moments) - 1}"
+            )
+        scaled_moments, moment_den = _over_common_denominator(self.moments[: top + 1])
+        scaled = [_over_common_denominator(p.coeffs) for p in polys]
+
+        rows, width = [], 0
+        for a, den in scaled:
+            width = max(width, len(a))
+            image = [sum(map(mul, a, scaled_moments[j:])) for j in range(width)]
+            rows.append(
+                [
+                    Fraction(sum(map(mul, b, image)), moment_den * den * d)
+                    for b, d in scaled[: len(rows) + 1]
+                ]
+            )
+        return rows
+
     def hankel_determinant(self, n: int) -> Fraction:
         """det of the (n+1) x (n+1) moment matrix (c_{i+j}), exact."""
         if 2 * n >= len(self.moments):
@@ -189,6 +232,12 @@ class MomentFunctional:
                     for cdx in range(col, size):
                         m[r][cdx] -= factor * m[col][cdx]
         return det
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, d) with values[i] = ints[i] / d and d the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @lru_cache(maxsize=None)
@@ -256,18 +305,22 @@ def weight_moment(params: ParamPair, k: int) -> float:
     The interval is split at 0 and each half is mapped by x = 1 - t**2,
     which absorbs the endpoint singularity of (1-x^2)^((beta-1)/2); the
     |x|^alpha singularity at 0 lands at t = 1 where it is integrable.
+    The factors 1 - x = t**2 and 1 + x = 2 - t**2 are folded in
+    analytically, so 1 - x^2 is never formed in floating point (it
+    rounds to 0.0 near t = 0).
     """
+    from scipy.integrate import quad  # deferred: the exact routes never need scipy
+
     if k < 0:
         raise ValueError("moment order must be nonnegative")
     a = float(params.alpha)
     b = float(params.beta)
 
-    def bare(x):
-        return abs(x) ** a * (1.0 - x * x) ** ((b - 1.0) / 2.0) * (1.0 + x)
-
     def integrand(t):
         x = 1.0 - t * t
-        return 2.0 * t * (x**k * bare(x) + (-x) ** k * bare(-x))
+        s = 2.0 - t * t
+        # 2t (1-x^2)^((b-1)/2) = 2 t^b s^((b-1)/2); the halves carry 1+x = s and 1-x = t^2
+        return 2.0 * t**b * s ** ((b - 1.0) / 2.0) * x**a * (x**k * s + (-x) ** k * t * t)
 
     out = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)
     return weight_normalization(params) * out[0]

@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -113,6 +115,21 @@ def test_qlimit_rejects_zero_fine_error(monkeypatch, coarse):
     [result] = verify.run_suites(["qlimit"], options)
     assert not result.passed
     assert result.detail == "ratio inf at n=0 outside [8,12]"
+
+
+@pytest.mark.parametrize("n", [0, 3, 7])
+def test_verify_short_orthogonality_sweep(n, capsys):
+    # the Hankel and quadrature checks read moments beyond 2n
+    assert run(["verify", "--suite", "orthogonality", "--n", str(n)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, littlejacobi.cli; print('scipy' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_verify_seed_env(monkeypatch, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from littlejacobi import verify
 from littlejacobi.family import (
     ParamPair,
     eigenvalue,
@@ -21,6 +22,7 @@ from littlejacobi.family import (
     weight_eval,
     weight_moment,
 )
+from littlejacobi.polys import Poly, monomial
 
 PAIRS = [
     ParamPair(Fraction(1, 2), Fraction(3, 2)),
@@ -97,6 +99,14 @@ def test_generate_monic_is_monic(n):
     assert p.leading_coefficient == 1
 
 
+def test_generate_monic_cold_deep_call():
+    # the recursion depth is bounded, whatever the degree of a cold call
+    generate_monic.cache_clear()
+    p = generate_monic(ParamPair(Fraction(1, 2), Fraction(3, 2)), 600)
+    assert p.degree == 600
+    assert p.leading_coefficient == 1
+
+
 def test_known_member():
     assert generate_monic(ParamPair(Fraction(0), Fraction(0)), 2).to_strings() == [
         "-1/4",
@@ -147,6 +157,69 @@ def test_orthogonality_and_norms():
     assert norm_square(PAIRS[0], 0) == 1
 
 
+def test_gram_of_monomials_is_the_hankel_matrix():
+    for params in PAIRS:
+        mf = moments(params, 16)
+        gram = mf.gram([monomial(k) for k in range(9)])
+        assert gram == [[mf.c(i + j) for j in range(i + 1)] for i in range(9)]
+
+
+small_polys = st.lists(
+    st.lists(
+        st.fractions(min_value=-5, max_value=5, max_denominator=12), max_size=7
+    ).map(Poly),
+    max_size=5,
+)
+
+
+@given(admissible, admissible, small_polys)
+@settings(max_examples=60, deadline=None)
+def test_gram_matches_inner_product(alpha, beta, polys):
+    mf = moments(ParamPair(alpha, beta), 12)
+    gram = mf.gram(polys)
+    assert gram == [
+        [mf.inner_product(polys[n], polys[m]) for m in range(n + 1)]
+        for n in range(len(polys))
+    ]
+
+
+def test_gram_needs_enough_moments():
+    mf = moments(PAIRS[0], 4)
+    with pytest.raises(ValueError, match="inner product needs moment 6"):
+        mf.gram([generate_monic(PAIRS[0], 1), generate_monic(PAIRS[0], 3)])
+
+
+def test_orthogonality_witness_matches_pairwise_scan(monkeypatch):
+    params, n_max = PAIRS[0], 12
+    members = [generate_monic(params, k) for k in range(n_max + 1)]
+    coeffs = list(members[5].coeffs)
+    coeffs[2] += Fraction(1, 7)
+    members[5] = Poly(coeffs)
+    monkeypatch.setattr(verify, "generate_monic", lambda _, k: members[k])
+
+    mf = moments(params, 2 * n_max)
+    expected = next(
+        f"<P_{n}, P_{m}> = {value}"
+        for n in range(1, n_max + 1)
+        for m in range(n)
+        if (value := mf.inner_product(members[n], members[m])) != 0
+    )
+    options = verify.SuiteOptions(pairs=(params,), max_degree=n_max)
+    results = {r.name.split(" n<=")[0]: r for r in verify.run_suites(["orthogonality"], options)}
+    vanishing, norms = results["pair vanishing"], results["norm product rule"]
+    assert not vanishing.passed
+    assert vanishing.detail == expected
+    assert not norms.passed
+    assert norms.detail == "mismatch at n=5"
+
+
+def test_orthogonality_suite_at_degree_80():
+    options = verify.SuiteOptions(pairs=(PAIRS[0],), max_degree=80)
+    results = verify.run_suites(["orthogonality"], options)
+    assert len(results) == 5
+    assert all(r.passed for r in results), [r.detail for r in results if not r.passed]
+
+
 def test_hankel_determinants_positive():
     for params in PAIRS:
         mf = moments(params, 22)
@@ -174,8 +247,12 @@ def test_weight_singular_at_origin_for_negative_alpha():
     assert math.isfinite(weight_eval(params, 0.3))
 
 
-def test_weight_moments_match_exact():
-    params = ParamPair(Fraction(1, 2), Fraction(3, 2))
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [("1/2", "3/2"), ("-9/10", "-9/10"), ("-2/3", "-1/4")],
+)
+def test_weight_moments_match_exact(alpha, beta):
+    params = ParamPair(Fraction(alpha), Fraction(beta))
     mf = moments(params, 8)
     for k in range(9):
         assert abs(weight_moment(params, k) - float(mf.c(k))) < 1e-8
