@@ -101,7 +101,7 @@ def verify_relations(params: ParamPair, trunc_degree: int = 24) -> AWStructure:
         omega1=scalars["YZ+ZY"],
         omega2=scalars["ZX+XZ-Y"],
         omega3=scalars["XY+YX-Z"],
-        casimir_is_identity=verify_casimir(params, trunc_degree),
+        casimir_is_identity=_casimir_holds(x_op, y_op, z_op),
         trunc_degree=trunc_degree,
         reports=reports,
     )
@@ -109,7 +109,10 @@ def verify_relations(params: ParamPair, trunc_degree: int = 24) -> AWStructure:
 
 def verify_casimir(params: ParamPair, trunc_degree: int = 24) -> bool:
     """Y^2 + Z^2 equals the identity and commutes with all generators."""
-    x_op, y_op, z_op = generators(params, trunc_degree)
+    return _casimir_holds(*generators(params, trunc_degree))
+
+
+def _casimir_holds(x_op: BandedOp, y_op: BandedOp, z_op: BandedOp) -> bool:
     casimir = y_op @ y_op + z_op @ z_op
     if not op_equal(casimir, identity(casimir.trunc_degree)).holds:
         return False

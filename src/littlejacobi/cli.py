@@ -3,8 +3,9 @@
 Three subcommands: ``table`` prints exact recurrence/eigenvalue data and
 monic coefficients, ``verify`` runs named check suites, and ``sample``
 emits CSV grids (weight, eigenfunction, wavefunction, potential) for
-plotting elsewhere.  Exit codes: 0 success, 1 failed checks, 2 usage or
-domain errors.  Rational inputs take the exact "p/q" form.
+plotting elsewhere.  Exit codes: 0 success (skipped checks included), 1
+failed checks, 2 usage or domain errors.  Rational inputs take the exact
+"p/q" form.
 """
 
 from __future__ import annotations
@@ -100,12 +101,15 @@ def _cmd_verify(args, out) -> int:
     seed = int(seed_text) if seed_text else None
     results = run_suites([args.suite], options, seed=seed)
     failed = sum(1 for r in results if not r.passed)
+    skipped = sum(1 for r in results if r.skipped)
+    passed = len(results) - failed - skipped
     if args.format == "json":
         json.dump(
             {
                 "results": [r.to_dict() for r in results],
-                "passed": len(results) - failed,
+                "passed": passed,
                 "failed": failed,
+                "skipped": skipped,
             },
             out,
             indent=2,
@@ -113,9 +117,9 @@ def _cmd_verify(args, out) -> int:
         out.write("\n")
     else:
         for r in results:
-            status = "PASS" if r.passed else "FAIL"
+            status = "SKIP" if r.skipped else "PASS" if r.passed else "FAIL"
             out.write(f"{status} [{r.suite}] {r.name}: {r.detail}\n")
-        out.write(f"{len(results) - failed}/{len(results)} checks passed\n")
+        out.write(f"{passed}/{len(results)} checks passed, {skipped} skipped\n")
     return 0 if failed == 0 else 1
 
 

@@ -249,29 +249,39 @@ def dunkl_derivative(mu, trunc_degree: int) -> BandedOp:
     return BandedOp.from_monomial(trunc_degree, action)
 
 
-def intertwiner_sigma(mu, n: int) -> Fraction:
-    """Diagonal entries of the Dunkl intertwiner: sigma_{2m-1} = sigma_{2m}."""
+def _intertwiner_sigmas(mu, n: int) -> list[Fraction]:
+    """sigma_0..sigma_n as one running product: sigma_0 = 1, the odd step
+    n = 2k+1 multiplies by (1/2 + k)/(mu + 1/2 + k), the even step repeats
+    the previous entry."""
     mu = as_fraction(mu)
     if mu <= Fraction(-1, 2):
         raise ValueError("Dunkl parameter mu must exceed -1/2")
     if n < 0:
         raise ValueError("index must be nonnegative")
-    m = (n + 1) // 2
-    out = Fraction(1)
-    for k in range(m):
-        out *= (Fraction(1, 2) + k) / (mu + Fraction(1, 2) + k)
-    return out
+    sigmas = [Fraction(1)]
+    for j in range(1, n + 1):
+        if j % 2:
+            k = j // 2
+            sigmas.append(sigmas[-1] * (Fraction(1, 2) + k) / (mu + Fraction(1, 2) + k))
+        else:
+            sigmas.append(sigmas[-1])
+    return sigmas
+
+
+def intertwiner_sigma(mu, n: int) -> Fraction:
+    """Diagonal entries of the Dunkl intertwiner: sigma_{2m-1} = sigma_{2m}."""
+    return _intertwiner_sigmas(mu, n)[-1]
 
 
 def dunkl_intertwiner(mu, trunc_degree: int) -> BandedOp:
     """Diagonal operator V with T_mu V = V d/dx (degree-preserving).
 
     V x**n = sigma_n x**n where sigma pairs off odd/even indices; it maps
-    the plain derivative's eigenstructure onto the Dunkl operator's.
+    the plain derivative's eigenstructure onto the Dunkl operator's.  The
+    whole table costs O(trunc_degree) Fraction products.
     """
-    return BandedOp.from_monomial(
-        trunc_degree, lambda n: {n: intertwiner_sigma(mu, n)}
-    )
+    sigmas = _intertwiner_sigmas(mu, max(trunc_degree, 0))
+    return BandedOp.from_monomial(trunc_degree, lambda n: {n: sigmas[n]})
 
 
 def little_jacobi_operator(alpha, beta, trunc_degree: int) -> BandedOp:

@@ -3,8 +3,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -103,6 +105,34 @@ def test_verify_off_the_default_pairs(suite, alpha, beta, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "alpha, beta, may_fail",
+    # qlimit's error ratio leaves [8, 12] near the parameter boundary
+    # (12.30 at n=6 for (-9/10,-9/10))
+    [("-9/10", "-9/10", {"qlimit"}), ("-1/2", "-1/2", set())],
+    ids=["-9/10--9/10", "-1/2--1/2"],
+)
+def test_verify_skips_prop2_below_its_range(alpha, beta, may_fail, capsys):
+    # the intertwiner route needs alpha + beta > -1: prop2 reports a skip,
+    # which is no failure, and every other suite still runs
+    assert run(["verify", "--suite", "prop2", "--alpha", alpha, "--beta", beta]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("SKIP [prop2] intertwiner route")
+    assert "not applicable" in lines[0]
+    assert lines[1] == "0/1 checks passed, 1 skipped"
+
+    code = run(["verify", "--alpha", alpha, "--beta", beta, "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    results = data["results"]
+    assert {r["suite"] for r in results} == set(verify.SUITES)
+    assert [r["suite"] for r in results if r["skipped"]] == ["prop2"]
+    assert all(r["passed"] for r in results if r["skipped"])
+    assert data["skipped"] == 1
+    assert data["passed"] + data["failed"] + data["skipped"] == len(results)
+    assert {r["suite"] for r in results if not r["passed"]} <= may_fail
+    assert code == (1 if data["failed"] else 0)
+
+
 @pytest.mark.parametrize("coarse", [1e-3, 0.0], ids=["nonzero_coarse", "zero_coarse"])
 def test_qlimit_rejects_zero_fine_error(monkeypatch, coarse):
     def fake(params, n, eps):
@@ -126,8 +156,15 @@ def test_verify_short_orthogonality_sweep(n, capsys):
 
 def test_import_leaves_scipy_unloaded():
     code = "import sys, littlejacobi.cli; print('scipy' in sys.modules)"
+    # the child imports the package from where this process found it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": path},
     ).stdout
     assert out.strip() == "False"
 

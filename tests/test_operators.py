@@ -22,7 +22,7 @@ from littlejacobi.operators import (
     raising_operator,
     reflection,
 )
-from littlejacobi.polys import Poly, monomial, reflect
+from littlejacobi.polys import Poly, monomial, pochhammer, reflect
 
 
 def test_reflection_is_an_involution():
@@ -91,12 +91,47 @@ def test_dunkl_action_on_monomials():
     assert t.apply(Poly.ONE).is_zero()
 
 
-@pytest.mark.parametrize("mu", [Fraction(1, 2), Fraction(1), Fraction(5, 2)])
-def test_intertwiner_conjugates_derivative_to_dunkl(mu):
-    n = 30
+@pytest.mark.parametrize(
+    "mu, n",
+    [
+        (Fraction(1, 2), 30),
+        (Fraction(1), 30),
+        (Fraction(5, 2), 30),
+        (Fraction(-9, 20), 30),
+        (Fraction(0), 30),
+        (Fraction(7, 20), 300),
+    ],
+    ids=[f"mu{i}" for i in range(6)],
+)
+def test_intertwiner_conjugates_derivative_to_dunkl(mu, n):
     lhs = dunkl_derivative(mu, n) @ dunkl_intertwiner(mu, n)
     rhs = dunkl_intertwiner(mu, n) @ derivative(n)
-    assert op_equal(lhs, rhs).holds
+    report = op_equal(lhs, rhs)
+    assert report.holds
+    assert report.safe_degree == n
+
+
+@pytest.mark.parametrize(
+    "mu", [Fraction(7, 20), Fraction(-9, 20), Fraction(0), Fraction(3, 2)]
+)
+def test_intertwiner_table_matches_closed_form(mu):
+    # sigma_n = (1/2)_m / (mu + 1/2)_m with m = ceil(n/2)
+    n_max = 300
+    table = dunkl_intertwiner(mu, n_max)
+    for n in range(n_max + 1):
+        m = (n + 1) // 2
+        sigma = pochhammer(Fraction(1, 2), m) / pochhammer(mu + Fraction(1, 2), m)
+        assert table.action(n) == {n: sigma}
+    assert intertwiner_sigma(mu, n_max) == sigma
+
+
+def test_intertwiner_domain():
+    with pytest.raises(ValueError):
+        intertwiner_sigma(Fraction(-1, 2), 3)
+    with pytest.raises(ValueError):
+        intertwiner_sigma(Fraction(1), -1)
+    with pytest.raises(ValueError):
+        dunkl_intertwiner(Fraction(-1, 2), 4)
 
 
 def test_intertwiner_sigma_pairing():
