@@ -17,7 +17,13 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .polys import Poly, as_fraction, pochhammer, terminating_2f1
+from .polys import (
+    Poly,
+    _over_common_denominator,
+    as_fraction,
+    pochhammer,
+    terminating_2f1,
+)
 
 __all__ = [
     "MomentFunctional",
@@ -232,12 +238,6 @@ class MomentFunctional:
                     for cdx in range(col, size):
                         m[r][cdx] -= factor * m[col][cdx]
         return det
-
-
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, d) with values[i] = ints[i] / d and d the lcm of the denominators."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,7 @@ transform layers assert equality instead of closeness.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -41,6 +42,12 @@ def as_fraction(value) -> Fraction:
     if isinstance(value, (int, str, float)):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
+
+
+def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(ints, d) with values[i] = ints[i] / d and d the lcm of the denominators."""
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
 
 
 def horner(coeffs: Sequence, x):
@@ -153,11 +160,32 @@ class Poly:
         return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)), exact (Horner in the polynomial ring)."""
-        out = Poly()
-        for c in reversed(self.coeffs):
-            out = out * inner + Poly([c])
-        return out
+        """self(inner(x)), exact, by one Horner pass over integers.
+
+        With self = sum_k P_k x^k / d and inner = Q(x) / s over integer
+        numerators, self(inner) = sum_k P_k s^(n-k) Q^k / (d s^n), n the
+        degree of self.  Horner accumulates that integer polynomial with
+        plain int multiply-adds, one pass per coefficient of self, each
+        costing len(acc) products per nonzero coefficient of Q: O(n^2)
+        for the linear and monomial inner polynomials the package uses.
+        One Fraction is made per output coefficient.
+        """
+        if not self.coeffs:
+            return Poly()
+        outer, d = _over_common_denominator(self.coeffs)
+        q, s = _over_common_denominator(inner.coeffs)
+        taps = [(j, c) for j, c in enumerate(q) if c]
+        acc, scale = [outer[-1]], 1
+        for p in reversed(outer[:-1]):
+            scale *= s
+            nxt = [0] * max(len(acc) + len(q) - 1, 1)
+            for j, c in taps:
+                end = j + len(acc)
+                nxt[j:end] = [x + c * a for x, a in zip(nxt[j:end], acc)]
+            nxt[0] += p * scale
+            acc = nxt
+        den = d * scale
+        return Poly([Fraction(a, den) for a in acc])
 
     def __call__(self, x):
         """Horner evaluation; exact for Fraction/int input, float for float."""
@@ -236,6 +264,11 @@ def terminating_2f1(a, b, c, arg_power: int = 1) -> Poly:
     where a must be a nonpositive integer -n (that is what makes the sum
     terminate).  ``arg_power=2`` yields a series in x**2.
 
+    The running term is carried as one integer numerator and one integer
+    denominator (b and c enter through their own numerators and
+    denominators), so each of the n steps costs a few int products and
+    each coefficient costs one Fraction reduction.
+
     Raises ValueError if a is not a nonpositive integer, or if c hits a
     nonpositive integer before the series terminates (zero denominator).
     """
@@ -247,13 +280,16 @@ def terminating_2f1(a, b, c, arg_power: int = 1) -> Poly:
     if a.denominator != 1 or a > 0:
         raise ValueError("top parameter must be a nonpositive integer")
     n = -int(a)
+    bn, bd = b.numerator, b.denominator
+    cn, cd = c.numerator, c.denominator
     out = [Fraction(0)] * (n * arg_power + 1)
-    term = Fraction(1)
-    out[0] = term
+    out[0] = Fraction(1)
+    num = den = 1
     for k in range(n):
-        den = c + k
-        if den == 0:
+        c_k = cn + k * cd  # (c + k) cd
+        if c_k == 0:
             raise ValueError(f"series denominator (c)_k vanishes at k={k + 1}")
-        term = term * (a + k) * (b + k) / (den * (k + 1))
-        out[(k + 1) * arg_power] = term
+        num *= (k - n) * (bn + k * bd) * cd  # (a + k) (b + k) bd cd
+        den *= c_k * bd * (k + 1)
+        out[(k + 1) * arg_power] = Fraction(num, den)
     return Poly(out)

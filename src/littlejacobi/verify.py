@@ -87,6 +87,13 @@ class SuiteOptions:
     points: int = 200
     epsilons: tuple[float, ...] = (1e-3, 1e-4)
 
+    def __post_init__(self):
+        # an empty sweep would pass every check vacuously
+        if self.max_degree is not None and self.max_degree < 0:
+            raise ValueError("max_degree must be nonnegative")
+        if self.levels < 0:
+            raise ValueError("levels must be nonnegative")
+
     def degree(self, default: int) -> int:
         return self.max_degree if self.max_degree is not None else default
 

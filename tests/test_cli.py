@@ -147,6 +147,17 @@ def test_qlimit_rejects_zero_fine_error(monkeypatch, coarse):
     assert result.detail == "ratio inf at n=0 outside [8,12]"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["--suite", "explicit", "--n", "-1"], ["--suite", "susy", "--levels", "-1"]],
+    ids=["n", "levels"],
+)
+def test_verify_rejects_negative_sweep(args, capsys):
+    # an empty sweep must not pass vacuously
+    assert run(["verify", *args]) == 2
+    assert "must be nonnegative" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n", [0, 3, 7])
 def test_verify_short_orthogonality_sweep(n, capsys):
     # the Hankel and quadrature checks read moments beyond 2n

@@ -58,6 +58,46 @@ def test_compose():
     assert p.compose(inner) == Poly([1, 2, 1])
 
 
+def _ring_horner(p, q):
+    # p(q(x)) by Horner in the polynomial ring: the reference for compose
+    out = Poly()
+    for c in reversed(p.coeffs):
+        out = out * q + Poly([c])
+    return out
+
+
+@given(polys, st.lists(rationals, max_size=4).map(Poly), rationals)
+def test_compose_matches_ring_horner(p, q, x):
+    composed = p.compose(q)
+    assert composed == _ring_horner(p, q)
+    assert composed(x) == p(q(x))
+
+
+def test_compose_with_zero_polynomials():
+    p = Poly([Fraction(2, 3), -1, 5])
+    assert Poly.ZERO.compose(Poly([1, 1])) == Poly.ZERO
+    assert Poly.ZERO.compose(Poly.ZERO) == Poly.ZERO
+    # a zero inner polynomial leaves the constant term
+    assert p.compose(Poly.ZERO) == Poly([Fraction(2, 3)])
+
+
+def test_compose_with_constant_inner():
+    p = Poly([Fraction(2, 3), -1, 5])
+    assert p.compose(Poly([Fraction(-1, 2)])) == Poly([p(Fraction(-1, 2))])
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [Poly([Fraction(1, 2), Fraction(-1, 2)]), Poly([0, 0, 1])],
+    ids=["(1-x)/2", "x^2"],
+)
+def test_compose_package_inner_polynomials_at_degree_40(inner):
+    p = Poly([Fraction((-1) ** k * (k + 1), 3 * k + 7) for k in range(41)])
+    composed = p.compose(inner)
+    assert composed.degree == 40 * inner.degree
+    assert composed == _ring_horner(p, inner)
+
+
 def test_derivative():
     assert Poly([5, 3, 0, 2]).derivative() == Poly([3, 0, 6])
     assert Poly.ONE.derivative().is_zero()
@@ -125,14 +165,34 @@ def test_terminating_2f1_degree_and_top_coefficient(n):
     assert p.leading_coefficient == expected
 
 
+# c never a nonpositive integer, so every (c)_k is nonzero
+bottom_parameters = rationals.filter(lambda c: c > 0 or c.denominator != 1)
+
+
+@given(
+    st.integers(min_value=0, max_value=12),
+    rationals,
+    bottom_parameters,
+    st.sampled_from([1, 2]),
+)
+def test_terminating_2f1_coefficients(n, b, c, arg_power):
+    p = terminating_2f1(-n, b, c, arg_power=arg_power)
+    expected = [Fraction(0)] * (n * arg_power + 1)
+    for k in range(n + 1):
+        expected[k * arg_power] = (
+            pochhammer(-n, k) * pochhammer(b, k) / (pochhammer(c, k) * pochhammer(1, k))
+        )
+    assert p == Poly(expected)
+
+
 def test_terminating_2f1_needs_nonpositive_integer():
     with pytest.raises(ValueError):
         terminating_2f1(Fraction(1, 2), 1, 1)
 
 
 def test_terminating_2f1_denominator_pole():
-    # c = -1 hits (c)_k = 0 before the series terminates
-    with pytest.raises(ValueError, match="denominator"):
+    # c = -1 hits (c)_k = 0 at k = 2, before the series terminates
+    with pytest.raises(ValueError, match="denominator .* at k=2$"):
         terminating_2f1(-3, Fraction(1), Fraction(-1))
 
 
