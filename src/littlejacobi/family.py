@@ -100,7 +100,15 @@ _STRIDE = 64
 
 @lru_cache(maxsize=None)
 def generate_monic(params: ParamPair, n: int) -> Poly:
-    """Monic family member of degree n, from the three-term recurrence.
+    """Monic family member of degree n, from the three-term recurrence
+    P_n = (x - b_{n-1}) P_{n-1} - u_{n-1} P_{n-2}.
+
+    The step runs on integers: P_{n-1} and P_{n-2} are scaled to integer
+    numerators A, B over their common denominator d, and with
+    b_{n-1} = bn/bd and u_{n-1} = un/ud,
+      P_n = (x A bd ud - bn ud A - un bd B) / (d bd ud),
+    so a step costs O(n) int multiply-adds, one lcm over the 2n - 1
+    denominators, and one Fraction per coefficient of P_n.
 
     A cold call first builds the members at multiples of _STRIDE below n,
     in increasing order, so the recursion below reaches a cached member
@@ -112,12 +120,19 @@ def generate_monic(params: ParamPair, n: int) -> Poly:
         return Poly.ONE
     for k in range(_STRIDE, n, _STRIDE):
         generate_monic(params, k)
-    _, b_prev = recurrence_coeffs(params, n - 1)
-    tail = Poly([-b_prev, 1]) * generate_monic(params, n - 1)
+    u, b = recurrence_coeffs(params, n - 1)
     if n == 1:
-        return tail
-    u_prev, _ = recurrence_coeffs(params, n - 1)
-    return tail - u_prev * generate_monic(params, n - 2)
+        return Poly([-b, 1])
+    ints, d = _over_common_denominator(
+        generate_monic(params, n - 1).coeffs + generate_monic(params, n - 2).coeffs
+    )
+    a, c = ints[:n], ints[n:]  # A and B
+    shift = b.denominator * u.denominator
+    lin, const = b.numerator * u.denominator, u.numerator * b.denominator
+    # x A, A and B padded to n + 1 coefficients
+    out = [shift * xa - lin * aa - const * cc for xa, aa, cc in zip([0, *a], [*a, 0], [*c, 0, 0])]
+    den = d * shift
+    return Poly([Fraction(v, den) for v in out])
 
 
 def explicit_poly(params: ParamPair, n: int) -> Poly:

@@ -14,11 +14,12 @@ range can never be a truncation artifact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .polys import Poly, as_fraction
+from .polys import Poly, _over_common_denominator, as_fraction
 
 __all__ = [
     "BandedOp",
@@ -88,23 +89,31 @@ class BandedOp:
         return dict(self.actions[n])
 
     def apply(self, p: Poly) -> Poly:
+        """op(p), exact, accumulated over integers.
+
+        p is scaled to integer numerators over its common denominator d,
+        and the rows it reaches (0..deg p) to integers over theirs, D.
+        Each output coefficient is an int sum of products divided by d D
+        once: O(deg p * band) int multiply-adds and one Fraction per
+        output coefficient.
+        """
         if p.degree > self.trunc_degree:
             raise TruncationError(
                 f"polynomial degree {p.degree} exceeds operator truncation "
                 f"degree {self.trunc_degree}"
             )
-        out: dict[int, Fraction] = {}
-        for n, c in enumerate(p.coeffs):
-            if not c:
-                continue
-            for k, a in self.actions[n].items():
-                out[k] = out.get(k, Fraction(0)) + c * a
-        if not out:
+        if not p.coeffs:
             return Poly()
-        coeffs = [Fraction(0)] * (max(out) + 1)
-        for k, c in out.items():
-            coeffs[k] = c
-        return Poly(coeffs)
+        ints, d = _over_common_denominator(p.coeffs)
+        rows = self.actions[: len(ints)]
+        den = math.lcm(*(a.denominator for row in rows for a in row.values()))
+        acc = [0] * (len(ints) + self.max_raise)
+        for c, row in zip(ints, rows):
+            if c:
+                for k, a in row.items():
+                    acc[k] += c * a.numerator * (den // a.denominator)
+        total = d * den
+        return Poly([Fraction(v, total) for v in acc])
 
     # -- linear combinations ----------------------------------------------
 

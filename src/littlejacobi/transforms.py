@@ -5,34 +5,48 @@ The little -1 Jacobi polynomials coincide with a Christoffel transform
 equivalently a two-term Geronimus combination of the same family at a
 shifted second parameter.  This module builds all three routes exactly
 and packages coefficient-level comparisons as reports, together with
-the Dunkl lowering, raising, and intertwiner properties.
+the Dunkl lowering, raising, and intertwiner properties.  Each check has
+a per-n form and a sweep form (``*_sweep``) that builds its operator and
+auxiliary members once and reports the first failing degree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .family import ParamPair, generate_monic, recurrence_coeffs
-from .operators import dunkl_derivative, dunkl_intertwiner, intertwiner_sigma, raising_operator
-from .polys import Poly, as_fraction, terminating_2f1
+from .operators import (
+    BandedOp,
+    _intertwiner_sigmas,
+    dunkl_derivative,
+    dunkl_intertwiner,
+    intertwiner_sigma,
+    raising_operator,
+)
+from .polys import Poly, _over_common_denominator, as_fraction, terminating_2f1
 
 __all__ = [
     "CheckReport",
     "JacobiParams",
     "christoffel_transform",
     "dunkl_classical_check",
+    "dunkl_classical_sweep",
     "extract_recurrence",
     "gegenbauer_dunkl_check",
+    "gegenbauer_dunkl_sweep",
     "geronimus_coefficient",
     "geronimus_combination",
     "identify_little",
+    "identify_little_sweep",
     "intertwiner_check",
+    "intertwiner_sweep",
     "jacobi_series",
     "monic_jacobi_01",
     "monic_jacobi_sym",
     "raising_check",
+    "raising_sweep",
     "symmetric_gegenbauer",
 ]
 
@@ -59,11 +73,12 @@ def _monic(p: Poly, n: int, what: str) -> Poly:
     return p / p.leading_coefficient
 
 
-def _jacobi_2f1(jp: JacobiParams, n: int) -> Poly:
-    """The terminating series 2F1(-n, n+xi+eta+1; xi+1; t) as a polynomial in t."""
+def _jacobi_2f1(jp: JacobiParams, n: int, arg_power: int = 1) -> Poly:
+    """The terminating series 2F1(-n, n+xi+eta+1; xi+1; t) as a polynomial
+    in t = x**arg_power."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    return terminating_2f1(-n, n + jp.xi + jp.eta + 1, jp.xi + 1)
+    return terminating_2f1(-n, n + jp.xi + jp.eta + 1, jp.xi + 1, arg_power=arg_power)
 
 
 def monic_jacobi_01(jp: JacobiParams, n: int) -> Poly:
@@ -96,11 +111,11 @@ def symmetric_gegenbauer(jp: JacobiParams, n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    square = Poly([0, 0, 1])
     if n % 2 == 0:
-        return monic_jacobi_01(jp, n // 2).compose(square)
+        return _monic(_jacobi_2f1(jp, n // 2, arg_power=2), n, "Gegenbauer series")
     raised = JacobiParams(jp.xi + 1, jp.eta)
-    return Poly.X * monic_jacobi_01(raised, (n - 1) // 2).compose(square)
+    even = _monic(_jacobi_2f1(raised, (n - 1) // 2, arg_power=2), n - 1, "Gegenbauer series")
+    return Poly([0, *even.coeffs])  # x times the even part
 
 
 def christoffel_transform(jp: JacobiParams, n: int) -> Poly:
@@ -110,16 +125,34 @@ def christoffel_transform(jp: JacobiParams, n: int) -> Poly:
     parameters (all zeros lie inside (-1,1)).  The division must leave a
     zero remainder; a nonzero one signals an internal inconsistency.
     """
-    s_n = symmetric_gegenbauer(jp, n)
-    s_next = symmetric_gegenbauer(jp, n + 1)
-    denom = s_n(Fraction(-1))
-    if denom == 0:
+    return _christoffel(symmetric_gegenbauer(jp, n), symmetric_gegenbauer(jp, n + 1), n)
+
+
+def _christoffel(s_n: Poly, s_next: Poly, n: int) -> Poly:
+    """christoffel_transform from the members S_n and S_{n+1}, on integers.
+
+    With S_n = A/d and S_{n+1} = B/d over one common denominator, the
+    numerator S_{n+1} - A_n S_n is (A(-1) B - B(-1) A) / (A(-1) d), and
+    synthetic division of its integer part by x+1 stays in the integers:
+    O(n) int operations and one Fraction per coefficient of the quotient.
+    """
+    ints, d = _over_common_denominator(s_n.coeffs + s_next.coeffs)
+    low, high = ints[: len(s_n.coeffs)], ints[len(s_n.coeffs) :]
+    at_low = sum(low[0::2]) - sum(low[1::2])
+    if at_low == 0:
         raise ValueError(f"kernel point hit: S_{n}(-1) = 0")
-    a_n = s_next(Fraction(-1)) / denom
-    quotient, remainder = divmod(s_next - a_n * s_n, Poly([1, 1]))
-    if not remainder.is_zero():
+    at_high = sum(high[0::2]) - sum(high[1::2])
+    numerator = [at_low * c for c in high]
+    for k, c in enumerate(low):
+        numerator[k] -= at_high * c
+    # numerator = (x+1) quotient + remainder, from the top coefficient down
+    quotient, carry = [0] * (len(numerator) - 1), 0
+    for k in range(len(numerator) - 1, 0, -1):
+        carry = quotient[k - 1] = numerator[k] - carry
+    if numerator[0] != carry:
         raise RuntimeError("Christoffel numerator not divisible by (x+1)")
-    return quotient
+    den = at_low * d
+    return Poly([Fraction(c, den) for c in quotient])
 
 
 def geronimus_coefficient(params: ParamPair, n: int) -> Fraction:
@@ -141,10 +174,16 @@ def geronimus_combination(params: ParamPair, n: int) -> Poly:
     """
     alpha, beta = params.alpha, params.beta
     shifted = JacobiParams((alpha - 1) / 2, (beta - 1) / 2 + 1)
-    out = symmetric_gegenbauer(shifted, n)
-    if n >= 1:
-        out = out - geronimus_coefficient(params, n) * symmetric_gegenbauer(shifted, n - 1)
-    return out
+    prev = symmetric_gegenbauer(shifted, n - 1) if n >= 1 else None
+    return _geronimus(params, n, symmetric_gegenbauer(shifted, n), prev)
+
+
+def _geronimus(params: ParamPair, n: int, s_n: Poly, s_prev: Optional[Poly]) -> Poly:
+    """geronimus_combination from the shifted members S_n and S_{n-1}
+    (s_prev is unused at n = 0)."""
+    if n == 0:
+        return s_n
+    return s_n - geronimus_coefficient(params, n) * s_prev
 
 
 # -- reports ------------------------------------------------------------------
@@ -194,6 +233,31 @@ def _pdict(params: ParamPair) -> dict:
     return {"alpha": str(params.alpha), "beta": str(params.beta)}
 
 
+def _first_mismatch(ns, sides, report) -> Optional[CheckReport]:
+    """``report(n, *sides(n))`` at the first n in ns whose sides are not all
+    equal, else None.  A degree that passes costs one exact comparison of
+    coefficient tuples; no report and no to_strings is built for it."""
+    for n in ns:
+        polys = sides(n)
+        if any(p != polys[0] for p in polys[1:]):
+            return report(n, *polys)
+    return None
+
+
+# Each identity below is written once, as a ``_..._sides`` helper that takes
+# its operator and auxiliary members ready-made.  The per-n check builds
+# them for its one degree; the sweep builds them once, at its top degree,
+# and applies them to every member.  An operator table's rows do not
+# depend on its truncation, so both give the same polynomials.
+
+
+def _identification(params: ParamPair, n: int, recur: Poly, chris: Poly, gero: Poly) -> CheckReport:
+    report = _compare("identify_little", _pdict(params), n, recur, chris)
+    if report.holds:
+        report = _compare("identify_little", _pdict(params), n, recur, gero)
+    return report
+
+
 def identify_little(params: ParamPair, n: int) -> CheckReport:
     """Recurrence member == Christoffel transform == Geronimus combination.
 
@@ -205,22 +269,69 @@ def identify_little(params: ParamPair, n: int) -> CheckReport:
     base = JacobiParams((params.alpha - 1) / 2, (params.beta - 1) / 2)
     chris = christoffel_transform(base, n)
     gero = geronimus_combination(params, n)
-    report = _compare("identify_little", _pdict(params), n, recur, chris)
-    if report.holds:
-        report = _compare("identify_little", _pdict(params), n, recur, gero)
-    return report
+    return _identification(params, n, recur, chris, gero)
+
+
+def identify_little_sweep(
+    params: ParamPair, base: Sequence[Poly], shifted: Sequence[Poly], n_max: int
+) -> Optional[CheckReport]:
+    """The first failing ``identify_little(params, n)``, n = 0..n_max, or None.
+
+    base[k] = S_k at (xi, eta) for k <= n_max + 1 and shifted[k] = S_k at
+    (xi, eta+1) for k <= n_max, each built once by the caller: the
+    per-n check builds four Gegenbauer members for every n.
+    """
+
+    def sides(n):
+        chris = _christoffel(base[n], base[n + 1], n)
+        gero = _geronimus(params, n, shifted[n], shifted[n - 1] if n else None)
+        return generate_monic(params, n), chris, gero
+
+    return _first_mismatch(
+        range(n_max + 1), sides, lambda n, *polys: _identification(params, n, *polys)
+    )
+
+
+def _lowering_sides(params: ParamPair, op: BandedOp, n: int) -> tuple[Poly, Poly]:
+    """T_{alpha/2} P_n and [n] P_{n-1} at (alpha, beta+2); op is T_{alpha/2}."""
+    mu = params.alpha / 2
+    lhs = op.apply(generate_monic(params, n))
+    bracket = n + mu * (1 - (-1) ** n)
+    shifted = ParamPair(params.alpha, params.beta + 2)
+    return lhs, bracket * generate_monic(shifted, n - 1)
 
 
 def dunkl_classical_check(params: ParamPair, n: int) -> CheckReport:
     """Dunkl lowering: T_{alpha/2} P_n = [n] P_{n-1} at (alpha, beta+2)."""
     if n < 1:
         raise ValueError("lowering check needs n >= 1")
-    mu = params.alpha / 2
-    lhs = dunkl_derivative(mu, n).apply(generate_monic(params, n))
-    bracket = n + mu * (1 - (-1) ** n)
-    shifted = ParamPair(params.alpha, params.beta + 2)
-    rhs = bracket * generate_monic(shifted, n - 1)
-    return _compare("dunkl_classical", _pdict(params), n, lhs, rhs)
+    op = dunkl_derivative(params.alpha / 2, n)
+    return _compare("dunkl_classical", _pdict(params), n, *_lowering_sides(params, op, n))
+
+
+def dunkl_classical_sweep(params: ParamPair, n_max: int) -> Optional[CheckReport]:
+    """The first failing ``dunkl_classical_check(params, n)``, n = 1..n_max,
+    or None; T_{alpha/2} is built once, at n_max."""
+    op = dunkl_derivative(params.alpha / 2, max(n_max, 0))
+    return _first_mismatch(
+        range(1, n_max + 1),
+        lambda n: _lowering_sides(params, op, n),
+        lambda n, lhs, rhs: _compare("dunkl_classical", _pdict(params), n, lhs, rhs),
+    )
+
+
+def _check_raising_domain(params: ParamPair) -> None:
+    if params.beta <= 1:
+        raise ValueError("raising lands at beta-2, so beta must exceed 1")
+
+
+def _raising_sides(params: ParamPair, op: BandedOp, n: int) -> tuple[Poly, Poly]:
+    """Theta P_n and nu_{n+1} P_{n+1} at (alpha, beta-2); op is Theta."""
+    lhs = op.apply(generate_monic(params, n))
+    m = n + 1
+    nu = m + params.beta - 1 + Fraction(1 - (-1) ** m, 2) * params.alpha
+    lowered = ParamPair(params.alpha, params.beta - 2)
+    return lhs, nu * generate_monic(lowered, m)
 
 
 def raising_check(params: ParamPair, n: int) -> CheckReport:
@@ -229,28 +340,74 @@ def raising_check(params: ParamPair, n: int) -> CheckReport:
     nu_m = m + beta - 1 + (1-(-1)^m) alpha/2.  Needs beta > 1 so the
     target parameters stay admissible.
     """
-    if params.beta <= 1:
-        raise ValueError("raising lands at beta-2, so beta must exceed 1")
-    lhs = raising_operator(params.alpha, params.beta, n).apply(generate_monic(params, n))
-    m = n + 1
-    nu = m + params.beta - 1 + Fraction(1 - (-1) ** m, 2) * params.alpha
-    lowered = ParamPair(params.alpha, params.beta - 2)
-    rhs = nu * generate_monic(lowered, m)
-    return _compare("raising", _pdict(params), n, lhs, rhs)
+    _check_raising_domain(params)
+    op = raising_operator(params.alpha, params.beta, n)
+    return _compare("raising", _pdict(params), n, *_raising_sides(params, op, n))
+
+
+def raising_sweep(params: ParamPair, n_max: int) -> Optional[CheckReport]:
+    """The first failing ``raising_check(params, n)``, n = 0..n_max, or
+    None; Theta is built once, at n_max."""
+    _check_raising_domain(params)
+    op = raising_operator(params.alpha, params.beta, max(n_max, 0))
+    return _first_mismatch(
+        range(n_max + 1),
+        lambda n: _raising_sides(params, op, n),
+        lambda n, lhs, rhs: _compare("raising", _pdict(params), n, lhs, rhs),
+    )
+
+
+def _intertwiner_xi(params: ParamPair) -> Fraction:
+    xi = (params.alpha + params.beta - 1) / 2
+    if xi <= -1:
+        raise ValueError("intertwiner route needs alpha + beta > -1")
+    return xi
+
+
+def _intertwiner_sides(
+    params: ParamPair, op: BandedOp, sigma: Fraction, n: int
+) -> tuple[Poly, Poly]:
+    """sigma_n^{-1} V_{alpha/2} J_n and P_n; op is V_{alpha/2}, sigma = sigma_n."""
+    xi = _intertwiner_xi(params)
+    jac = monic_jacobi_sym(JacobiParams(xi, xi + 1), n)
+    return op.apply(jac) / sigma, generate_monic(params, n)
 
 
 def intertwiner_check(params: ParamPair, n: int) -> CheckReport:
     """Intertwiner route: sigma_n^{-1} V_{alpha/2} applied to the standard
     Jacobi polynomial at (xi, xi+1), xi = (alpha+beta-1)/2, equals P_n."""
-    xi = (params.alpha + params.beta - 1) / 2
-    if xi <= -1:
-        raise ValueError("intertwiner route needs alpha + beta > -1")
+    _intertwiner_xi(params)
     mu = params.alpha / 2
-    jac = monic_jacobi_sym(JacobiParams(xi, xi + 1), n)
-    image = dunkl_intertwiner(mu, n).apply(jac)
-    lhs = image / intertwiner_sigma(mu, n)
-    rhs = generate_monic(params, n)
-    return _compare("intertwiner", _pdict(params), n, lhs, rhs)
+    sides = _intertwiner_sides(params, dunkl_intertwiner(mu, n), intertwiner_sigma(mu, n), n)
+    return _compare("intertwiner", _pdict(params), n, *sides)
+
+
+def intertwiner_sweep(params: ParamPair, n_max: int) -> Optional[CheckReport]:
+    """The first failing ``intertwiner_check(params, n)``, n = 0..n_max, or
+    None; V_{alpha/2} and its sigma table are built once, at n_max."""
+    _intertwiner_xi(params)
+    mu = params.alpha / 2
+    op = dunkl_intertwiner(mu, max(n_max, 0))
+    sigmas = _intertwiner_sigmas(mu, max(n_max, 0))
+    return _first_mismatch(
+        range(n_max + 1),
+        lambda n: _intertwiner_sides(params, op, sigmas[n], n),
+        lambda n, lhs, rhs: _compare("intertwiner", _pdict(params), n, lhs, rhs),
+    )
+
+
+def _gegenbauer_lowering_sides(
+    jp: JacobiParams, op: BandedOp, s_n: Poly, t_prev: Poly, n: int
+) -> tuple[Poly, Poly]:
+    """T_{xi+1/2} S_n and [n] S_{n-1} at (xi, eta+1); op is T_{xi+1/2},
+    s_n = S_n at (xi, eta) and t_prev = S_{n-1} at (xi, eta+1)."""
+    mu = jp.xi + Fraction(1, 2)
+    bracket = n + mu * (1 - (-1) ** n)
+    return op.apply(s_n), bracket * t_prev
+
+
+def _gegenbauer_report(jp: JacobiParams, n: int, lhs: Poly, rhs: Poly) -> CheckReport:
+    return _compare("gegenbauer_dunkl", {"xi": str(jp.xi), "eta": str(jp.eta)}, n, lhs, rhs)
 
 
 def gegenbauer_dunkl_check(jp: JacobiParams, n: int) -> CheckReport:
@@ -258,12 +415,23 @@ def gegenbauer_dunkl_check(jp: JacobiParams, n: int) -> CheckReport:
     [n] S_{n-1}^(xi,eta+1)."""
     if n < 1:
         raise ValueError("lowering check needs n >= 1")
-    mu = jp.xi + Fraction(1, 2)
-    lhs = dunkl_derivative(mu, n).apply(symmetric_gegenbauer(jp, n))
-    bracket = n + mu * (1 - (-1) ** n)
-    rhs = bracket * symmetric_gegenbauer(JacobiParams(jp.xi, jp.eta + 1), n - 1)
-    return _compare(
-        "gegenbauer_dunkl", {"xi": str(jp.xi), "eta": str(jp.eta)}, n, lhs, rhs
+    op = dunkl_derivative(jp.xi + Fraction(1, 2), n)
+    s_n = symmetric_gegenbauer(jp, n)
+    t_prev = symmetric_gegenbauer(JacobiParams(jp.xi, jp.eta + 1), n - 1)
+    return _gegenbauer_report(jp, n, *_gegenbauer_lowering_sides(jp, op, s_n, t_prev, n))
+
+
+def gegenbauer_dunkl_sweep(
+    jp: JacobiParams, base: Sequence[Poly], shifted: Sequence[Poly], n_max: int
+) -> Optional[CheckReport]:
+    """The first failing ``gegenbauer_dunkl_check(jp, n)``, n = 1..n_max, or
+    None; base[k] = S_k at (xi, eta) for k <= n_max and shifted[k] = S_k
+    at (xi, eta+1) for k < n_max, and T_{xi+1/2} is built once, at n_max."""
+    op = dunkl_derivative(jp.xi + Fraction(1, 2), max(n_max, 0))
+    return _first_mismatch(
+        range(1, n_max + 1),
+        lambda n: _gegenbauer_lowering_sides(jp, op, base[n], shifted[n - 1], n),
+        lambda n, lhs, rhs: _gegenbauer_report(jp, n, lhs, rhs),
     )
 
 

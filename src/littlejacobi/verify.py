@@ -40,12 +40,12 @@ from .operators import (
 from .polys import Poly, reflect
 from .transforms import (
     JacobiParams,
-    dunkl_classical_check,
+    dunkl_classical_sweep,
     extract_recurrence,
-    gegenbauer_dunkl_check,
-    identify_little,
-    intertwiner_check,
-    raising_check,
+    gegenbauer_dunkl_sweep,
+    identify_little_sweep,
+    intertwiner_sweep,
+    raising_sweep,
     symmetric_gegenbauer,
 )
 
@@ -88,11 +88,20 @@ class SuiteOptions:
     epsilons: tuple[float, ...] = (1e-3, 1e-4)
 
     def __post_init__(self):
-        # an empty sweep would pass every check vacuously
+        # a negative bound would leave an empty sweep
         if self.max_degree is not None and self.max_degree < 0:
             raise ValueError("max_degree must be nonnegative")
         if self.levels < 0:
             raise ValueError("levels must be nonnegative")
+        # qlimit compares the error at the first (coarsest) epsilon with
+        # the error at the last (finest) one
+        eps = self.epsilons
+        if len(eps) < 2:
+            raise ValueError("epsilon list needs at least two values, coarse to fine")
+        if not all(math.isfinite(e) and e > 0 for e in eps):
+            raise ValueError(f"epsilons must be finite and positive, got {list(eps)}")
+        if eps[0] <= eps[-1]:
+            raise ValueError("epsilon list must go from coarse to fine")
 
     def degree(self, default: int) -> int:
         return self.max_degree if self.max_degree is not None else default
@@ -102,11 +111,28 @@ def _tag(params: ParamPair) -> str:
     return f"({params.alpha},{params.beta})"
 
 
+def _skip_empty(suite, name, what="degree") -> CheckResult:
+    """An empty sweep checks nothing, so it reports a skip, not a pass."""
+    return CheckResult(suite, name, True, f"not applicable: no {what} in the sweep", skipped=True)
+
+
 def _sweep(suite, name, ns, fails, ok, bad="mismatch at n={}") -> CheckResult:
     """Pass when ``fails(n)`` is false for every n in ns; otherwise report
-    the first failing n through the ``bad`` template."""
+    the first failing n through the ``bad`` template.  Skip when ns is
+    empty."""
+    if not ns:
+        return _skip_empty(suite, name)
     first = next((n for n in ns if fails(n)), None)
     return CheckResult(suite, name, first is None, ok if first is None else bad.format(first))
+
+
+def _report_sweep(suite, name, ns, sweep, ok) -> CheckResult:
+    """The result of a transforms sweep over ns: ``sweep()`` returns the
+    first failing CheckReport or None.  Skip when ns is empty."""
+    if not ns:
+        return _skip_empty(suite, name)
+    first = sweep()
+    return CheckResult(suite, name, first is None, ok if first is None else f"mismatch at n={first.n}")
 
 
 def _suite_orthogonality(opts: SuiteOptions) -> list[CheckResult]:
@@ -117,6 +143,7 @@ def _suite_orthogonality(opts: SuiteOptions) -> list[CheckResult]:
         mf = moments(params, max(2 * n_max, 16))
         gram = mf.gram([generate_monic(params, k) for k in range(n_max + 1)])
 
+        name = f"pair vanishing n<={n_max} {_tag(params)}"
         witness = next(
             (
                 f"<P_{n}, P_{m}> = {gram[n][m]}"
@@ -129,10 +156,12 @@ def _suite_orthogonality(opts: SuiteOptions) -> list[CheckResult]:
         results.append(
             CheckResult(
                 "orthogonality",
-                f"pair vanishing n<={n_max} {_tag(params)}",
+                name,
                 not witness,
                 witness or "all cross inner products zero exactly",
             )
+            if n_max
+            else _skip_empty("orthogonality", name, "pair m < n")
         )
         # u[n] for n >= 1; norms[n] = u_1 ... u_n as one running product
         u = [None] + [recurrence_coeffs(params, n)[0] for n in range(1, n_max + 1)]
@@ -227,11 +256,11 @@ def _suite_explicit(opts: SuiteOptions) -> list[CheckResult]:
 def _suite_dunkl(opts: SuiteOptions) -> list[CheckResult]:
     n_max = opts.degree(12)
     results = [
-        _sweep(
+        _report_sweep(
             "dunkl",
             f"lowering n<={n_max} {_tag(params)}",
             range(1, n_max + 1),
-            lambda n: not dunkl_classical_check(params, n).holds,
+            lambda: dunkl_classical_sweep(params, n_max),
             "exact",
         )
         for params in opts.pairs
@@ -257,11 +286,11 @@ def _suite_raising(opts: SuiteOptions) -> list[CheckResult]:
     if anchor not in pairs:
         pairs.append(anchor)
     return [
-        _sweep(
+        _report_sweep(
             "raising",
             f"degree raising n<={n_max} {_tag(params)}",
             range(n_max + 1),
-            lambda n: not raising_check(params, n).holds,
+            lambda: raising_sweep(params, n_max),
             "exact",
         )
         for params in pairs
@@ -273,29 +302,33 @@ def _suite_transforms(opts: SuiteOptions) -> list[CheckResult]:
     n_max = opts.degree(12)
     for params in opts.pairs:
         jp = JacobiParams((params.alpha - 1) / 2, (params.beta - 1) / 2)
+        # S_k at (xi, eta) and at (xi, eta+1), each built once for the
+        # three Gegenbauer checks below
+        base = [symmetric_gegenbauer(jp, k) for k in range(max(n_max + 2, 21))]
+        shifted_jp = JacobiParams(jp.xi, jp.eta + 1)
+        shifted = [symmetric_gegenbauer(shifted_jp, k) for k in range(max(n_max + 1, 10))]
         seq = [generate_monic(params, k) for k in range(12)]
         results += [
-            _sweep(
+            _report_sweep(
                 "transforms",
                 f"Christoffel/Geronimus identification n<={n_max} {_tag(params)}",
                 range(n_max + 1),
-                lambda n: not identify_little(params, n).holds,
+                lambda: identify_little_sweep(params, base, shifted, n_max),
                 "all three constructions agree",
             ),
             _sweep(
                 "transforms",
                 f"Gegenbauer parity n<=20 {_tag(params)}",
                 range(21),
-                lambda n: reflect(symmetric_gegenbauer(jp, n))
-                != (-1) ** n * symmetric_gegenbauer(jp, n),
+                lambda n: reflect(base[n]) != (-1) ** n * base[n],
                 "S_n(-x) = (-1)^n S_n(x)",
                 "parity broken at n={}",
             ),
-            _sweep(
+            _report_sweep(
                 "transforms",
                 f"Gegenbauer Dunkl lowering n<=10 {_tag(params)}",
                 range(1, 11),
-                lambda n: not gegenbauer_dunkl_check(jp, n).holds,
+                lambda: gegenbauer_dunkl_sweep(jp, base, shifted, 10),
                 "exact",
             ),
             _sweep(
@@ -367,11 +400,11 @@ def _suite_prop2(opts: SuiteOptions) -> list[CheckResult]:
             )
             continue
         results.append(
-            _sweep(
+            _report_sweep(
                 "prop2",
                 name,
                 range(n_max + 1),
-                lambda n: not intertwiner_check(params, n).holds,
+                lambda: intertwiner_sweep(params, n_max),
                 "exact",
             )
         )
@@ -382,8 +415,6 @@ def _suite_qlimit(opts: SuiteOptions) -> list[CheckResult]:
     results = []
     n_max = opts.degree(10)
     eps_hi, eps_lo = opts.epsilons[0], opts.epsilons[-1]
-    if eps_hi <= eps_lo:
-        raise ValueError("epsilon list must go from coarse to fine")
     for params in opts.pairs:
         ratios, bad = [], ""
         for n in range(n_max + 1):

@@ -158,6 +158,48 @@ def test_verify_rejects_negative_sweep(args, capsys):
     assert "must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "eps, message",
+    [
+        (["nan", "1e-4"], "finite and positive"),
+        (["1e-3", "inf"], "finite and positive"),
+        (["inf", "1e-4"], "finite and positive"),
+        (["1e-3", "0"], "finite and positive"),
+        (["1e-3", "-0.0001"], "finite and positive"),
+        (["1e-3"], "at least two"),
+        (["1e-4", "1e-3"], "coarse to fine"),
+        (["1e-4", "1e-4"], "coarse to fine"),
+    ],
+    ids=["nan", "inf_fine", "inf_coarse", "zero", "negative", "single", "fine_first", "equal"],
+)
+def test_verify_rejects_bad_epsilons(eps, message, capsys):
+    # a nan or inf epsilon used to reach qlimit and report "ratio nan"
+    assert run(["verify", "--suite", "qlimit", "--eps", *eps]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "suite, skipped",
+    [
+        ("dunkl", ["lowering n<=0"]),
+        ("orthogonality", ["pair vanishing n<=0", "u_n positivity n<=0"]),
+    ],
+    ids=["dunkl", "orthogonality"],
+)
+def test_verify_empty_sweep_skips(suite, skipped, capsys):
+    # a sweep with no degree in it checks nothing: SKIP, not a vacuous PASS
+    assert run(["verify", "--suite", suite, "--n", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    skips = [line for line in lines if line.startswith("SKIP")]
+    assert len(skips) == len(skipped) * len(verify.DEFAULT_PAIRS)
+    assert all("not applicable" in line for line in skips)
+    assert {line.split("] ")[1].split(" (")[0] for line in skips} == set(skipped)
+    assert not any(line.startswith("FAIL") for line in lines)
+    assert lines[-1].endswith(f"{len(skips)} skipped")
+
+
 @pytest.mark.parametrize("n", [0, 3, 7])
 def test_verify_short_orthogonality_sweep(n, capsys):
     # the Hankel and quadrature checks read moments beyond 2n

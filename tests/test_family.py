@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from littlejacobi import verify
@@ -105,6 +105,35 @@ def test_generate_monic_cold_deep_call():
     p = generate_monic(ParamPair(Fraction(1, 2), Fraction(3, 2)), 600)
     assert p.degree == 600
     assert p.leading_coefficient == 1
+
+
+def _ring_recurrence(params, n_max):
+    # the three-term recurrence in the Fraction polynomial ring
+    members = [Poly.ONE]
+    for n in range(1, n_max + 1):
+        u, b = recurrence_coeffs(params, n - 1)
+        member = Poly([-b, 1]) * members[-1]
+        if n >= 2:
+            member = member - u * members[-2]
+        members.append(member)
+    return members
+
+
+# the whole admissible square, alpha + beta = 0 and a corner near -1
+square = st.fractions(min_value=-1, max_value=3, max_denominator=10).filter(lambda v: v > -1)
+
+
+@given(square, square, st.integers(min_value=0, max_value=70))
+@example(Fraction(1, 2), Fraction(-1, 2), 70)
+@example(Fraction(-9, 10), Fraction(-9, 10), 70)
+@settings(max_examples=20, deadline=None)
+def test_generate_monic_matches_ring_recurrence(alpha, beta, n_max):
+    # cold members up to n_max, past the _STRIDE anchor at 64
+    params = ParamPair(alpha, beta)
+    generate_monic.cache_clear()
+    members = [generate_monic(params, n) for n in range(n_max, -1, -1)][::-1]
+    assert members == _ring_recurrence(params, n_max)
+    assert all(isinstance(c, Fraction) for p in members for c in p.coeffs)
 
 
 def test_known_member():

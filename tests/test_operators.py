@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from littlejacobi.operators import (
     BandedOp,
@@ -46,6 +48,48 @@ def test_apply_matches_table():
 def test_apply_beyond_truncation_raises():
     with pytest.raises(TruncationError):
         derivative(3).apply(monomial(4))
+
+
+def _apply_reference(op, p):
+    # the Fraction dict accumulation, row by row
+    out = {}
+    for n, c in enumerate(p.coeffs):
+        for k, a in op.actions[n].items():
+            out[k] = out.get(k, Fraction(0)) + c * a
+    return Poly([out.get(k, 0) for k in range(max(out, default=-1) + 1)])
+
+
+rationals = st.fractions(min_value=-3, max_value=3, max_denominator=12)
+# rows of band half-width <= 2 with zero entries (dropped by the table)
+# and empty rows
+rows = st.integers(min_value=0, max_value=10).flatmap(
+    lambda size: st.tuples(
+        *[
+            st.dictionaries(st.integers(max(n - 2, 0), n + 2), rationals, max_size=3)
+            for n in range(size + 1)
+        ]
+    )
+)
+
+
+@given(rows, st.lists(rationals, max_size=11))
+@settings(max_examples=60, deadline=None)
+def test_apply_matches_fraction_reference(actions, coeffs):
+    op = BandedOp(actions)
+    p = Poly(coeffs[: op.trunc_degree + 1])  # zero coefficients and Poly() included
+    out = op.apply(p)
+    assert out == _apply_reference(op, p)
+    assert all(isinstance(c, Fraction) for c in out.coeffs)
+
+
+def test_apply_edge_cases():
+    op = BandedOp([{}, {0: 0}, {3: Fraction(2, 3), 1: Fraction(-1, 5)}, {}])
+    assert op.apply(Poly()).is_zero()
+    assert op.apply(Poly([7, 5])).is_zero()  # empty rows only
+    assert op.apply(Poly([0, 0, 3])) == Poly([0, Fraction(-3, 5), 0, 2])
+    assert op.apply(Poly([1, 0, Fraction(3, 2), 4])) == Poly([0, Fraction(-3, 10), 0, 1])
+    with pytest.raises(TruncationError, match="^polynomial degree 4 exceeds operator truncation degree 3$"):
+        op.apply(monomial(4))
 
 
 def test_composition_safe_degree_shrinks_with_raising():

@@ -1,9 +1,17 @@
-"""Every verify suite over the admissible parameter square."""
+"""Every verify suite over the admissible parameter square, the sweeps
+against the per-n checks, and a golden record of the exact suites."""
 
+import json
+from fractions import Fraction
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littlejacobi.family import ParamPair
+from littlejacobi import cli, family, transforms, verify
+from littlejacobi.family import ParamPair, eigenvalue
+from littlejacobi.operators import little_jacobi_operator
+from littlejacobi.polys import Poly
 from littlejacobi.verify import SuiteOptions, run_suites
 
 # alpha, beta in (-1, 3] with denominators up to 10
@@ -26,3 +34,139 @@ def test_every_suite_passes_or_skips(alpha, beta, n):
     options = SuiteOptions(pairs=(ParamPair(alpha, beta),), max_degree=n)
     results = run_suites(["all"], options)
     assert [r for r in results if not r.passed and not _known_defect(r)] == []
+
+
+# -- sweeps keep the per-n scan's first failure -------------------------------
+
+PAIR = ParamPair(Fraction(1, 2), Fraction(3, 2))
+K, N_MAX = 15, 20  # K above the members 0..11 that recurrence extraction reads
+
+
+def _perturbed(real):
+    # P_K of PAIR with its x^(K-1) coefficient off by 1/7; every other
+    # member, and every other pair, as the recurrence builds it
+    def member(params, n):
+        p = real(params, n)
+        if params == PAIR and n == K:
+            coeffs = list(p.coeffs)
+            coeffs[K - 1] += Fraction(1, 7)
+            p = Poly(coeffs)
+        return p
+
+    return member
+
+
+def _first_failing(ns, fails):
+    return next(n for n in ns if fails(n))
+
+
+def test_sweeps_report_the_first_failure_of_the_per_n_scan(monkeypatch):
+    member = _perturbed(family.generate_monic)
+    monkeypatch.setattr(verify, "generate_monic", member)
+    monkeypatch.setattr(transforms, "generate_monic", member)
+
+    op_of = lambda n: little_jacobi_operator(PAIR.alpha, PAIR.beta, n)  # noqa: E731
+    per_n = {
+        "lowering": _first_failing(
+            range(1, N_MAX + 1), lambda n: not transforms.dunkl_classical_check(PAIR, n).holds
+        ),
+        "degree raising": _first_failing(
+            range(N_MAX + 1), lambda n: not transforms.raising_check(PAIR, n).holds
+        ),
+        "Christoffel/Geronimus identification": _first_failing(
+            range(N_MAX + 1), lambda n: not transforms.identify_little(PAIR, n).holds
+        ),
+        "intertwiner route": _first_failing(
+            range(N_MAX + 1), lambda n: not transforms.intertwiner_check(PAIR, n).holds
+        ),
+        "L P_n = lambda_n P_n": _first_failing(
+            range(N_MAX + 1),
+            lambda n: op_of(n).apply(member(PAIR, n)) != eigenvalue(PAIR, n) * member(PAIR, n),
+        ),
+    }
+    assert set(per_n.values()) == {K}
+
+    options = SuiteOptions(pairs=(PAIR,), max_degree=N_MAX)
+    results = run_suites(["dunkl", "raising", "transforms", "prop2", "eigen"], options)
+    for prefix, n in per_n.items():
+        [result] = [r for r in results if r.name.startswith(f"{prefix} n<={N_MAX} (1/2,3/2)")]
+        assert not result.passed
+        assert result.detail == f"mismatch at n={n}"
+    failed = {r.name.split(" n<=")[0] for r in results if not r.passed}
+    assert failed == set(per_n)
+
+
+def test_sweep_reports_equal_the_per_n_reports(monkeypatch):
+    member = _perturbed(family.generate_monic)
+    monkeypatch.setattr(transforms, "generate_monic", member)
+    jp = transforms.JacobiParams((PAIR.alpha - 1) / 2, (PAIR.beta - 1) / 2)
+    shifted = transforms.JacobiParams(jp.xi, jp.eta + 1)
+    base = [transforms.symmetric_gegenbauer(jp, k) for k in range(N_MAX + 2)]
+    raised = [transforms.symmetric_gegenbauer(shifted, k) for k in range(N_MAX + 1)]
+
+    assert transforms.dunkl_classical_sweep(PAIR, N_MAX) == transforms.dunkl_classical_check(PAIR, K)
+    assert transforms.raising_sweep(PAIR, N_MAX) == transforms.raising_check(PAIR, K)
+    assert transforms.intertwiner_sweep(PAIR, N_MAX) == transforms.intertwiner_check(PAIR, K)
+    assert transforms.identify_little_sweep(PAIR, base, raised, N_MAX) == transforms.identify_little(
+        PAIR, K
+    )
+    # nothing fails below K, and the Gegenbauer family never uses the members
+    assert transforms.raising_sweep(PAIR, K - 1) is None
+    assert transforms.gegenbauer_dunkl_sweep(jp, base, raised, N_MAX) is None
+    assert not transforms.raising_check(PAIR, K).holds
+
+
+# -- golden record of the exact suites ----------------------------------------
+
+# (suite, name, passed, detail) of `verify --n 40 --format json` for the
+# suites below, as the Fraction-ring kernels computed them
+EXACT_SUITES = ("eigen", "explicit", "dunkl", "raising", "transforms", "aw", "prop2")
+GOLDEN_N40 = {
+    ("1/2", "3/2"): [
+        ("aw", "Casimir Y^2+Z^2 = I (1/2,3/2)", True, "central and equal to identity at N=24"),
+        ("aw", "X diagonal on the family n<=12 (1/2,3/2)", True, "eigen-relation exact"),
+        ("aw", "anticommutator closure (1/2,3/2)", True, "omega = (0, beta, -1/2); omega3 sign -"),
+        ("dunkl", "alpha=0 degeneration T_0 = d/dx", True, "tables agree through degree 30"),
+        ("dunkl", "lowering n<=40 (1/2,3/2)", True, "exact"),
+        ("eigen", "L P_n = lambda_n P_n n<=40 (1/2,3/2)", True, "coefficient-exact"),
+        ("eigen", "eigenvalue simplicity n<=50 (1/2,3/2)", True, "pairwise distinct"),
+        ("explicit", "hypergeometric = recurrence n<=40 (1/2,3/2)", True, "exact"),
+        ("prop2", "intertwiner route n<=40 (1/2,3/2)", True, "exact"),
+        ("raising", "degree raising n<=40 (1/2,3/2)", True, "exact"),
+        ("raising", "degree raising n<=40 (1/2,5/2)", True, "exact"),
+        ("transforms", "Christoffel/Geronimus identification n<=40 (1/2,3/2)", True,
+         "all three constructions agree"),
+        ("transforms", "Gegenbauer Dunkl lowering n<=10 (1/2,3/2)", True, "exact"),
+        ("transforms", "Gegenbauer parity n<=20 (1/2,3/2)", True, "S_n(-x) = (-1)^n S_n(x)"),
+        ("transforms", "recurrence extraction n<=10 (1/2,3/2)", True, "recovered coefficients match"),
+    ],
+    ("7/10", "5/3"): [
+        ("aw", "Casimir Y^2+Z^2 = I (7/10,5/3)", True, "central and equal to identity at N=24"),
+        ("aw", "X diagonal on the family n<=12 (7/10,5/3)", True, "eigen-relation exact"),
+        ("aw", "anticommutator closure (7/10,5/3)", True, "omega = (0, beta, -7/10); omega3 sign -"),
+        ("dunkl", "alpha=0 degeneration T_0 = d/dx", True, "tables agree through degree 30"),
+        ("dunkl", "lowering n<=40 (7/10,5/3)", True, "exact"),
+        ("eigen", "L P_n = lambda_n P_n n<=40 (7/10,5/3)", True, "coefficient-exact"),
+        ("eigen", "eigenvalue simplicity n<=50 (7/10,5/3)", True, "pairwise distinct"),
+        ("explicit", "hypergeometric = recurrence n<=40 (7/10,5/3)", True, "exact"),
+        ("prop2", "intertwiner route n<=40 (7/10,5/3)", True, "exact"),
+        ("raising", "degree raising n<=40 (1/2,5/2)", True, "exact"),
+        ("raising", "degree raising n<=40 (7/10,5/3)", True, "exact"),
+        ("transforms", "Christoffel/Geronimus identification n<=40 (7/10,5/3)", True,
+         "all three constructions agree"),
+        ("transforms", "Gegenbauer Dunkl lowering n<=10 (7/10,5/3)", True, "exact"),
+        ("transforms", "Gegenbauer parity n<=20 (7/10,5/3)", True, "S_n(-x) = (-1)^n S_n(x)"),
+        ("transforms", "recurrence extraction n<=10 (7/10,5/3)", True, "recovered coefficients match"),
+    ],
+}
+
+
+@pytest.mark.parametrize("pair", list(GOLDEN_N40), ids=lambda p: f"{p[0]},{p[1]}")
+def test_exact_suites_golden_record(pair, capsys):
+    args = ["verify", "--alpha", pair[0], "--beta", pair[1], "--n", "40", "--format", "json"]
+    records = []
+    for suite in EXACT_SUITES:
+        assert cli.main([*args, "--suite", suite]) == 0
+        results = json.loads(capsys.readouterr().out)["results"]
+        records += [(r["suite"], r["name"], r["passed"], r["detail"]) for r in results]
+    assert sorted(records) == GOLDEN_N40[pair]
