@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -37,19 +38,16 @@ def _rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
 
 
-def _glue_negative_values(argv: list[str]) -> list[str]:
-    """Glue a negative value onto the option before it: "--alpha -9/10"
-    becomes "--alpha=-9/10".  argparse would read "-9/10" as a flag, since
-    it only recognises negative integers and decimals as values."""
-    out: list[str] = []
-    for arg in argv:
-        prev = out[-1] if out else ""
-        option = prev.startswith("--") and prev != "--" and "=" not in prev
-        if option and arg[:1] == "-" and arg[1:2].isdigit():
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads every token starting "-<digit>" or
+    "-.<digit>" as a value, never as a flag.  argparse by itself does so
+    only for negative integers and decimals, so "--alpha -9/10" and the
+    second value of "--eps 1e-3 -1e-4" would read as unknown flags.  No
+    option of this CLI starts with a digit.  Subparsers inherit the class."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
 
 
 def _writer(out) -> "csv.writer":
@@ -166,7 +164,7 @@ def _cmd_sample(args, out) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="littlejacobi",
         description="Exact tables, verification suites, and CSV samples "
         "for a -1 orthogonal polynomial family and its operator algebra.",
@@ -221,7 +219,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_glue_negative_values(argv))
+    args = _build_parser().parse_args(argv)
     try:
         if args.output == "-":
             return args.func(args, sys.stdout)

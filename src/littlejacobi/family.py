@@ -17,13 +17,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .polys import (
-    Poly,
-    _over_common_denominator,
-    as_fraction,
-    pochhammer,
-    terminating_2f1,
-)
+from .polys import Poly, as_fraction, terminating_2f1
 
 __all__ = [
     "MomentFunctional",
@@ -103,12 +97,11 @@ def generate_monic(params: ParamPair, n: int) -> Poly:
     """Monic family member of degree n, from the three-term recurrence
     P_n = (x - b_{n-1}) P_{n-1} - u_{n-1} P_{n-2}.
 
-    The step runs on integers: P_{n-1} and P_{n-2} are scaled to integer
-    numerators A, B over their common denominator d, and with
-    b_{n-1} = bn/bd and u_{n-1} = un/ud,
+    The step runs on integers: P_{n-1} = A/dA and P_{n-2} = B/dB are read
+    as numerators over their lcm d, and with b_{n-1} = bn/bd and
+    u_{n-1} = un/ud,
       P_n = (x A bd ud - bn ud A - un bd B) / (d bd ud),
-    so a step costs O(n) int multiply-adds, one lcm over the 2n - 1
-    denominators, and one Fraction per coefficient of P_n.
+    so a step costs O(n) int multiply-adds and one normalisation of P_n.
 
     A cold call first builds the members at multiples of _STRIDE below n,
     in increasing order, so the recursion below reaches a cached member
@@ -123,16 +116,15 @@ def generate_monic(params: ParamPair, n: int) -> Poly:
     u, b = recurrence_coeffs(params, n - 1)
     if n == 1:
         return Poly([-b, 1])
-    ints, d = _over_common_denominator(
-        generate_monic(params, n - 1).coeffs + generate_monic(params, n - 2).coeffs
-    )
-    a, c = ints[:n], ints[n:]  # A and B
+    prev, prev2 = generate_monic(params, n - 1), generate_monic(params, n - 2)
+    d = math.lcm(prev.den, prev2.den)
+    fa, fb = d // prev.den, d // prev2.den
     shift = b.denominator * u.denominator
-    lin, const = b.numerator * u.denominator, u.numerator * b.denominator
-    # x A, A and B padded to n + 1 coefficients
-    out = [shift * xa - lin * aa - const * cc for xa, aa, cc in zip([0, *a], [*a, 0], [*c, 0, 0])]
-    den = d * shift
-    return Poly([Fraction(v, den) for v in out])
+    # scalars of x A, A and B, each padded to n + 1 coefficients
+    sx, sa, sb = shift * fa, b.numerator * u.denominator * fa, u.numerator * b.denominator * fb
+    a, c = prev.nums, prev2.nums
+    out = [sx * xa - sa * aa - sb * cc for xa, aa, cc in zip([0, *a], [*a, 0], [*c, 0, 0])]
+    return Poly.from_ints(out, d * shift)
 
 
 def explicit_poly(params: ParamPair, n: int) -> Poly:
@@ -194,9 +186,9 @@ class MomentFunctional:
                 f"inner product needs moment {prod.degree}, have 0..{len(self.moments) - 1}"
             )
         return sum(
-            (c * self.moments[k] for k, c in enumerate(prod.coeffs) if c),
+            (c * self.moments[k] for k, c in enumerate(prod.nums) if c),
             Fraction(0),
-        )
+        ) / prod.den
 
     def gram(self, polys: Sequence[Poly]) -> list[list[Fraction]]:
         """Lower triangle of the Gram matrix: ``gram(ps)[n][m] = <ps[n], ps[m]>``
@@ -204,20 +196,24 @@ class MomentFunctional:
 
         No polynomial product is formed.  The moments are scaled to
         integers C_k = D c_k over one common denominator D, and each
-        polynomial to integers over its own denominator d_n.  The moment
+        polynomial is read as its integer numerators over its denominator
+        d_n (``Poly.nums`` and ``Poly.den``).  The moment
         image L[x^j p_n] = sum_i p_n[i] C_{i+j} is computed once per
         polynomial, and each entry is the integer dot product of p_m with
         it, divided by D d_n d_m once.  For N polynomials of degree <= N
         that is O(N^3) integer multiply-adds, against O(N^4) Fraction
         products for the pairwise ``inner_product`` scan.
         """
-        top = max([0] + [2 * len(p.coeffs) - 2 for p in polys])
+        top = max([0] + [2 * len(p.nums) - 2 for p in polys])
         if top >= len(self.moments):
             raise ValueError(
                 f"inner product needs moment {top}, have 0..{len(self.moments) - 1}"
             )
-        scaled_moments, moment_den = _over_common_denominator(self.moments[: top + 1])
-        scaled = [_over_common_denominator(p.coeffs) for p in polys]
+        moment_den = math.lcm(*(c.denominator for c in self.moments[: top + 1]))
+        scaled_moments = [
+            c.numerator * (moment_den // c.denominator) for c in self.moments[: top + 1]
+        ]
+        scaled = [(p.nums, p.den) for p in polys]
 
         rows, width = [], 0
         for a, den in scaled:
@@ -258,7 +254,9 @@ class MomentFunctional:
 @lru_cache(maxsize=None)
 def moments(params: ParamPair, max_index: int) -> MomentFunctional:
     """Moments c_0..c_max_index: c_0 = 1 and pairwise-equal tail
-    c_{2m} = c_{2m-1} = ((alpha+1)/2)_m / ((alpha+beta+2)/2)_m.
+    c_{2m} = c_{2m-1} = ((alpha+1)/2)_m / ((alpha+beta+2)/2)_m, by the
+    running product c_{2m} = c_{2m-2} (top + m - 1) / (bottom + m - 1):
+    one Fraction product per m.
     """
     if max_index < 0:
         raise ValueError("moment range must be nonnegative")
@@ -266,8 +264,9 @@ def moments(params: ParamPair, max_index: int) -> MomentFunctional:
     out = [Fraction(1)] * (max_index + 1)
     top = (alpha + 1) / 2
     bottom = (alpha + beta + 2) / 2
+    val = Fraction(1)
     for m in range(1, max_index // 2 + 2):
-        val = pochhammer(top, m) / pochhammer(bottom, m)
+        val *= (top + m - 1) / (bottom + m - 1)
         for idx in (2 * m - 1, 2 * m):
             if idx <= max_index:
                 out[idx] = val

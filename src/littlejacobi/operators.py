@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .polys import Poly, _over_common_denominator, as_fraction
+from .polys import Poly, as_fraction
 
 __all__ = [
     "BandedOp",
@@ -91,29 +91,26 @@ class BandedOp:
     def apply(self, p: Poly) -> Poly:
         """op(p), exact, accumulated over integers.
 
-        p is scaled to integer numerators over its common denominator d,
-        and the rows it reaches (0..deg p) to integers over theirs, D.
-        Each output coefficient is an int sum of products divided by d D
-        once: O(deg p * band) int multiply-adds and one Fraction per
-        output coefficient.
+        p is read as integer numerators over its denominator d, and the
+        rows it reaches (0..deg p) are scaled to integers over theirs, D.
+        The result is the int sums of products over d D, normalised once:
+        O(deg p * band) int multiply-adds and no Fraction.
         """
         if p.degree > self.trunc_degree:
             raise TruncationError(
                 f"polynomial degree {p.degree} exceeds operator truncation "
                 f"degree {self.trunc_degree}"
             )
-        if not p.coeffs:
-            return Poly()
-        ints, d = _over_common_denominator(p.coeffs)
-        rows = self.actions[: len(ints)]
+        if p.is_zero():
+            return Poly.ZERO
+        rows = self.actions[: len(p.nums)]
         den = math.lcm(*(a.denominator for row in rows for a in row.values()))
-        acc = [0] * (len(ints) + self.max_raise)
-        for c, row in zip(ints, rows):
+        acc = [0] * (len(p.nums) + self.max_raise)
+        for c, row in zip(p.nums, rows):
             if c:
                 for k, a in row.items():
                     acc[k] += c * a.numerator * (den // a.denominator)
-        total = d * den
-        return Poly([Fraction(v, total) for v in acc])
+        return Poly.from_ints(acc, p.den * den)
 
     # -- linear combinations ----------------------------------------------
 

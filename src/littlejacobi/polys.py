@@ -1,9 +1,14 @@
 """Exact rational polynomial arithmetic.
 
-Scalars are `fractions.Fraction` and polynomials are dense coefficient
-tuples over them.  Everything in this module is exact: identities proved
-here hold with zero tolerance, which is what lets the operator and
-transform layers assert equality instead of closeness.
+Scalars are `fractions.Fraction`.  A polynomial `Poly` is stored as one
+tuple of integer numerators over one positive integer denominator, in a
+canonical form, and its ring operations and the kernels built on it
+(here and in `family`, `operators` and `transforms`) run on those ints.
+A `Fraction` per coefficient is made only by the `Poly.coeffs` view,
+for printing and for callers that read coefficients one by one.
+Everything in this module is exact: identities proved here hold with
+zero tolerance, which is what lets the operator and transform layers
+assert equality instead of closeness.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Sequence
 
 __all__ = [
@@ -44,12 +50,6 @@ def as_fraction(value) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def _over_common_denominator(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    """(ints, d) with values[i] = ints[i] / d and d the lcm of the denominators."""
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def horner(coeffs: Sequence, x):
     """sum_k coeffs[k] x**k by Horner's rule, in the arithmetic of x:
     exact for Fraction/int input with Fraction coefficients, float for float."""
@@ -59,74 +59,119 @@ def horner(coeffs: Sequence, x):
     return out
 
 
-class Poly:
-    """Dense univariate polynomial; ``coeffs[k]`` multiplies x**k.
+def _scaled(nums: Sequence[int], factor: int) -> Sequence[int]:
+    return nums if factor == 1 else [factor * c for c in nums]
 
-    Trailing zeros are stripped on construction, so the representation is
-    canonical and ``==`` is exact coefficient equality.  Instances are
-    immutable and hashable.
+
+class Poly:
+    """Dense univariate polynomial sum_k nums[k] x**k / den.
+
+    ``nums`` is a tuple of ints and ``den`` a positive int, in canonical
+    form: no trailing zero in ``nums``, ``den`` the lcm of the reduced
+    coefficient denominators, and gcd(den, *nums) = 1 (the last two say
+    the same thing).  The zero polynomial is ``nums == ()``, ``den == 1``.
+    The form is unique, so ``==`` and ``hash`` compare ints, and every
+    ring operation runs on ints and normalises once per result.
+
+    ``coeffs`` is a read-only view, ``coeffs[k]`` the Fraction that
+    multiplies x**k; it is built on each read, for printing and for
+    callers that want Fractions.  Instances are immutable and hashable.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [as_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        self.nums: tuple[int, ...] = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.den: int = den
+
+    @classmethod
+    def from_ints(cls, nums: Iterable[int], den: int) -> "Poly":
+        """sum_k nums[k] x**k / den for any ints and a nonzero den, in
+        canonical form: one gcd over the vector and, unless it is 1, one
+        exact division per coefficient."""
+        nums = list(nums)
+        while nums and not nums[-1]:
+            nums.pop()
+        if not den:
+            raise ZeroDivisionError("polynomial denominator is zero")
+        if not nums:
+            return cls._canonical((), 1)
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            return cls._canonical(tuple([c // g for c in nums]), den // g)
+        return cls._canonical(tuple(nums), den)
+
+    @classmethod
+    def _canonical(cls, nums: tuple[int, ...], den: int) -> "Poly":
+        """A Poly from numerators and a denominator already in canonical form."""
+        p = object.__new__(cls)
+        p.nums, p.den = nums, den
+        return p
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, constant term first."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     @property
     def degree(self):
         """Degree as an int, or NEG_INFINITY for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.nums) - 1 if self.nums else NEG_INFINITY
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, k: int) -> Fraction:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return Fraction(self.nums[k], self.den)
         return Fraction(0)
 
     @property
     def leading_coefficient(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
         if not isinstance(other, Poly):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        den = math.lcm(self.den, other.den)
+        a = _scaled(self.nums, den // self.den)
+        b = _scaled(other.nums, den // other.den)
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return Poly(out)
+        return Poly.from_ints([*map(add, a, b), *a[len(b) :]], den)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+        return Poly._canonical(tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            if not self.coeffs or not other.coeffs:
-                return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        out[i + j] += a * b
-            return Poly(out)
+            a, b = self.nums, other.nums
+            if not a or not b:
+                return Poly.ZERO
+            out = [0] * (len(a) + len(b) - 1)
+            for i, c in enumerate(a):
+                if c:
+                    end = i + len(b)
+                    out[i:end] = [x + c * y for x, y in zip(out[i:end], b)]
+            return Poly.from_ints(out, self.den * other.den)
         scalar = as_fraction(other)
-        return Poly([scalar * c for c in self.coeffs])
+        return Poly.from_ints(
+            _scaled(self.nums, scalar.numerator), self.den * scalar.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -134,7 +179,9 @@ class Poly:
         scalar = as_fraction(scalar)
         if not scalar:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Poly([c / scalar for c in self.coeffs])
+        return Poly.from_ints(
+            _scaled(self.nums, scalar.denominator), self.den * scalar.numerator
+        )
 
     def __divmod__(self, divisor: "Poly"):
         """Exact long division: returns (quotient, remainder)."""
@@ -143,21 +190,22 @@ class Poly:
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         rem = list(self.coeffs)
-        dlen = len(divisor.coeffs)
-        lead = divisor.coeffs[-1]
+        dcoeffs = divisor.coeffs
+        dlen = len(dcoeffs)
+        lead = dcoeffs[-1]
         quot = [Fraction(0)] * max(len(rem) - dlen + 1, 0)
         for i in range(len(rem) - dlen, -1, -1):
             factor = rem[i + dlen - 1] / lead
             if factor:
                 quot[i] = factor
-                for j, d in enumerate(divisor.coeffs):
+                for j, d in enumerate(dcoeffs):
                     rem[i + j] -= factor * d
         return Poly(quot), Poly(rem)
 
     # -- calculus and evaluation -----------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly([k * c for k, c in enumerate(self.coeffs)][1:])
+        return Poly.from_ints([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)), exact, by one Horner pass over integers.
@@ -168,12 +216,10 @@ class Poly:
         plain int multiply-adds, one pass per coefficient of self, each
         costing len(acc) products per nonzero coefficient of Q: O(n^2)
         for the linear and monomial inner polynomials the package uses.
-        One Fraction is made per output coefficient.
         """
-        if not self.coeffs:
-            return Poly()
-        outer, d = _over_common_denominator(self.coeffs)
-        q, s = _over_common_denominator(inner.coeffs)
+        if not self.nums:
+            return Poly.ZERO
+        outer, q, s = self.nums, inner.nums, inner.den
         taps = [(j, c) for j, c in enumerate(q) if c]
         acc, scale = [outer[-1]], 1
         for p in reversed(outer[:-1]):
@@ -184,11 +230,12 @@ class Poly:
                 nxt[j:end] = [x + c * a for x, a in zip(nxt[j:end], acc)]
             nxt[0] += p * scale
             acc = nxt
-        den = d * scale
-        return Poly([Fraction(a, den) for a in acc])
+        return Poly.from_ints(acc, self.den * scale)
 
     def __call__(self, x):
-        """Horner evaluation; exact for Fraction/int input, float for float."""
+        """Horner evaluation over the Fraction coefficients; exact for
+        Fraction/int input, float for float (each coefficient rounded once
+        by float(Fraction))."""
         return horner(self.coeffs, x)
 
     # -- serialization ----------------------------------------------------
@@ -204,15 +251,15 @@ class Poly:
     # -- object protocol ---------------------------------------------------
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "Poly()"
-        return f"Poly([{', '.join(str(c) for c in self.coeffs)}])"
+        return f"Poly([{', '.join(self.to_strings())}])"
 
 
 Poly.ZERO = Poly()
@@ -236,14 +283,14 @@ class ParityPair:
 
 
 def parity_split(p: Poly) -> ParityPair:
-    even = Poly([c if k % 2 == 0 else 0 for k, c in enumerate(p.coeffs)])
-    odd = Poly([c if k % 2 == 1 else 0 for k, c in enumerate(p.coeffs)])
+    even = Poly.from_ints([0 if k % 2 else c for k, c in enumerate(p.nums)], p.den)
+    odd = Poly.from_ints([c if k % 2 else 0 for k, c in enumerate(p.nums)], p.den)
     return ParityPair(even=even, odd=odd)
 
 
 def reflect(p: Poly) -> Poly:
     """p(-x): flips the sign of every odd coefficient."""
-    return Poly([-c if k % 2 else c for k, c in enumerate(p.coeffs)])
+    return Poly._canonical(tuple(-c if k % 2 else c for k, c in enumerate(p.nums)), p.den)
 
 
 def pochhammer(x, n: int) -> Fraction:
@@ -266,8 +313,10 @@ def terminating_2f1(a, b, c, arg_power: int = 1) -> Poly:
 
     The running term is carried as one integer numerator and one integer
     denominator (b and c enter through their own numerators and
-    denominators), so each of the n steps costs a few int products and
-    each coefficient costs one Fraction reduction.
+    denominators), so each of the n steps costs a few int products.  The
+    last denominator is a multiple of every earlier one, so it serves as
+    the common denominator of the result: one exact division per term,
+    and no Fraction.
 
     Raises ValueError if a is not a nonpositive integer, or if c hits a
     nonpositive integer before the series terminates (zero denominator).
@@ -282,8 +331,7 @@ def terminating_2f1(a, b, c, arg_power: int = 1) -> Poly:
     n = -int(a)
     bn, bd = b.numerator, b.denominator
     cn, cd = c.numerator, c.denominator
-    out = [Fraction(0)] * (n * arg_power + 1)
-    out[0] = Fraction(1)
+    nums, dens = [1], [1]
     num = den = 1
     for k in range(n):
         c_k = cn + k * cd  # (c + k) cd
@@ -291,5 +339,8 @@ def terminating_2f1(a, b, c, arg_power: int = 1) -> Poly:
             raise ValueError(f"series denominator (c)_k vanishes at k={k + 1}")
         num *= (k - n) * (bn + k * bd) * cd  # (a + k) (b + k) bd cd
         den *= c_k * bd * (k + 1)
-        out[(k + 1) * arg_power] = Fraction(num, den)
-    return Poly(out)
+        nums.append(num)
+        dens.append(den)
+    out = [0] * (n * arg_power + 1)
+    out[::arg_power] = [v * (den // d) for v, d in zip(nums, dens)]
+    return Poly.from_ints(out, den)

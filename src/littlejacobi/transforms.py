@@ -25,7 +25,7 @@ from .operators import (
     intertwiner_sigma,
     raising_operator,
 )
-from .polys import Poly, _over_common_denominator, as_fraction, terminating_2f1
+from .polys import Poly, as_fraction, terminating_2f1
 
 __all__ = [
     "CheckReport",
@@ -115,7 +115,7 @@ def symmetric_gegenbauer(jp: JacobiParams, n: int) -> Poly:
         return _monic(_jacobi_2f1(jp, n // 2, arg_power=2), n, "Gegenbauer series")
     raised = JacobiParams(jp.xi + 1, jp.eta)
     even = _monic(_jacobi_2f1(raised, (n - 1) // 2, arg_power=2), n - 1, "Gegenbauer series")
-    return Poly([0, *even.coeffs])  # x times the even part
+    return Poly._canonical((0, *even.nums), even.den)  # x times the even part
 
 
 def christoffel_transform(jp: JacobiParams, n: int) -> Poly:
@@ -131,13 +131,12 @@ def christoffel_transform(jp: JacobiParams, n: int) -> Poly:
 def _christoffel(s_n: Poly, s_next: Poly, n: int) -> Poly:
     """christoffel_transform from the members S_n and S_{n+1}, on integers.
 
-    With S_n = A/d and S_{n+1} = B/d over one common denominator, the
-    numerator S_{n+1} - A_n S_n is (A(-1) B - B(-1) A) / (A(-1) d), and
-    synthetic division of its integer part by x+1 stays in the integers:
-    O(n) int operations and one Fraction per coefficient of the quotient.
+    With S_n = A/dA and S_{n+1} = B/dB, the numerator S_{n+1} - A_n S_n is
+    (A(-1) B - B(-1) A) / (A(-1) dB), and synthetic division of its
+    integer part by x+1 stays in the integers: O(n) int operations and
+    one normalisation of the quotient.
     """
-    ints, d = _over_common_denominator(s_n.coeffs + s_next.coeffs)
-    low, high = ints[: len(s_n.coeffs)], ints[len(s_n.coeffs) :]
+    low, high = s_n.nums, s_next.nums
     at_low = sum(low[0::2]) - sum(low[1::2])
     if at_low == 0:
         raise ValueError(f"kernel point hit: S_{n}(-1) = 0")
@@ -151,8 +150,7 @@ def _christoffel(s_n: Poly, s_next: Poly, n: int) -> Poly:
         carry = quotient[k - 1] = numerator[k] - carry
     if numerator[0] != carry:
         raise RuntimeError("Christoffel numerator not divisible by (x+1)")
-    den = at_low * d
-    return Poly([Fraction(c, den) for c in quotient])
+    return Poly.from_ints(quotient, at_low * s_next.den)
 
 
 def geronimus_coefficient(params: ParamPair, n: int) -> Fraction:
@@ -217,7 +215,7 @@ def _compare(check: str, params: dict, n: int, lhs: Poly, rhs: Poly) -> CheckRep
     diff = lhs - rhs
     first = None
     if not diff.is_zero():
-        first = next(k for k, c in enumerate(diff.coeffs) if c)
+        first = next(k for k, c in enumerate(diff.nums) if c)
     return CheckReport(
         check=check,
         params=params,

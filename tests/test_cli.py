@@ -166,11 +166,15 @@ def test_verify_rejects_negative_sweep(args, capsys):
         (["inf", "1e-4"], "finite and positive"),
         (["1e-3", "0"], "finite and positive"),
         (["1e-3", "-0.0001"], "finite and positive"),
+        (["1e-3", "-1e-4"], "finite and positive"),
         (["1e-3"], "at least two"),
         (["1e-4", "1e-3"], "coarse to fine"),
         (["1e-4", "1e-4"], "coarse to fine"),
     ],
-    ids=["nan", "inf_fine", "inf_coarse", "zero", "negative", "single", "fine_first", "equal"],
+    ids=[
+        "nan", "inf_fine", "inf_coarse", "zero", "negative", "negative_exponent", "single",
+        "fine_first", "equal",
+    ],
 )
 def test_verify_rejects_bad_epsilons(eps, message, capsys):
     # a nan or inf epsilon used to reach qlimit and report "ratio nan"
@@ -207,19 +211,27 @@ def test_verify_short_orthogonality_sweep(n, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
-def test_import_leaves_scipy_unloaded():
-    code = "import sys, littlejacobi.cli; print('scipy' in sys.modules)"
+def _child(*args) -> str:
     # the child imports the package from where this process found it
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", code],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         check=True,
         env={**os.environ, "PYTHONPATH": path},
     ).stdout
-    assert out.strip() == "False"
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, littlejacobi.cli; print('scipy' in sys.modules)"
+    assert _child("-c", code).strip() == "False"
+
+
+def test_python_m_runs_the_cli(capsys):
+    assert run(["table", "--n", "2"]) == 0
+    assert _child("-m", "littlejacobi", "table", "--n", "2") == capsys.readouterr().out
 
 
 def test_verify_seed_env(monkeypatch, capsys):

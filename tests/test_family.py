@@ -22,7 +22,7 @@ from littlejacobi.family import (
     weight_eval,
     weight_moment,
 )
-from littlejacobi.polys import Poly, monomial
+from littlejacobi.polys import Poly, monomial, pochhammer
 
 PAIRS = [
     ParamPair(Fraction(1, 2), Fraction(3, 2)),
@@ -166,6 +166,22 @@ def test_moments_structure():
         assert mf.c(2 * m) == mf.c(2 * m - 1)
     with pytest.raises(ValueError, match="moment index"):
         mf.c(13)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(Fraction(1, 2), Fraction(3, 2)), (0, 0), (Fraction(-9, 10), Fraction(-9, 10))],
+    ids=["1/2,3/2", "0,0", "-9/10,-9/10"],
+)
+def test_moments_match_pochhammer_closed_form(alpha, beta):
+    # the running product must equal each ratio of rising factorials
+    params = ParamPair(alpha, beta)
+    top, bottom = (params.alpha + 1) / 2, (params.alpha + params.beta + 2) / 2
+    mf = moments(params, 120)
+    assert len(mf) == 121
+    for k in range(121):
+        m = (k + 1) // 2
+        assert mf.c(k) == pochhammer(top, m) / pochhammer(bottom, m)
 
 
 def test_inner_product_needs_enough_moments():

@@ -1,15 +1,17 @@
 """Dense rational polynomial substrate."""
 
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littlejacobi.polys import (
     NEG_INFINITY,
     Poly,
     as_fraction,
+    horner,
     monomial,
     parity_split,
     pochhammer,
@@ -202,3 +204,135 @@ def test_terminating_2f1_squared_argument():
     assert p.degree == 4
     assert p.coefficient(1) == 0
     assert p.coefficient(3) == 0
+
+
+# -- integer storage against a Fraction-tuple reference ---------------------
+#
+# The reference keeps a polynomial as the tuple of its Fraction coefficients
+# with trailing zeros stripped, which is how Poly stored it before it moved
+# to integer numerators over one denominator.
+
+coeff_lists = st.lists(st.one_of(rationals, st.just(Fraction(0))), max_size=8)
+scalars = st.one_of(rationals, st.integers(min_value=-9, max_value=9))
+
+
+def _ref(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    return _ref([(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)])
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref(out)
+
+
+def _ref_compose(a, b):
+    out = ()
+    for c in reversed(a):
+        out = _ref_add(_ref_mul(out, b), (c,))
+    return out
+
+
+def _assert_canonical(p):
+    assert isinstance(p.nums, tuple) and all(type(c) is int for c in p.nums)
+    assert type(p.den) is int and p.den > 0
+    assert not p.nums or p.nums[-1] != 0
+    assert p.den == math.lcm(*(c.denominator for c in p.coeffs))
+    assert math.gcd(p.den, *p.nums) == 1
+    if not p.nums:
+        assert p.den == 1
+
+
+@settings(deadline=None)
+@given(coeff_lists, coeff_lists, scalars)
+def test_operations_match_fraction_reference(a, b, s):
+    p, q, s = Poly(a), Poly(b), Fraction(s)
+    ra, rb = _ref(a), _ref(b)
+    assert p.coeffs == ra
+    assert (p + q).coeffs == _ref_add(ra, rb)
+    assert (p - q).coeffs == _ref_add(ra, tuple(-c for c in rb))
+    assert (-p).coeffs == tuple(-c for c in ra)
+    assert (p * q).coeffs == _ref_mul(ra, rb)
+    assert (p * s).coeffs == (s * p).coeffs == _ref([s * c for c in ra])
+    if s:
+        assert (p / s).coeffs == _ref([c / s for c in ra])
+    assert p.compose(Poly(b[:3])).coeffs == _ref_compose(ra, _ref(b[:3]))
+    assert p.derivative().coeffs == _ref([k * c for k, c in enumerate(ra)][1:])
+    assert reflect(p).coeffs == tuple(-c if k % 2 else c for k, c in enumerate(ra))
+    pair = parity_split(p)
+    assert pair.even.coeffs == _ref([0 if k % 2 else c for k, c in enumerate(ra)])
+    assert pair.odd.coeffs == _ref([c if k % 2 else 0 for k, c in enumerate(ra)])
+    for k in range(-1, len(a) + 2):
+        assert p.coefficient(k) == (ra[k] if 0 <= k < len(ra) else 0)
+    if ra:
+        assert p.leading_coefficient == ra[-1]
+    assert p.to_strings() == [str(c) for c in ra]
+    assert Poly.from_strings([str(c) for c in a]) == p
+    for r in (p, p + q, p - q, -p, p * q, p * s, p.compose(q), p.derivative(), reflect(p),
+              pair.even, pair.odd):
+        _assert_canonical(r)
+
+
+@given(coeff_lists, st.integers(min_value=-30, max_value=30).filter(bool), coeff_lists)
+def test_equal_polynomials_hash_alike(a, k, b):
+    # one polynomial, built six ways
+    p, q = Poly(a), Poly(b)
+    ways = [
+        Poly([*a, 0, 0]),
+        Poly.from_ints([k * c for c in p.nums] + [0], k * p.den),
+        (p + q) - q,
+        p * Poly.ONE,
+        (p * k) / k,
+        Poly.from_strings(p.to_strings()),
+    ]
+    for other in ways:
+        assert other == p
+        assert hash(other) == hash(p)
+        _assert_canonical(other)
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        Poly(),
+        Poly([0, 0, 0]),
+        Poly([Fraction(-3, 4)]),
+        Poly([7]),
+        Poly([0, Fraction(2, 6), 0, Fraction(-4, 9), 0]),
+        Poly.from_ints([6, 0, -4], -10),
+        Poly.from_ints([0, 0], 5),
+        Poly([1, 2]) * Fraction(-2, 3),
+        Poly([1, 2]) * 0,
+        Poly([1, 2]) / -4,
+    ],
+    ids=["zero", "zeros", "constant", "int", "gaps", "negative_den", "zero_ints",
+         "negative_scalar", "zero_scalar", "negative_divisor"],
+)
+def test_canonical_form_edge_cases(p):
+    _assert_canonical(p)
+    assert p == Poly(p.coeffs)
+
+
+def test_from_ints_rejects_zero_denominator():
+    with pytest.raises(ZeroDivisionError):
+        Poly.from_ints([1, 2], 0)
+
+
+@given(coeff_lists, st.floats(min_value=-2, max_value=2))
+def test_float_evaluation_matches_fraction_horner(a, x):
+    # each coefficient is rounded once, by float(Fraction), so p(x) is
+    # bit-identical to Horner over the Fraction coefficients
+    p = Poly(a)
+    assert p(x).hex() == float(horner(_ref(a), x)).hex()
