@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import re
@@ -147,13 +148,10 @@ def _cmd_sample(args, out) -> int:
         levels = args.n if args.n is not None else args.levels
         if levels < 0:
             raise ValueError("level count must be nonnegative")
-        grid = susyqm.default_grid(points)
-        states = [susyqm.eigenstate(args.a, k) for k in range(levels + 1)]
+        well = susyqm.WellGrid(args.a, susyqm.default_grid(points))
+        columns = [well.values(susyqm.eigenstate(args.a, k)) for k in range(levels + 1)]
         writer.writerow(["y", "U"] + [f"psi_{k}" for k in range(levels + 1)])
-        for y in grid:
-            writer.writerow(
-                [y, susyqm.potential(args.a, y)] + [s.value(y) for s in states]
-            )
+        writer.writerows(zip(well.ys, well.potential, *columns))
         return 0
 
     # potential
@@ -163,7 +161,11 @@ def _cmd_sample(args, out) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later main()
+    call in the process; parsing leaves it unchanged, and every call gets
+    a fresh namespace filled from the defaults."""
     parser = _Parser(
         prog="littlejacobi",
         description="Exact tables, verification suites, and CSV samples "

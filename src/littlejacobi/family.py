@@ -62,21 +62,29 @@ def recurrence_coeffs(params: ParamPair, n: int) -> tuple[Optional[Fraction], Fr
             / ((2n+alpha+beta)(2n+2+alpha+beta))
     b_0 reduces to (alpha+1)/(alpha+beta+2); that form also covers the
     removable 0/0 of the general expression at alpha + beta = 0.
+
+    For n >= 1 both are built from integers: with alpha = A/D and
+    beta = B/D over D = lcm of their denominators, numerator and
+    denominator are scaled by D^2 and each coefficient is one Fraction
+    of two integers, reduced once.
     """
     if n < 0:
         raise ValueError("recurrence index must be nonnegative")
     alpha, beta = params.alpha, params.beta
     if n == 0:
         return None, (alpha + 1) / (alpha + beta + 2)
-    sign = (-1) ** n
-    theta = Fraction(1 + sign, 2)
-    u = (n + (1 - theta) * alpha) * (n + beta + theta * alpha) / (2 * n + alpha + beta) ** 2
-    b = (
-        sign
-        * ((2 * n + 1) * alpha + alpha * beta + alpha**2 + sign * beta)
-        / ((2 * n + alpha + beta) * (2 * n + 2 + alpha + beta))
-    )
-    return u, b
+    d = math.lcm(alpha.denominator, beta.denominator)
+    a = alpha.numerator * (d // alpha.denominator)
+    b = beta.numerator * (d // beta.denominator)
+    nd = n * d
+    low = 2 * nd + a + b  # D (2n + alpha + beta) > 0 for n >= 1
+    if n % 2:  # theta_n = 0, (-1)^n = -1
+        u = Fraction((nd + a) * (nd + b), low * low)
+        b_num = -((2 * n + 1) * a * d + a * b + a * a - b * d)
+    else:
+        u = Fraction(nd * (nd + b + a), low * low)
+        b_num = (2 * n + 1) * a * d + a * b + a * a + b * d
+    return u, Fraction(b_num, low * (low + 2 * d))
 
 
 def eigenvalue(params: ParamPair, n: int) -> Fraction:

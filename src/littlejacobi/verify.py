@@ -93,6 +93,11 @@ class SuiteOptions:
             raise ValueError("max_degree must be nonnegative")
         if self.levels < 0:
             raise ValueError("levels must be nonnegative")
+        # the susy suite's well and grid, checked here so that a bad value
+        # fails before any suite has run
+        susyqm.SchrodingerParams(self.a)
+        if self.points < 2:
+            raise ValueError("need at least two grid points")
         # qlimit compares the error at the first (coarsest) epsilon with
         # the error at the last (finest) one
         eps = self.epsilons
@@ -443,22 +448,18 @@ def _suite_susy(opts: SuiteOptions) -> list[CheckResult]:
     a = opts.a
     af = float(a)
     grid = susyqm.default_grid(opts.points)
+    well = susyqm.WellGrid(a, grid)
 
     worst_l1 = 0.0
     worst_h1 = 0.0
     for n in range(opts.levels + 1):
-        state = susyqm.eigenstate(a, n)
-        values = [state.value(y) for y in grid]
-        peak = max(abs(v) for v in values)
+        images = well.eigen_images(susyqm.eigenstate(a, n))
+        peak = max(abs(value) for value, _, _ in images)
         root = (-1.0) ** (n + 1) * (af + n + 1.0)
         e_n = susyqm.energy(a, n)
-        for y, value in zip(grid, values):
-            worst_l1 = max(
-                worst_l1, abs(susyqm.apply_L1(a, state, y) - root * value) / peak
-            )
-            worst_h1 = max(
-                worst_h1, abs(susyqm.apply_H1(a, state, y) - e_n * value) / peak
-            )
+        for value, l1, h1 in images:
+            worst_l1 = max(worst_l1, abs(l1 - root * value) / peak)
+            worst_h1 = max(worst_h1, abs(h1 - e_n * value) / peak)
     results.append(
         CheckResult(
             "susy",
@@ -485,11 +486,7 @@ def _suite_susy(opts: SuiteOptions) -> list[CheckResult]:
     ]
     worst = 0.0
     for p in test_polys:
-        f = susyqm.PhiPoly(a, p)
-        image = susyqm.L1Image(a, f)
-        for y in grid:
-            lhs = susyqm.apply_L1(a, image, y)
-            rhs = susyqm.apply_H1(a, f, y)
+        for lhs, rhs in well.square_images(susyqm.PhiPoly(a, p)):
             worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
     results.append(
         CheckResult(
@@ -543,12 +540,13 @@ def _suite_susy(opts: SuiteOptions) -> list[CheckResult]:
         )
     )
 
+    nodes = susyqm.WellGrid(a, susyqm.default_grid(susyqm.NODE_POINTS))
     results.append(
         _sweep(
             "susy",
             f"node counts n<={opts.levels} a={a}",
             range(opts.levels + 1),
-            lambda n: susyqm.node_count(a, n) != n,
+            lambda n: nodes.node_count(susyqm.eigenstate(a, n)) != n,
             "psi_n crosses zero exactly n times",
             "wrong count at n={}",
         )

@@ -6,11 +6,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from littlejacobi import cli, verify
+from littlejacobi import cli, susyqm, verify
 
 
 def run(args):
@@ -211,6 +212,30 @@ def test_verify_short_orthogonality_sweep(n, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--a", "1/2"], "a must exceed 1/2"),
+        (["--a", "-3"], "a must exceed 1/2"),
+        (["--points", "1"], "at least two grid points"),
+        (["--points", "-5"], "at least two grid points"),
+        (["--suite", "susy", "--a", "1/4"], "a must exceed 1/2"),
+        (["--suite", "qlimit", "--points", "0"], "at least two grid points"),
+    ],
+    ids=["a_half", "a_negative", "points_one", "points_negative", "susy_a", "qlimit_points"],
+)
+def test_verify_rejects_bad_well_before_any_suite(args, message, monkeypatch, capsys):
+    # a bad --a or --points used to surface only after every other suite ran
+    ran = []
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, lambda opts, name=name: ran.append(name) or [])
+    assert run(["verify", *args]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err
+    assert captured.out == ""
+    assert ran == []
+
+
 def _child(*args) -> str:
     # the child imports the package from where this process found it
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -232,6 +257,22 @@ def test_import_leaves_scipy_unloaded():
 def test_python_m_runs_the_cli(capsys):
     assert run(["table", "--n", "2"]) == 0
     assert _child("-m", "littlejacobi", "table", "--n", "2") == capsys.readouterr().out
+
+
+def test_main_calls_in_sequence_match_fresh_processes(capsys):
+    # the parser is built once per process; no option given to one call
+    # may become a default of the next
+    sequence = [
+        ["verify", "--suite", "qlimit", "--eps", "2e-3", "2e-4"],
+        ["verify", "--suite", "qlimit"],
+        ["table", "--alpha", "1/2", "--n", "3", "--format", "json"],
+        ["table", "--n", "3"],
+        ["sample", "wavefunction", "--a", "5/2", "--n", "2", "--points", "5"],
+        ["sample", "wavefunction", "--points", "5"],
+    ]
+    for argv in sequence:
+        assert run(argv) == 0
+        assert capsys.readouterr().out == _child("-m", "littlejacobi", *argv)
 
 
 def test_verify_seed_env(monkeypatch, capsys):
@@ -265,6 +306,20 @@ def test_sample_wavefunction(capsys):
     assert len(lines) == 11
 
 
+def test_sample_wavefunction_matches_per_point_values(capsys):
+    # the grid path shares sin, cos and pow across states; every printed
+    # number must still be the per-point one
+    a = Fraction(5, 2)
+    assert run(["sample", "wavefunction", "--a", "5/2", "--n", "6"]) == 0
+    states = [susyqm.eigenstate(a, k) for k in range(7)]
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(["y", "U"] + [f"psi_{k}" for k in range(7)])
+    for y in susyqm.default_grid(1000):
+        writer.writerow([y, susyqm.potential(a, y)] + [s.value(y) for s in states])
+    assert capsys.readouterr().out == expected.getvalue()
+
+
 def test_sample_potential(capsys):
     assert run(["sample", "potential", "--a", "3/2", "--points", "5"]) == 0
     out = capsys.readouterr().out
@@ -280,8 +335,6 @@ def test_sample_rejects_bad_lambda():
 
 
 def test_rational_parser():
-    from fractions import Fraction
-
     assert cli._rational("3/4") == Fraction(3, 4)
     assert cli._rational("-2") == Fraction(-2)
     with pytest.raises(Exception):

@@ -33,6 +33,8 @@ PAIRS = [
 admissible = st.fractions(
     min_value=Fraction(-3, 4), max_value=Fraction(4), max_denominator=8
 )
+# the whole admissible square; examples add alpha + beta = 0 and a corner near -1
+square = st.fractions(min_value=-1, max_value=3, max_denominator=10).filter(lambda v: v > -1)
 
 
 def test_param_validation():
@@ -61,6 +63,35 @@ def test_b0_covers_the_removable_case():
 def test_u0_is_none():
     u, _ = recurrence_coeffs(PAIRS[0], 0)
     assert u is None
+
+
+def _docstring_recurrence(alpha, beta, n):
+    # the formulas of recurrence_coeffs' docstring, in Fraction arithmetic
+    if n == 0:
+        return None, (alpha + 1) / (alpha + beta + 2)
+    sign = (-1) ** n
+    theta = Fraction(1 + sign, 2)
+    u = (n + (1 - theta) * alpha) * (n + beta + theta * alpha) / (2 * n + alpha + beta) ** 2
+    b = (
+        sign
+        * ((2 * n + 1) * alpha + alpha * beta + alpha**2 + sign * beta)
+        / ((2 * n + alpha + beta) * (2 * n + 2 + alpha + beta))
+    )
+    return u, b
+
+
+@given(square, square, st.integers(min_value=0, max_value=60))
+@example(Fraction(1, 2), Fraction(-1, 2), 0)
+@example(Fraction(1, 2), Fraction(-1, 2), 1)
+@example(Fraction(-2, 3), Fraction(2, 3), 2)
+@example(Fraction(0), Fraction(0), 0)
+@settings(max_examples=200, deadline=None)
+def test_recurrence_coeffs_match_the_fraction_formulas(alpha, beta, n):
+    # the integer kernel returns the same reduced Fractions, alpha + beta = 0
+    # and n = 0 included
+    got = recurrence_coeffs(ParamPair(alpha, beta), n)
+    want = _docstring_recurrence(alpha, beta, n)
+    assert repr(got) == repr(want)
 
 
 @given(admissible, admissible)
@@ -117,10 +148,6 @@ def _ring_recurrence(params, n_max):
             member = member - u * members[-2]
         members.append(member)
     return members
-
-
-# the whole admissible square, alpha + beta = 0 and a corner near -1
-square = st.fractions(min_value=-1, max_value=3, max_denominator=10).filter(lambda v: v > -1)
 
 
 @given(square, square, st.integers(min_value=0, max_value=70))

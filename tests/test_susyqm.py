@@ -4,13 +4,17 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from littlejacobi.family import ParamPair, generate_monic
 from littlejacobi.polys import Poly
 from littlejacobi.susyqm import (
+    NODE_POINTS,
     L1Image,
     PhiPoly,
     SchrodingerParams,
+    WellGrid,
     apply_H1,
     apply_L1,
     conjugation_check,
@@ -218,3 +222,50 @@ def test_default_grid_properties():
         default_grid(1)
     with pytest.raises(ValueError):
         default_grid(10, margin=0.0)
+
+
+# -- the grid path against the per-point functions ----------------------------
+
+wells = st.fractions(min_value=Fraction(1, 2), max_value=5, max_denominator=11).filter(
+    lambda a: a > Fraction(1, 2)
+)
+
+
+@given(wells, st.integers(min_value=0, max_value=9), st.integers(min_value=2, max_value=60))
+@settings(max_examples=40, deadline=None)
+def test_grid_equals_per_point_evaluation(a, n, points):
+    # one set of pieces per point, shared by every state and derivative,
+    # must give exactly what the per-point calls give
+    ys = default_grid(points)
+    well = WellGrid(a, ys)
+    state = eigenstate(a, n)
+    image = L1Image(a, state)
+    assert well.ys == ys
+    assert well.values(state) == [state.value(y) for y in ys]
+    assert list(well.potential) == [potential(a, y) for y in ys]
+    for y, here, mirror in zip(ys, well._here, well._mirrored()):
+        assert state._jet(here) == (state.value(y), state.d1(y), state.d2(y))
+        assert state._jet(mirror) == (state.value(-y), state.d1(-y), state.d2(-y))
+    assert well.eigen_images(state) == [
+        (state.value(y), apply_L1(a, state, y), apply_H1(a, state, y)) for y in ys
+    ]
+    assert well.square_images(state) == [
+        (apply_L1(a, image, y), apply_H1(a, state, y)) for y in ys
+    ]
+
+
+@given(wells, st.integers(min_value=0, max_value=9))
+@settings(max_examples=15, deadline=None)
+def test_grid_node_counts_equal_node_count(a, n):
+    well = WellGrid(a, default_grid(NODE_POINTS))
+    assert well.node_count(eigenstate(a, n)) == node_count(a, n)
+
+
+def test_grid_refuses_a_state_of_another_well():
+    well = WellGrid(A, GRID)
+    with pytest.raises(ValueError, match="share the well parameter"):
+        well.values(eigenstate(Fraction(5, 2), 1))
+    with pytest.raises(ValueError, match="exceed 1/2"):
+        WellGrid(Fraction(1, 2), GRID)
+    with pytest.raises(ValueError, match="inside"):
+        WellGrid(A, (0.0, math.pi / 2))

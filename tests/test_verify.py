@@ -1,5 +1,6 @@
 """Every verify suite over the admissible parameter square, the sweeps
-against the per-n checks, and a golden record of the exact suites."""
+against the per-n checks, and golden records of the exact suites and
+the susy suite."""
 
 import json
 from fractions import Fraction
@@ -170,3 +171,52 @@ def test_exact_suites_golden_record(pair, capsys):
         results = json.loads(capsys.readouterr().out)["results"]
         records += [(r["suite"], r["name"], r["passed"], r["detail"]) for r in results]
     assert sorted(records) == GOLDEN_N40[pair]
+
+
+# -- golden record of the susy suite ------------------------------------------
+
+# (name, passed, detail) of `verify --suite susy --format json`, as the
+# per-point evaluation computed them before the grid path shared the pieces
+GOLDEN_SUSY = {
+    (): [
+        ("Darboux flip a=3/2", True, "parity flip matches the eigen-relation"),
+        ("H1 eigen-relation n<=5 a=3/2", True, "worst scaled residual 8.768e-14"),
+        ("L1 eigen-relation n<=5 a=3/2", True, "worst scaled residual 1.160e-14"),
+        ("Sturm-Liouville conjugation a=3/2", True, "worst scaled residual 2.248e-15"),
+        ("node counts n<=5 a=3/2", True, "psi_n crosses zero exactly n times"),
+        ("square root L1^2 = H1 a=3/2", True, "worst scaled residual 2.096e-15 on degree<=6 tests"),
+        ("superpotential factorization a=3/2", True,
+         "worst residuals even_sum=8.62e-16, odd_difference=2.31e-16, "
+         "refactor_minus=3.89e-16, refactor_plus=4.31e-16"),
+    ],
+    ("--a", "7/10", "--points", "333", "--levels", "8"): [
+        ("Darboux flip a=7/10", True, "parity flip matches the eigen-relation"),
+        ("H1 eigen-relation n<=8 a=7/10", True, "worst scaled residual 1.627e-12"),
+        ("L1 eigen-relation n<=8 a=7/10", True, "worst scaled residual 2.287e-13"),
+        ("Sturm-Liouville conjugation a=7/10", True, "worst scaled residual 1.221e-15"),
+        ("node counts n<=8 a=7/10", True, "psi_n crosses zero exactly n times"),
+        ("square root L1^2 = H1 a=7/10", True, "worst scaled residual 2.969e-13 on degree<=6 tests"),
+        ("superpotential factorization a=7/10", True,
+         "worst residuals even_sum=5.51e-16, odd_difference=3.53e-16, "
+         "refactor_minus=3.50e-16, refactor_plus=2.98e-16"),
+    ],
+    ("--a", "3", "--levels", "9"): [
+        ("Darboux flip a=3", True, "parity flip matches the eigen-relation"),
+        ("H1 eigen-relation n<=9 a=3", True, "worst scaled residual 4.089e-12"),
+        ("L1 eigen-relation n<=9 a=3", True, "worst scaled residual 2.381e-13"),
+        ("Sturm-Liouville conjugation a=3", True, "worst scaled residual 5.551e-16"),
+        ("node counts n<=9 a=3", True, "psi_n crosses zero exactly n times"),
+        ("square root L1^2 = H1 a=3", True, "worst scaled residual 1.268e-15 on degree<=6 tests"),
+        ("superpotential factorization a=3", True,
+         "worst residuals even_sum=6.57e-16, odd_difference=3.01e-16, "
+         "refactor_minus=3.90e-16, refactor_plus=4.06e-16"),
+    ],
+}
+
+
+@pytest.mark.parametrize("options", list(GOLDEN_SUSY), ids=lambda o: " ".join(o) or "defaults")
+def test_susy_suite_golden_record(options, capsys):
+    assert cli.main(["verify", "--suite", "susy", "--format", "json", *options]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert all(r["suite"] == "susy" for r in results)
+    assert [(r["name"], r["passed"], r["detail"]) for r in results] == GOLDEN_SUSY[options]
