@@ -38,6 +38,7 @@ from .family import (
     weight_eval,
     weight_moment,
     weight_normalization,
+    weight_values,
 )
 from .operators import (
     BandedOp,
@@ -83,6 +84,7 @@ from .susyqm import (
     ground_state,
     node_count,
     potential,
+    potential_values,
     superpotential,
     superpotential_prime,
     wavefunction,

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import susyqm
 from .eigensolver import sample_rows as eigenfunction_rows
-from .family import ParamPair, generate_monic, table_rows, weight_eval
+from .family import ParamPair, generate_monic, table_rows, weight_values
 from .verify import DEFAULT_PAIRS, SUITE_NAMES, SuiteOptions, run_suites
 
 _SAMPLE_POINTS = {
@@ -49,6 +49,17 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
+def _require_floats(args, *names: str) -> None:
+    """Exit-2 domain error for a rational option that the command reads as
+    a float but that lies beyond the float range (float() would overflow)."""
+    for name in names:
+        try:
+            float(getattr(args, name))
+        except OverflowError:
+            flag = "lambda" if name == "lam" else name
+            raise ValueError(f"--{flag} lies beyond the float range") from None
 
 
 def _writer(out) -> "csv.writer":
@@ -88,6 +99,7 @@ def _cmd_verify(args, out) -> int:
         pairs = (ParamPair(args.alpha, args.beta),)
     else:
         pairs = DEFAULT_PAIRS
+    _require_floats(args, "a")
     options = SuiteOptions(
         pairs=pairs,
         max_degree=args.n,
@@ -126,38 +138,42 @@ def _cmd_sample(args, out) -> int:
     points = args.points if args.points is not None else _SAMPLE_POINTS[args.target]
     if points < 2:
         raise ValueError("--points must be at least 2")
+    # every grid is computed before its header is written, so that an
+    # error leaves stdout empty
     writer = _writer(out)
 
     if args.target == "weight":
-        params = ParamPair(args.alpha, args.beta)
-        writer.writerow(["x", "w"])
+        _require_floats(args, "alpha", "beta")
         margin = 1e-3
-        for i in range(points):
-            x = -1.0 + margin + (2.0 - 2.0 * margin) * i / (points - 1)
-            writer.writerow([x, weight_eval(params, x)])
+        xs = [-1.0 + margin + (2.0 - 2.0 * margin) * i / (points - 1) for i in range(points)]
+        values = weight_values(ParamPair(args.alpha, args.beta), xs)
+        writer.writerow(["x", "w"])
+        writer.writerows(zip(xs, values))
         return 0
 
     if args.target == "eigenfunction":
-        params = ParamPair(args.alpha, args.beta)
+        _require_floats(args, "alpha", "beta", "lam")
+        rows = eigenfunction_rows(ParamPair(args.alpha, args.beta), float(args.lam), points)
         writer.writerow(["x", "F", "f", "g", "residual"])
-        for row in eigenfunction_rows(params, float(args.lam), points):
-            writer.writerow([row["x"], row["F"], row["f"], row["g"], row["residual"]])
+        writer.writerows([r["x"], r["F"], r["f"], r["g"], r["residual"]] for r in rows)
         return 0
 
+    _require_floats(args, "a")
+    ys = susyqm.default_grid(points)
     if args.target == "wavefunction":
         levels = args.n if args.n is not None else args.levels
         if levels < 0:
             raise ValueError("level count must be nonnegative")
-        well = susyqm.WellGrid(args.a, susyqm.default_grid(points))
+        well = susyqm.WellGrid(args.a, ys)
         columns = [well.values(susyqm.eigenstate(args.a, k)) for k in range(levels + 1)]
         writer.writerow(["y", "U"] + [f"psi_{k}" for k in range(levels + 1)])
-        writer.writerows(zip(well.ys, well.potential, *columns))
+        writer.writerows(zip(ys, well.potential, *columns))
         return 0
 
     # potential
+    values = susyqm.potential_values(args.a, ys)
     writer.writerow(["y", "U"])
-    for y in susyqm.default_grid(points):
-        writer.writerow([y, susyqm.potential(args.a, y)])
+    writer.writerows(zip(ys, values))
     return 0
 
 
@@ -191,7 +207,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--a", type=_rational, default=Fraction(3, 2), help="well parameter for the susy suite")
     verify.add_argument("--levels", type=int, default=5)
     verify.add_argument("--points", type=int, default=200)
-    verify.add_argument("--eps", type=float, nargs="+", default=[1e-3, 1e-4], help="deformation parameters, coarse to fine")
+    verify.add_argument("--eps", type=float, nargs="+", default=[1e-3, 1e-4], help="two deformation parameters a factor 10 apart, coarse to fine")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--output", default="-")
     verify.set_defaults(func=_cmd_verify)

@@ -34,6 +34,7 @@ __all__ = [
     "weight_eval",
     "weight_moment",
     "weight_normalization",
+    "weight_values",
 ]
 
 
@@ -306,19 +307,24 @@ def weight_normalization(params: ParamPair) -> float:
 
 def weight_eval(params: ParamPair, x: float) -> float:
     """Orthogonality weight kappa |x|^alpha (1-x^2)^((beta-1)/2) (1+x)."""
-    x = float(x)
-    if not -1.0 < x < 1.0:
-        raise ValueError("weight argument must satisfy |x| < 1")
+    return weight_values(params, (x,))[0]
+
+
+def weight_values(params: ParamPair, xs: Sequence[float]) -> list[float]:
+    """weight_eval at each x, with kappa and the exponents taken once."""
     a = float(params.alpha)
-    b = float(params.beta)
-    if x == 0.0 and a < 0:
-        return math.inf
-    return (
-        weight_normalization(params)
-        * abs(x) ** a
-        * (1.0 - x * x) ** ((b - 1.0) / 2.0)
-        * (1.0 + x)
-    )
+    e = (float(params.beta) - 1.0) / 2.0
+    kappa = weight_normalization(params)
+    out = []
+    for x in xs:
+        x = float(x)
+        if not -1.0 < x < 1.0:
+            raise ValueError("weight argument must satisfy |x| < 1")
+        if x == 0.0 and a < 0:
+            out.append(math.inf)
+        else:
+            out.append(kappa * abs(x) ** a * (1.0 - x * x) ** e * (1.0 + x))
+    return out
 
 
 def weight_moment(params: ParamPair, k: int) -> float:

@@ -8,7 +8,9 @@ A `Fraction` per coefficient is made only by the `Poly.coeffs` view,
 for printing and for callers that read coefficients one by one.
 Everything in this module is exact: identities proved here hold with
 zero tolerance, which is what lets the operator and transform layers
-assert equality instead of closeness.
+assert equality instead of closeness.  The Horner evaluators (`horner`,
+and `horner3` for three float tuples in one pass) work in the
+arithmetic of their argument, floats included.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ __all__ = [
     "Poly",
     "as_fraction",
     "horner",
+    "horner3",
+    "horner_rows",
     "monomial",
     "parity_split",
     "pochhammer",
@@ -57,6 +61,42 @@ def horner(coeffs: Sequence, x):
     for c in reversed(coeffs):
         out = out * x + c
     return out
+
+
+def horner_rows(
+    p: Sequence[float], q: Sequence[float], r: Sequence[float]
+) -> tuple[tuple[float, float, float], ...]:
+    """The rows that `horner3` steps through: three float coefficient
+    tuples, lowest degree first as for `horner`, zipped top degree first,
+    with a shorter tuple padded at its top with 0.0.
+
+    The padding is exact: from either zero a step 0.0*x + 0.0 leaves +0.0,
+    and the tuple's own top step 0.0*x + c then gives c, as the first step
+    of `horner` does (for any c but -0.0, which no Poly or series
+    coefficient is).  An empty tuple is all padding and reads +0.0, where
+    `horner` gives x*0, which is -0.0 at a negative x.
+    """
+    top = max(len(p), len(q), len(r))
+    return tuple(
+        zip(*(((0.0,) * (top - len(c))) + tuple(reversed(c)) for c in (p, q, r)))
+    )
+
+
+def horner3(rows: Sequence[tuple[float, float, float]], x: float) -> tuple[float, float, float]:
+    """(horner(p, x), horner(q, x), horner(r, x)) in one pass over
+    ``rows = horner_rows(p, q, r)``.
+
+    The three accumulators step in lockstep, each through exactly the
+    operations of its own Horner loop, so each value equals the separate
+    pass bit for bit (see `horner_rows` for the one exception, an empty
+    tuple at a negative x); the pass costs one loop instead of three.
+    """
+    u = v = w = x * 0
+    for a, b, c in rows:
+        u = u * x + a
+        v = v * x + b
+        w = w * x + c
+    return u, v, w
 
 
 def _scaled(nums: Sequence[int], factor: int) -> Sequence[int]:

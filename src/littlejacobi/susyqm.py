@@ -10,15 +10,16 @@ residual checks measure the identities themselves, not a finite
 difference scheme.
 
 Every evaluation goes through the per-point pieces sin y, cos y, Phi(y)
-and the log-derivative of Phi (a sin, a cos, a sqrt and a pow), then one
-Horner pass per derivative order.  The per-point functions (PhiPoly's
-value/d1/d2, apply_L1, apply_H1, L1Image, node_count) take the pieces
-afresh on every call; a WellGrid takes them once per grid point and
-shares them across every state, every derivative and both signs of y,
-so a check over many states on one grid pays for the trigonometry once:
-at its defaults (six levels, 200 points, node counts on 400) the susy
-suite takes 1,044 sets of pieces, 800 of them on its two grids, where
-per-point calls took 15,644.  Both paths apply the same formula functions in the same order, so their
+and the log-derivative of Phi (a sin, a cos, a sqrt and a pow), then
+Horner passes over p, p' and p'' (one fused pass for the full jet, see
+PhiPoly).  The per-point functions (PhiPoly's value/d1/d2, apply_L1,
+apply_H1, L1Image, node_count) take the pieces afresh on every call; a
+WellGrid takes them once per grid point and shares them across every
+state, every derivative and both signs of y, so a check over many states
+on one grid pays for the trigonometry once: at its defaults (six levels,
+200 points, node counts on 400) the susy suite takes 1,044 sets of
+pieces, 800 of them on its two grids, where per-point calls took 15,644.
+Both paths apply the same formula functions in the same order, so their
 numbers agree bit for bit.
 """
 
@@ -30,7 +31,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .operators import jacobi_sturm_liouville
-from .polys import NEG_INFINITY, Poly, as_fraction, horner
+from .polys import NEG_INFINITY, Poly, as_fraction, horner, horner3, horner_rows
 from .transforms import JacobiParams, jacobi_series
 
 __all__ = [
@@ -53,6 +54,7 @@ __all__ = [
     "ground_state",
     "node_count",
     "potential",
+    "potential_values",
     "superpotential",
     "superpotential_prime",
     "wavefunction",
@@ -102,6 +104,12 @@ def potential(a, y) -> float:
     return _potential(a, math.sin(y), math.cos(y))
 
 
+def potential_values(a, ys: Sequence[float]) -> list[float]:
+    """potential(a, y) at each y, with a checked once."""
+    a = _check_a(a)
+    return [_potential(a, math.sin(y), math.cos(y)) for y in map(_check_y, ys)]
+
+
 def _potential(a: float, s: float, c: float) -> float:
     return (a + 0.5) * (a + 0.5 - s) / (c * c)
 
@@ -139,12 +147,15 @@ class PhiPoly:
         F'' = Phi * ((ell^2 + ell') p + 2 ell c p' - s p' + c^2 p'')
 
     value, d1 and d2 each read one entry of the jet (F, F', F''), which
-    takes the pieces (s, c, Phi, ell) of one point and makes one Horner
-    pass each over p, p' and p''.  A WellGrid hands the jet pieces it has
-    already taken, so a grid check pays only for the Horner passes.
+    takes the pieces (s, c, Phi, ell) of one point.  The full jet makes
+    one fused Horner pass (`horner3`) over p, p' and p''; orders 0 and 1
+    make one plain pass each over p and p', since a three-way pass would
+    slow the values that wavefunction grids read.  A WellGrid hands the
+    jet pieces it has already taken, so a grid check pays only for the
+    Horner passes.
     """
 
-    __slots__ = ("a", "poly", "_p", "_dp", "_ddp")
+    __slots__ = ("a", "poly", "_p", "_dp", "_ddp", "_rows")
 
     def __init__(self, a, poly: Poly):
         self.a = _check_a(a)
@@ -153,20 +164,26 @@ class PhiPoly:
         self._p = tuple(float(c) for c in poly.coeffs)
         self._dp = tuple(float(c) for c in dp.coeffs)
         self._ddp = tuple(float(c) for c in dp.derivative().coeffs)
+        # below degree 2 p'' is empty, which the fused pass would read as
+        # +0.0 where horner gives -0.0 at s < 0: such p keep three passes
+        self._rows = horner_rows(self._p, self._dp, self._ddp) if self._ddp else None
 
     def _jet(self, pieces, order: int = 2) -> tuple[float, ...]:
         """(F, F', F'')[: order + 1] at the point whose pieces are given."""
         s, c, phi, ell = pieces
-        p0 = horner(self._p, s)
+        if order == 2 and self._rows is not None:
+            p0, p1, p2 = horner3(self._rows, s)
+        else:
+            p0 = horner(self._p, s)
+            if order == 0:
+                return (phi * p0,)
+            p1 = horner(self._dp, s)
+            p2 = horner(self._ddp, s) if order == 2 else None
         f0 = phi * p0
-        if order == 0:
-            return (f0,)
-        p1 = horner(self._dp, s)
         f1 = phi * (ell * p0 + c * p1)
         if order == 1:
             return f0, f1
         ell_prime = (s - 2.0 * (self.a + 1.0)) / (2.0 * c * c)
-        p2 = horner(self._ddp, s)
         return f0, f1, phi * ((ell * ell + ell_prime) * p0 + (2.0 * ell * c - s) * p1 + c * c * p2)
 
     def value(self, y) -> float:

@@ -98,8 +98,9 @@ class SuiteOptions:
         susyqm.SchrodingerParams(self.a)
         if self.points < 2:
             raise ValueError("need at least two grid points")
-        # qlimit compares the error at the first (coarsest) epsilon with
-        # the error at the last (finest) one
+        # qlimit compares the error at the coarse epsilon with the error at
+        # the fine one; linear convergence puts their ratio in its window
+        # [8, 12] only when the two are a factor 10 apart
         eps = self.epsilons
         if len(eps) < 2:
             raise ValueError("epsilon list needs at least two values, coarse to fine")
@@ -107,6 +108,11 @@ class SuiteOptions:
             raise ValueError(f"epsilons must be finite and positive, got {list(eps)}")
         if eps[0] <= eps[-1]:
             raise ValueError("epsilon list must go from coarse to fine")
+        if len(eps) > 2 or not math.isclose(eps[0], 10.0 * eps[1], rel_tol=1e-9):
+            raise ValueError(
+                "epsilons must be two values a factor 10 apart, coarse to fine "
+                f"(qlimit's error ratios must lie in [8, 12]), got {list(eps)}"
+            )
 
     def degree(self, default: int) -> int:
         return self.max_degree if self.max_degree is not None else default

@@ -1,6 +1,7 @@
 """Command line surface: table, verify, sample."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -171,10 +172,14 @@ def test_verify_rejects_negative_sweep(args, capsys):
         (["1e-3"], "at least two"),
         (["1e-4", "1e-3"], "coarse to fine"),
         (["1e-4", "1e-4"], "coarse to fine"),
+        # qlimit's [8, 12] window fits only a factor-10 step
+        (["1e-3", "1e-4", "1e-5"], "factor 10 apart"),
+        (["2e-3", "1e-4"], "factor 10 apart"),
+        (["1e-3", "5e-4", "1e-4"], "factor 10 apart"),
     ],
     ids=[
         "nan", "inf_fine", "inf_coarse", "zero", "negative", "negative_exponent", "single",
-        "fine_first", "equal",
+        "fine_first", "equal", "factor_100", "factor_20", "middle_value",
     ],
 )
 def test_verify_rejects_bad_epsilons(eps, message, capsys):
@@ -332,6 +337,100 @@ def test_sample_rejects_bad_lambda():
     with pytest.raises(SystemExit) as exc:
         run(["sample", "eigenfunction", "--lambda", "abc"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, option",
+    [
+        (["sample", "eigenfunction", "--lambda", "1e400"], "--lambda"),
+        (["sample", "eigenfunction", "--lambda", "-1e400"], "--lambda"),
+        (["sample", "eigenfunction", "--alpha", "1e400"], "--alpha"),
+        (["sample", "weight", "--alpha", "1e400"], "--alpha"),
+        (["sample", "wavefunction", "--a", "1e400"], "--a"),
+        (["sample", "potential", "--a", "1e400"], "--a"),
+        (["verify", "--suite", "susy", "--a", "1e400"], "--a"),
+    ],
+    ids=[
+        "lambda", "negative_lambda", "eigen_alpha", "weight_alpha", "wavefunction_a",
+        "potential_a", "verify_a",
+    ],
+)
+def test_rational_beyond_float_range_is_a_domain_error(argv, option, capsys):
+    # float() of such a rational raised OverflowError: a traceback, exit 1
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert f"{option} lies beyond the float range" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--lambda", "1e200"],
+        ["--lambda", "1e308"],
+        ["--lambda", "-1e200"],
+        ["--lambda", "2000"],
+        # lambda = 2(beta+1): (1-x^2)^(-(beta+1)/2) overflows near |x| = 0.9
+        ["--beta", "1000", "--lambda", "2002"],
+    ],
+    ids=["1e200", "1e308", "-1e200", "2000", "elementary"],
+)
+def test_sample_eigenfunction_rejects_overflowing_values(args, capsys):
+    # the series used to overflow to inf and print rows of nan, and the
+    # elementary form to raise OverflowError (exit 1)
+    assert run(["sample", "eigenfunction", *args]) == 2
+    captured = capsys.readouterr()
+    assert "overflows the float range" in captured.err
+    assert captured.out == ""
+
+
+#: sha256 of `sample` output at the defaults and two other argument sets
+#: per target; every number in the grids is pinned to the bit.
+SAMPLE_DIGESTS = [
+    (("eigenfunction",), "bd5ca770959decf051d1811da3fa30ffbda44f497a9866d972b77c362adefe97"),
+    (
+        ("eigenfunction", "--alpha", "1/2", "--beta", "3/2", "--lambda", "-27/2"),
+        "05fcbd870589a31766685d6b18c8b0c7c3a0bb094fd95909be9205ae5d9fbe9c",
+    ),
+    (
+        # lambda = 2(beta+1): the elementary closed form
+        ("eigenfunction", "--alpha", "-9/10", "--beta", "2", "--lambda", "6", "--points", "51"),
+        "b5752449903f24f4a5041d353c2bd2a2f1fbb13e6bd4d486e844aae4eae7d3ec",
+    ),
+    (("weight",), "9605bef81d2ada6c4f986e22b94b9f6bcd8862868466e1404f69c005b3284763"),
+    (
+        ("weight", "--alpha", "1/2", "--beta", "3/2"),
+        "d97ebc737f7e43defffd0e3607711cd4c467126dead5ed0622c0bd188f6fbf89",
+    ),
+    (
+        # an odd point count puts x = 0 on the grid, where alpha < 0 gives inf
+        ("weight", "--alpha", "-1/2", "--beta", "1", "--points", "401"),
+        "d6743ec4e79d6f0655de2d4635aa7a44af66c02d1ac2b69e0c210daae154453e",
+    ),
+    (("wavefunction",), "45408165376d40dc7f12a40fbfd298ca415f5db8b415d02fdb0cf1032622ff71"),
+    (
+        ("wavefunction", "--a", "5/2", "--n", "5"),
+        "3a2027bee8e8e6f5ef108224857883a15b0ce3118c92d868431e88a3c7752127",
+    ),
+    (
+        ("wavefunction", "--a", "7/10", "--levels", "2", "--points", "50"),
+        "6ab866415c2c4f45f29782b1f3cbfc548faac96f6058b80e1f2d0be4ea96da7d",
+    ),
+    (("potential",), "2a61413303b4ed62b04c13ccfcc533d6ee8c0dadcd3cb1208a2ab1578f8257f7"),
+    (("potential", "--a", "5/2"), "d36aa1ae168f1fda68ad4ed2f9fefae530e94a171f0f3b0599f11d1048f93cfb"),
+    (
+        ("potential", "--a", "11/3", "--points", "7"),
+        "30be2ae967a47ed05e2c9b0938890a94160ad7a8ee906abf8f98c4be171b3172",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", SAMPLE_DIGESTS, ids=[" ".join(args) for args, _ in SAMPLE_DIGESTS]
+)
+def test_sample_output_is_pinned(args, digest, capsys):
+    assert run(["sample", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_rational_parser():

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from littlejacobi.eigensolver import (
     build_solution,
@@ -19,6 +21,7 @@ from littlejacobi.eigensolver import (
     solve_general,
 )
 from littlejacobi.family import ParamPair, explicit_poly
+from littlejacobi.polys import horner
 
 FLAT = ParamPair(Fraction(0), Fraction(0))
 GENERIC = ParamPair(Fraction(1, 2), Fraction(3, 2))
@@ -177,3 +180,100 @@ def test_sample_rows_shape():
     assert all(row["residual"] < 1e-10 for row in rows)
     with pytest.raises(ValueError):
         sample_rows(GENERIC, 1.3, 21, x_max=0.99)
+
+
+# -- the fused pass against separate passes, bit for bit ----------------------
+
+
+def _bits(values):
+    # repr tells -0.0 from 0.0, which == does not
+    return [repr(v) for v in values]
+
+
+def _separate_d(coeffs, z):
+    # sum k c_k z**(k-1), walking the series on its own
+    out = 0.0
+    for k in range(len(coeffs) - 1, 0, -1):
+        out = out * z + k * coeffs[k]
+    return out
+
+
+def _separate_dd(coeffs, z):
+    out = 0.0
+    for k in range(len(coeffs) - 1, 1, -1):
+        out = out * z + k * (k - 1) * coeffs[k]
+    return out
+
+
+def _separate_rows(params, lam, points, x_max=0.9):
+    """sample_rows as separate per-point passes: f, f' (once for f' and
+    again inside f''), f'' and g each walk their series."""
+    sol = build_solution(params, lam)
+    rows = []
+    for i in range(points):
+        x = -x_max + 2.0 * x_max * i / (points - 1)
+        alpha = float(params.alpha)
+        beta = float(params.beta)
+        z = x * x
+        if lam == 2.0 * (beta + 1.0):
+            p = (beta + 1.0) / 2.0
+            u = 1.0 - x * x
+            f = u**-p
+            fp = 2.0 * p * x * u ** (-p - 1.0)
+            fpp = 2.0 * p * u ** (-p - 2.0) * (1.0 + (2.0 * p + 1.0) * x * x)
+        else:
+            f = horner(sol.f_series_coeffs, z)
+            fp = 2.0 * x * _separate_d(sol.f_series_coeffs, z)
+            fpp = 2.0 * _separate_d(sol.f_series_coeffs, z) + 4.0 * z * _separate_dd(
+                sol.f_series_coeffs, z
+            )
+        g = x * horner(sol.g_series_coeffs, z)
+        residual = abs(
+            4.0 * x * (x * x - 1.0) * fpp
+            + 4.0 * ((alpha + beta + 3.0) * x * x - alpha) * fp
+            + lam * x * (2.0 * (alpha + beta) + 4.0 - lam) * f
+        )
+        rows.append({"x": x, "F": f + g, "f": f, "g": g, "residual": residual})
+    return rows
+
+
+admissible = st.fractions(min_value=Fraction(-9, 10), max_value=3, max_denominator=10)
+
+
+@st.composite
+def eigen_cases(draw):
+    params = ParamPair(draw(admissible), draw(admissible))
+    kind = draw(st.sampled_from(["generic", "polynomial", "elementary"]))
+    if kind == "generic":
+        lam = draw(st.fractions(min_value=-30, max_value=30, max_denominator=10))
+    elif kind == "polynomial":
+        lam = Fraction(-4 * draw(st.integers(min_value=0, max_value=7)))
+    else:
+        lam = 2 * (params.beta + 1)
+    return params, float(lam)
+
+
+@given(eigen_cases(), st.integers(min_value=2, max_value=41))
+@settings(max_examples=60, deadline=None)
+def test_sample_rows_equal_separate_passes(case, points):
+    params, lam = case
+    fused = sample_rows(params, lam, points)
+    separate = _separate_rows(params, lam, points)
+    for got, want in zip(fused, separate, strict=True):
+        assert _bits(got.values()) == _bits(want.values())
+
+
+@given(eigen_cases(), st.floats(min_value=-0.94, max_value=0.94))
+@settings(max_examples=60, deadline=None)
+def test_derivatives_equal_separate_passes(case, x):
+    params, lam = case
+    sol = build_solution(params, lam)
+    z = x * x
+    f, g = sol.f_series_coeffs, sol.g_series_coeffs
+    assert _bits([sol.f_prime(x), sol.f_second(x), sol.g_prime(x)]) == _bits(
+        [
+            2.0 * x * _separate_d(f, z),
+            2.0 * _separate_d(f, z) + 4.0 * z * _separate_dd(f, z),
+            horner(g, z) + 2.0 * z * _separate_d(g, z),
+        ]
+    )

@@ -12,6 +12,8 @@ from littlejacobi.polys import (
     Poly,
     as_fraction,
     horner,
+    horner3,
+    horner_rows,
     monomial,
     parity_split,
     pochhammer,
@@ -336,3 +338,23 @@ def test_float_evaluation_matches_fraction_horner(a, x):
     # bit-identical to Horner over the Fraction coefficients
     p = Poly(a)
     assert p(x).hex() == float(horner(_ref(a), x)).hex()
+
+
+# nonzero floats: no Poly or series coefficient is -0.0
+float_coeffs = st.lists(
+    st.floats(min_value=-1e3, max_value=1e3).filter(bool), min_size=1, max_size=12
+)
+
+
+@given(float_coeffs, float_coeffs, float_coeffs, st.floats(min_value=-2, max_value=2))
+def test_horner3_equals_three_horner_passes(p, q, r, x):
+    # hex() tells -0.0 from 0.0; padding the shorter tuples is exact
+    fused = horner3(horner_rows(p, q, r), x)
+    assert [v.hex() for v in fused] == [horner(c, x).hex() for c in (p, q, r)]
+
+
+def test_horner3_reads_an_empty_tuple_as_positive_zero():
+    rows = horner_rows((1.0, 2.0), (3.0,), ())
+    assert [v.hex() for v in horner3(rows, -0.5)] == ["0x0.0p+0", "0x1.8000000000000p+1", "0x0.0p+0"]
+    assert horner((), -0.5).hex() == "-0x0.0p+0"
+    assert [v.hex() for v in horner3(horner_rows((), (), ()), -0.5)] == ["-0x0.0p+0"] * 3

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littlejacobi.family import ParamPair, generate_monic
-from littlejacobi.polys import Poly
+from littlejacobi.polys import Poly, horner
 from littlejacobi.susyqm import (
     NODE_POINTS,
     L1Image,
@@ -26,10 +26,12 @@ from littlejacobi.susyqm import (
     ground_state,
     node_count,
     potential,
+    potential_values,
     superpotential,
     superpotential_prime,
     wavefunction,
 )
+from littlejacobi.susyqm import _pieces  # the jets take a point's pieces
 
 A = Fraction(3, 2)
 GRID = default_grid(200)
@@ -252,6 +254,72 @@ def test_grid_equals_per_point_evaluation(a, n, points):
     assert well.square_images(state) == [
         (apply_L1(a, image, y), apply_H1(a, state, y)) for y in ys
     ]
+
+
+def _separate_jet(state, pieces, order):
+    """The jet of PhiPoly with one plain Horner pass per derivative order."""
+    s, c, phi, ell = pieces
+    p0 = horner(state._p, s)
+    p1 = horner(state._dp, s)
+    p2 = horner(state._ddp, s)
+    ell_prime = (s - 2.0 * (state.a + 1.0)) / (2.0 * c * c)
+    jet = (
+        phi * p0,
+        phi * (ell * p0 + c * p1),
+        phi * ((ell * ell + ell_prime) * p0 + (2.0 * ell * c - s) * p1 + c * c * p2),
+    )
+    return jet[: order + 1]
+
+
+def _signed(values):
+    # copysign keeps the sign of a zero, which == ignores
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+# degree 0 to 6, the zero polynomial, constants and linear p among them
+phi_polys = st.lists(
+    st.fractions(min_value=-3, max_value=3, max_denominator=7), max_size=7
+).map(Poly)
+
+
+@given(wells, phi_polys, st.floats(min_value=-1.57, max_value=1.57), st.integers(0, 2))
+@settings(max_examples=150, deadline=None)
+def test_jets_equal_separate_passes(a, p, y, order):
+    state = PhiPoly(a, p)
+    for pieces in (_pieces(state.a, y), _pieces(state.a, -y)):
+        assert _signed(state._jet(pieces, order)) == _signed(_separate_jet(state, pieces, order))
+
+
+@pytest.mark.parametrize("p", [Poly(), Poly.ONE, Poly([2, -3])], ids=["zero", "constant", "linear"])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_short_jets_equal_separate_passes(p, order):
+    # below degree 2 a derivative of p is empty, and horner(()) at s < 0 is -0.0
+    state = PhiPoly(A, p)
+    for y in (-1.2, -0.3, 0.4):
+        pieces = _pieces(state.a, y)
+        assert _signed(state._jet(pieces, order)) == _signed(_separate_jet(state, pieces, order))
+
+
+@pytest.mark.parametrize(
+    "p, pieces, k",
+    [(Poly([-1]), (-0.5, 0.5, 1.0, 0.0), 1), (Poly([-1, -2]), (-0.5, 0.5, 1.0, -0.5), 2)],
+    ids=["constant", "linear"],
+)
+def test_empty_derivative_reads_negative_zero(p, pieces, k):
+    # (s, c, Phi, ell) chosen so that every other term of F' (constant p)
+    # or of F'' (p = -1 - 2s is +0.0 at s = -1/2) is a zero: the jet entry
+    # is -0.0 only if the empty p' or p'' reads -0.0, as horner does
+    state = PhiPoly(A, p)
+    jet = state._jet(pieces)
+    assert _signed(jet) == _signed(_separate_jet(state, pieces, 2))
+    assert math.copysign(1.0, jet[k]) == -1.0
+
+
+def test_potential_values_equal_per_point_potential():
+    ys = default_grid(41)
+    assert potential_values(A, ys) == [potential(A, y) for y in ys]
+    with pytest.raises(ValueError, match="exceed 1/2"):
+        potential_values(Fraction(1, 2), ys)
 
 
 @given(wells, st.integers(min_value=0, max_value=9))
