@@ -24,6 +24,7 @@ from .eigensolver import (
     solve_general,
 )
 from .family import (
+    FloatRangeError,
     MomentFunctional,
     ParamPair,
     eigenvalue,
@@ -96,10 +97,12 @@ from .transforms import (
     dunkl_classical_check,
     extract_recurrence,
     gegenbauer_dunkl_check,
+    gegenbauer_sequence,
     geronimus_coefficient,
     geronimus_combination,
     identify_little,
     intertwiner_check,
+    jacobi_sequence,
     monic_jacobi_01,
     monic_jacobi_sym,
     raising_check,

@@ -17,9 +17,10 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .polys import Poly, as_fraction, terminating_2f1
+from .polys import Poly, as_fraction, recurrence_step, terminating_2f1
 
 __all__ = [
+    "FloatRangeError",
     "MomentFunctional",
     "ParamPair",
     "eigenvalue",
@@ -104,13 +105,8 @@ _STRIDE = 64
 @lru_cache(maxsize=None)
 def generate_monic(params: ParamPair, n: int) -> Poly:
     """Monic family member of degree n, from the three-term recurrence
-    P_n = (x - b_{n-1}) P_{n-1} - u_{n-1} P_{n-2}.
-
-    The step runs on integers: P_{n-1} = A/dA and P_{n-2} = B/dB are read
-    as numerators over their lcm d, and with b_{n-1} = bn/bd and
-    u_{n-1} = un/ud,
-      P_n = (x A bd ud - bn ud A - un bd B) / (d bd ud),
-    so a step costs O(n) int multiply-adds and one normalisation of P_n.
+    P_n = (x - b_{n-1}) P_{n-1} - u_{n-1} P_{n-2}, one integer
+    `recurrence_step` per degree.
 
     A cold call first builds the members at multiples of _STRIDE below n,
     in increasing order, so the recursion below reaches a cached member
@@ -124,16 +120,8 @@ def generate_monic(params: ParamPair, n: int) -> Poly:
         generate_monic(params, k)
     u, b = recurrence_coeffs(params, n - 1)
     if n == 1:
-        return Poly([-b, 1])
-    prev, prev2 = generate_monic(params, n - 1), generate_monic(params, n - 2)
-    d = math.lcm(prev.den, prev2.den)
-    fa, fb = d // prev.den, d // prev2.den
-    shift = b.denominator * u.denominator
-    # scalars of x A, A and B, each padded to n + 1 coefficients
-    sx, sa, sb = shift * fa, b.numerator * u.denominator * fa, u.numerator * b.denominator * fb
-    a, c = prev.nums, prev2.nums
-    out = [sx * xa - sa * aa - sb * cc for xa, aa, cc in zip([0, *a], [*a, 0], [*c, 0, 0])]
-    return Poly.from_ints(out, d * shift)
+        return recurrence_step(Poly.ONE, Poly.ZERO, b, Fraction(0))
+    return recurrence_step(generate_monic(params, n - 1), generate_monic(params, n - 2), b, u)
 
 
 def explicit_poly(params: ParamPair, n: int) -> Poly:
@@ -237,26 +225,57 @@ class MomentFunctional:
         return rows
 
     def hankel_determinant(self, n: int) -> Fraction:
-        """det of the (n+1) x (n+1) moment matrix (c_{i+j}), exact."""
+        """det of the (n+1) x (n+1) moment matrix (c_{i+j}), exact.
+
+        Fraction-free elimination: the moments are scaled to integers over
+        one common denominator D, and each row is held as a primitive
+        integer vector (its content divided out) together with its scale,
+        the Fraction by which it exceeds the matching row of the current
+        Schur complement.  A step replaces row r by (lead row_r - f head)
+        over its content, so the integers stay the size of the reduced
+        Schur complement, and the determinant is the product of the pivots
+        lead / scale, with a sign flip per row swap.  Bareiss elimination
+        would keep every entry a minor of D (c_{i+j}), which grows with D
+        to the power of the order (about ten times slower at order 80).
+        """
         if 2 * n >= len(self.moments):
             raise ValueError(f"Hankel determinant of order {n} needs moment {2 * n}")
         size = n + 1
-        m = [[self.moments[i + j] for j in range(size)] for i in range(size)]
+        den = math.lcm(*(c.denominator for c in self.moments[: 2 * n + 1]))
+        scaled = [c.numerator * (den // c.denominator) for c in self.moments[: 2 * n + 1]]
+        # rows[r] holds columns k..n of row r at step k
+        rows, scales = [], []
+        for i in range(size):
+            row = scaled[i : i + size]
+            g = math.gcd(*row)
+            if not g:
+                return Fraction(0)
+            rows.append([c // g for c in row])
+            scales.append(Fraction(den, g))
         det = Fraction(1)
-        for col in range(size):
-            pivot = next((r for r in range(col, size) if m[r][col]), None)
+        for k in range(size):
+            pivot = next((r for r in range(k, size) if rows[r][0]), None)
             if pivot is None:
                 return Fraction(0)
-            if pivot != col:
-                m[col], m[pivot] = m[pivot], m[col]
+            if pivot != k:
+                rows[k], rows[pivot] = rows[pivot], rows[k]
+                scales[k], scales[pivot] = scales[pivot], scales[k]
                 det = -det
-            det *= m[col][col]
-            inv = 1 / m[col][col]
-            for r in range(col + 1, size):
-                factor = m[r][col] * inv
-                if factor:
-                    for cdx in range(col, size):
-                        m[r][cdx] -= factor * m[col][cdx]
+            head, scale = rows[k], scales[k]
+            lead = head[0]
+            det *= Fraction(lead * scale.denominator, scale.numerator)
+            for r in range(k + 1, size):
+                row, factor = rows[r], rows[r][0]
+                if not factor:
+                    rows[r] = row[1:]
+                    continue
+                new = [lead * a - factor * b for a, b in zip(row[1:], head[1:])]
+                g = math.gcd(*new)
+                if not g:
+                    return Fraction(0)
+                rows[r] = [c // g for c in new]
+                scale = scales[r]
+                scales[r] = Fraction(scale.numerator * lead, scale.denominator * g)
         return det
 
 
@@ -294,15 +313,35 @@ def norm_square(params: ParamPair, n: int) -> Fraction:
 # -- weight function ---------------------------------------------------------
 
 
+class FloatRangeError(ValueError):
+    """A float routine whose inputs or results lie beyond the float range.
+
+    The exact routes never raise it: it marks the float boundary of an
+    admissible pair (the weight, its quadrature, the q-deformation), where
+    a check can only be skipped and a command can only refuse.
+    """
+
+
+def _float_params(params: ParamPair) -> tuple[float, float]:
+    """(alpha, beta) as floats, or FloatRangeError for a value that float()
+    cannot hold."""
+    try:
+        return float(params.alpha), float(params.beta)
+    except OverflowError:
+        raise FloatRangeError("alpha or beta lies beyond the float range") from None
+
+
 def weight_normalization(params: ParamPair) -> float:
     """Normalization constant making the weight integrate to 1."""
-    a = float(params.alpha)
-    b = float(params.beta)
-    return math.exp(
-        math.lgamma(a / 2 + b / 2 + 1)
-        - math.lgamma(b / 2 + 0.5)
-        - math.lgamma(a / 2 + 0.5)
-    )
+    a, b = _float_params(params)
+    try:
+        return math.exp(
+            math.lgamma(a / 2 + b / 2 + 1)
+            - math.lgamma(b / 2 + 0.5)
+            - math.lgamma(a / 2 + 0.5)
+        )
+    except OverflowError:
+        raise FloatRangeError("the weight's normalization lies beyond the float range") from None
 
 
 def weight_eval(params: ParamPair, x: float) -> float:
@@ -312,9 +351,9 @@ def weight_eval(params: ParamPair, x: float) -> float:
 
 def weight_values(params: ParamPair, xs: Sequence[float]) -> list[float]:
     """weight_eval at each x, with kappa and the exponents taken once."""
-    a = float(params.alpha)
-    e = (float(params.beta) - 1.0) / 2.0
     kappa = weight_normalization(params)
+    a, b = _float_params(params)
+    e = (b - 1.0) / 2.0
     out = []
     for x in xs:
         x = float(x)
@@ -336,13 +375,16 @@ def weight_moment(params: ParamPair, k: int) -> float:
     The factors 1 - x = t**2 and 1 + x = 2 - t**2 are folded in
     analytically, so 1 - x^2 is never formed in floating point (it
     rounds to 0.0 near t = 0).
+
+    Raises FloatRangeError when the normalization, the integrand or the
+    result leaves the float range.
     """
     from scipy.integrate import quad  # deferred: the exact routes never need scipy
 
     if k < 0:
         raise ValueError("moment order must be nonnegative")
-    a = float(params.alpha)
-    b = float(params.beta)
+    kappa = weight_normalization(params)
+    a, b = _float_params(params)
 
     def integrand(t):
         x = 1.0 - t * t
@@ -350,8 +392,14 @@ def weight_moment(params: ParamPair, k: int) -> float:
         # 2t (1-x^2)^((b-1)/2) = 2 t^b s^((b-1)/2); the halves carry 1+x = s and 1-x = t^2
         return 2.0 * t**b * s ** ((b - 1.0) / 2.0) * x**a * (x**k * s + (-x) ** k * t * t)
 
-    out = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)
-    return weight_normalization(params) * out[0]
+    try:
+        out = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)
+    except OverflowError:  # float ** raises where * would give inf
+        raise FloatRangeError("the weight integrand overflows the float range") from None
+    value = kappa * out[0]
+    if not math.isfinite(value):
+        raise FloatRangeError("the weight integral overflows the float range")
+    return value
 
 
 # -- deformation limit -------------------------------------------------------
@@ -363,16 +411,21 @@ def qjacobi_recurrence(epsilon: float, alpha, beta, n: int) -> tuple[Optional[fl
 
     As eps -> 0+ these converge linearly in eps to the family's exact
     u_n, b_n.  u_n = A_{n-1} C_n and b_n = A_n + C_n; u_0 is None (C_0 = 0
-    and A_{-1} is undefined).
+    and A_{-1} is undefined).  Raises FloatRangeError when the deformed
+    parameters or coefficients leave the float range.
     """
     epsilon = float(epsilon)
     if epsilon <= 0:
         raise ValueError("deformation epsilon must be positive")
     if n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    q = -math.exp(epsilon)
-    a = -math.exp(epsilon * float(alpha))
-    b = -math.exp(epsilon * float(beta))
+    beyond = f"the deformation at eps={epsilon} lies beyond the float range"
+    try:
+        q = -math.exp(epsilon)
+        a = -math.exp(epsilon * float(alpha))
+        b = -math.exp(epsilon * float(beta))
+    except OverflowError:
+        raise FloatRangeError(beyond) from None
 
     def checked(den: float, name: str) -> float:
         if abs(den) < 1e-12:
@@ -390,9 +443,10 @@ def qjacobi_recurrence(epsilon: float, alpha, beta, n: int) -> tuple[Optional[fl
         return a * q**k * (1 - q**k) * (1 - b * q**k) / den
 
     b_n = big_a(n) + big_c(n)
-    if n == 0:
-        return None, b_n
-    return big_a(n - 1) * big_c(n), b_n
+    u_n = None if n == 0 else big_a(n - 1) * big_c(n)
+    if not all(map(math.isfinite, (b_n,) if n == 0 else (b_n, u_n))):
+        raise FloatRangeError(beyond)
+    return u_n, b_n
 
 
 def qlimit_error(params: ParamPair, n: int, epsilon: float) -> tuple[Optional[float], float]:

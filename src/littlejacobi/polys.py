@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from operator import add
 from typing import Iterable, Sequence
 
@@ -32,6 +33,7 @@ __all__ = [
     "monomial",
     "parity_split",
     "pochhammer",
+    "recurrence_step",
     "reflect",
     "terminating_2f1",
 ]
@@ -331,6 +333,29 @@ def parity_split(p: Poly) -> ParityPair:
 def reflect(p: Poly) -> Poly:
     """p(-x): flips the sign of every odd coefficient."""
     return Poly._canonical(tuple(-c if k % 2 else c for k, c in enumerate(p.nums)), p.den)
+
+
+def recurrence_step(p: Poly, p_prev: Poly, b: Fraction, u: Fraction) -> Poly:
+    """(x - b) p - u p_prev, the step of a monic three-term recurrence
+    P_{n+1} = (x - b_n) P_n - u_n P_{n-1}, on integers.
+
+    With p = A/dA and p_prev = B/dB read as numerators over their lcm d,
+    and b = bn/bd, u = un/ud,
+      (x - b) p - u p_prev = (x A bd ud - bn ud A - un bd B) / (d bd ud),
+    so a step costs O(deg p) int multiply-adds and one normalisation of
+    the result.
+    """
+    d = math.lcm(p.den, p_prev.den)
+    fa, fb = d // p.den, d // p_prev.den
+    shift = b.denominator * u.denominator
+    # scalars of x A, A and B
+    sx, sa, sb = shift * fa, b.numerator * u.denominator * fa, u.numerator * b.denominator * fb
+    a = p.nums
+    out = [
+        sx * xa - sa * aa - sb * cc
+        for xa, aa, cc in zip_longest((0, *a), a, p_prev.nums, fillvalue=0)
+    ]
+    return Poly.from_ints(out, d * shift)
 
 
 def pochhammer(x, n: int) -> Fraction:

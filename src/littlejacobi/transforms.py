@@ -8,13 +8,24 @@ and packages coefficient-level comparisons as reports, together with
 the Dunkl lowering, raising, and intertwiner properties.  Each check has
 a per-n form and a sweep form (``*_sweep``) that builds its operator and
 auxiliary members once and reports the first failing degree.
+
+The classical members exist in two forms.  The closed forms
+(`jacobi_series`, `monic_jacobi_sym`, `symmetric_gegenbauer`) build one
+degree from a terminating 2F1, the standard Jacobi one through a Taylor
+shift, O(n^2) per member; the per-n checks use them.  The sequences
+(`jacobi_sequence`, `gegenbauer_sequence`) build every degree up to N
+from the three-term recurrence, one integer `polys.recurrence_step` per
+degree as in `family.generate_monic`, O(N^2) in all; the intertwiner
+sweep and verify's transforms suite use them.  Both forms give equal
+polynomials.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .family import ParamPair, generate_monic, recurrence_coeffs
 from .operators import (
@@ -25,7 +36,7 @@ from .operators import (
     intertwiner_sigma,
     raising_operator,
 )
-from .polys import Poly, as_fraction, terminating_2f1
+from .polys import Poly, as_fraction, recurrence_step, terminating_2f1
 
 __all__ = [
     "CheckReport",
@@ -36,12 +47,14 @@ __all__ = [
     "extract_recurrence",
     "gegenbauer_dunkl_check",
     "gegenbauer_dunkl_sweep",
+    "gegenbauer_sequence",
     "geronimus_coefficient",
     "geronimus_combination",
     "identify_little",
     "identify_little_sweep",
     "intertwiner_check",
     "intertwiner_sweep",
+    "jacobi_sequence",
     "jacobi_series",
     "monic_jacobi_01",
     "monic_jacobi_sym",
@@ -116,6 +129,82 @@ def symmetric_gegenbauer(jp: JacobiParams, n: int) -> Poly:
     raised = JacobiParams(jp.xi + 1, jp.eta)
     even = _monic(_jacobi_2f1(raised, (n - 1) // 2, arg_power=2), n - 1, "Gegenbauer series")
     return Poly._canonical((0, *even.nums), even.den)  # x times the even part
+
+
+def _sequence(n_max: int, coeffs: Callable[[int], tuple[Fraction, Fraction]]) -> list[Poly]:
+    """P_0..P_{n_max} of the monic recurrence P_{n+1} = (x - b_n) P_n -
+    u_n P_{n-1}, coeffs(n) = (b_n, u_n): one integer `recurrence_step` per
+    degree, O(n_max^2) int operations in all."""
+    if n_max < 0:
+        raise ValueError("degree must be nonnegative")
+    out, prev = [Poly.ONE], Poly.ZERO
+    for n in range(n_max):
+        b, u = coeffs(n)
+        out.append(recurrence_step(out[-1], prev, b, u))
+        prev = out[-2]
+    return out
+
+
+def _over_common_denominator(jp: JacobiParams) -> tuple[int, int, int]:
+    """(D, xi D, eta D) for D the lcm of the parameters' denominators."""
+    xi, eta = jp.xi, jp.eta
+    d = math.lcm(xi.denominator, eta.denominator)
+    return d, xi.numerator * (d // xi.denominator), eta.numerator * (d // eta.denominator)
+
+
+def jacobi_sequence(jp: JacobiParams, n_max: int) -> list[Poly]:
+    """``[monic_jacobi_sym(jp, n) for n in range(n_max + 1)]`` from the
+    monic Jacobi recurrence (Koekoek, Lesky and Swarttouw, 2010, §9.8),
+    with a = xi, b = eta:
+      B_0 = (b - a)/(a + b + 2),
+      B_n = (b^2 - a^2)/((2n+a+b)(2n+a+b+2)),
+      A_n = 4n(n+a)(n+b)(n+a+b)/((2n+a+b)^2 (2n+a+b+1)(2n+a+b-1)),
+    and A_1 = 4(1+a)(1+b)/((2+a+b)^2 (3+a+b)) with the factor 1+a+b
+    cancelled, which covers the removable 0/0 at a + b = -1.  Each
+    coefficient is one Fraction of two integers, scaled by the common
+    denominator D of a and b as `family.recurrence_coeffs` does.
+    """
+    d, a, b = _over_common_denominator(jp)
+
+    def coeffs(n: int) -> tuple[Fraction, Fraction]:
+        if n == 0:
+            return Fraction(b - a, a + b + 2 * d), Fraction(0)
+        s = 2 * n * d + a + b  # D (2n + a + b) > 0 for n >= 1
+        shift = Fraction(b * b - a * a, s * (s + 2 * d))
+        if n == 1:
+            return shift, Fraction(4 * d * (d + a) * (d + b), s * s * (s + d))
+        nd = n * d
+        u = Fraction(4 * nd * (nd + a) * (nd + b) * (nd + a + b), s * s * (s + d) * (s - d))
+        return shift, u
+
+    return _sequence(n_max, coeffs)
+
+
+def gegenbauer_sequence(jp: JacobiParams, n_max: int) -> list[Poly]:
+    """``[symmetric_gegenbauer(jp, n) for n in range(n_max + 1)]`` from the
+    monic recurrence S_{n+1} = x S_n - gamma_n S_{n-1} of the weight
+    |x|^(2 xi + 1) (1-x^2)^eta (every b_n is 0), with
+      gamma_{2m} = m(m+eta)/((2m+xi+eta)(2m+xi+eta+1)),
+      gamma_{2m+1} = (m+xi+1)(m+xi+eta+1)/((2m+xi+eta+1)(2m+xi+eta+2)),
+    and gamma_1 = (xi+1)/(xi+eta+2) with the factor xi+eta+1 cancelled,
+    which covers the removable 0/0 at xi + eta + 1 = 0.  Each coefficient
+    is one Fraction of two integers over the common denominator D.
+    """
+    d, xi, eta = _over_common_denominator(jp)
+    zero = Fraction(0)
+
+    def coeffs(n: int) -> tuple[Fraction, Fraction]:
+        if n == 0:  # gamma_0 multiplies S_{-1} = 0
+            return zero, zero
+        md = (n // 2) * d
+        low = 2 * md + xi + eta  # D (2m + xi + eta)
+        if n % 2 == 0:
+            return zero, Fraction(md * (md + eta), low * (low + d))
+        if n == 1:
+            return zero, Fraction(xi + d, xi + eta + 2 * d)
+        return zero, Fraction((md + xi + d) * (md + xi + eta + d), (low + d) * (low + 2 * d))
+
+    return _sequence(n_max, coeffs)
 
 
 def christoffel_transform(jp: JacobiParams, n: int) -> Poly:
@@ -363,33 +452,36 @@ def _intertwiner_xi(params: ParamPair) -> Fraction:
 
 
 def _intertwiner_sides(
-    params: ParamPair, op: BandedOp, sigma: Fraction, n: int
+    params: ParamPair, op: BandedOp, sigma: Fraction, jac: Poly, n: int
 ) -> tuple[Poly, Poly]:
-    """sigma_n^{-1} V_{alpha/2} J_n and P_n; op is V_{alpha/2}, sigma = sigma_n."""
-    xi = _intertwiner_xi(params)
-    jac = monic_jacobi_sym(JacobiParams(xi, xi + 1), n)
+    """sigma_n^{-1} V_{alpha/2} J_n and P_n; op is V_{alpha/2}, sigma = sigma_n
+    and jac = J_n, the monic standard Jacobi polynomial at (xi, xi+1)."""
     return op.apply(jac) / sigma, generate_monic(params, n)
 
 
 def intertwiner_check(params: ParamPair, n: int) -> CheckReport:
     """Intertwiner route: sigma_n^{-1} V_{alpha/2} applied to the standard
     Jacobi polynomial at (xi, xi+1), xi = (alpha+beta-1)/2, equals P_n."""
-    _intertwiner_xi(params)
+    xi = _intertwiner_xi(params)
     mu = params.alpha / 2
-    sides = _intertwiner_sides(params, dunkl_intertwiner(mu, n), intertwiner_sigma(mu, n), n)
+    jac = monic_jacobi_sym(JacobiParams(xi, xi + 1), n)
+    sides = _intertwiner_sides(params, dunkl_intertwiner(mu, n), intertwiner_sigma(mu, n), jac, n)
     return _compare("intertwiner", _pdict(params), n, *sides)
 
 
 def intertwiner_sweep(params: ParamPair, n_max: int) -> Optional[CheckReport]:
     """The first failing ``intertwiner_check(params, n)``, n = 0..n_max, or
-    None; V_{alpha/2} and its sigma table are built once, at n_max."""
-    _intertwiner_xi(params)
+    None; V_{alpha/2}, its sigma table and the Jacobi sequence J_0..J_n_max
+    are built once, at n_max."""
+    xi = _intertwiner_xi(params)
     mu = params.alpha / 2
-    op = dunkl_intertwiner(mu, max(n_max, 0))
-    sigmas = _intertwiner_sigmas(mu, max(n_max, 0))
+    top = max(n_max, 0)
+    op = dunkl_intertwiner(mu, top)
+    sigmas = _intertwiner_sigmas(mu, top)
+    jacs = jacobi_sequence(JacobiParams(xi, xi + 1), top)
     return _first_mismatch(
         range(n_max + 1),
-        lambda n: _intertwiner_sides(params, op, sigmas[n], n),
+        lambda n: _intertwiner_sides(params, op, sigmas[n], jacs[n], n),
         lambda n, lhs, rhs: _compare("intertwiner", _pdict(params), n, lhs, rhs),
     )
 

@@ -364,6 +364,63 @@ def test_rational_beyond_float_range_is_a_domain_error(argv, option, capsys):
 
 
 @pytest.mark.parametrize(
+    "args, skipped, reason",
+    [
+        (
+            ["--suite", "orthogonality", "--alpha", "1e400", "--beta", "1"],
+            "weight quadrature k<=8",
+            "alpha or beta lies beyond the float range",
+        ),
+        (
+            ["--suite", "qlimit", "--alpha", "1e400", "--beta", "1"],
+            "linear convergence n<=10",
+            "the deformation at eps=0.001 lies beyond the float range",
+        ),
+        (
+            ["--suite", "orthogonality", "--alpha", "1000000", "--beta", "1000000"],
+            "weight quadrature k<=8",
+            "the weight's normalization lies beyond the float range",
+        ),
+        (
+            ["--suite", "orthogonality", "--alpha", "0", "--beta", "2100"],
+            "weight quadrature k<=8",
+            "the weight integrand overflows the float range",
+        ),
+    ],
+    ids=["quadrature_1e400", "qlimit_1e400", "quadrature_1e6", "integrand_beta_2100"],
+)
+def test_verify_skips_float_checks_beyond_the_float_range(args, skipped, reason, capsys):
+    # the float checks raised OverflowError (a traceback, exit 1); now each
+    # reports a skip with its reason, and the exact checks still run
+    assert run(["verify", *args, "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    [skip] = [r for r in data["results"] if r["skipped"]]
+    assert skip["name"].startswith(skipped)
+    assert skip["detail"] == f"not applicable: {reason}"
+    assert data["failed"] == 0
+    assert data["passed"] == len(data["results"]) - 1
+
+
+def test_verify_all_suites_beyond_the_float_range(capsys):
+    assert run(["verify", "--alpha", "1e400", "--beta", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0].split(" (")[0] for line in lines if line.startswith("SKIP")] == [
+        "SKIP [orthogonality] weight quadrature k<=8",
+        "SKIP [qlimit] linear convergence n<=10",
+    ]
+    assert lines[-1] == "25/27 checks passed, 2 skipped"
+
+
+def test_sample_weight_beyond_the_float_range(capsys):
+    # a finite pair whose normalization exp(...) overflows: OverflowError
+    # and exit 1 before, a domain error now
+    assert run(["sample", "weight", "--alpha", "1000000", "--beta", "1000000"]) == 2
+    captured = capsys.readouterr()
+    assert "the weight's normalization lies beyond the float range" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "args",
     [
         ["--lambda", "1e200"],

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from littlejacobi import verify
 from littlejacobi.family import (
+    MomentFunctional,
     ParamPair,
     eigenvalue,
     explicit_poly,
@@ -297,6 +298,58 @@ def test_hankel_determinants_positive():
         mf = moments(params, 22)
         for n in range(11):
             assert mf.hankel_determinant(n) > 0
+
+
+def _hankel_reference(moments_, n):
+    # det (c_{i+j}) by Gaussian elimination in Fractions, swapping in the
+    # first lower row with a nonzero entry when a pivot is zero
+    size = n + 1
+    m = [[Fraction(moments_[i + j]) for j in range(size)] for i in range(size)]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if m[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, size):
+            factor = m[r][col] / m[col][col]
+            m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
+    return det
+
+
+@settings(max_examples=25, deadline=None)
+@given(square, square)
+@example(Fraction(1, 2), Fraction(-1, 2))
+@example(Fraction(-9, 10), Fraction(-9, 10))
+def test_hankel_determinant_matches_fraction_elimination(alpha, beta):
+    mf = moments(ParamPair(alpha, beta), 24)
+    for n in range(13):
+        assert mf.hankel_determinant(n) == _hankel_reference(mf.moments, n)
+
+
+@pytest.mark.parametrize(
+    "values, expected",
+    [
+        # order 2: after the first step the second pivot is 0 and the third
+        # row is swapped in; order 1 is singular
+        ((1, 1, 1, 2, 3), [1, 0, -1]),
+        # c_0 = 0: the first pivot needs a swap
+        ((0, 1, 1, 1, 2), [0, -1, -1]),
+        # rank one: every order above 0 is singular
+        ((1, 1, 1, 1, 1, 1, 1), [1, 0, 0, 0]),
+        ((Fraction(1, 3), Fraction(-2, 5), Fraction(7, 2), 0, Fraction(5, 9)), None),
+    ],
+    ids=["swap", "swap_first", "singular", "rational"],
+)
+def test_hankel_determinant_swaps_and_singular_functionals(values, expected):
+    mf = MomentFunctional(PAIRS[0], tuple(Fraction(v) for v in values))
+    dets = [mf.hankel_determinant(n) for n in range((len(values) + 1) // 2)]
+    assert dets == [_hankel_reference(mf.moments, n) for n in range(len(dets))]
+    if expected is not None:
+        assert dets == expected
 
 
 def test_hankel_range_check():

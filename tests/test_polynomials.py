@@ -17,6 +17,7 @@ from littlejacobi.polys import (
     monomial,
     parity_split,
     pochhammer,
+    recurrence_step,
     reflect,
     terminating_2f1,
 )
@@ -41,6 +42,13 @@ def test_trailing_zeros_are_stripped():
 def test_leading_coefficient_of_zero_raises():
     with pytest.raises(ValueError):
         Poly.ZERO.leading_coefficient
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys, polys, rationals, rationals)
+def test_recurrence_step_matches_ring_operations(p, q, b, u):
+    # the integer step against (x - b) p - u q in the Poly ring
+    assert recurrence_step(p, q, b, u) == Poly([-b, 1]) * p - u * q
 
 
 def test_divmod_exact():

@@ -4,6 +4,8 @@ structure checks tying the family to them."""
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import jacobi as scipy_jacobi
 
 from littlejacobi.family import ParamPair, generate_monic, recurrence_coeffs
@@ -14,10 +16,12 @@ from littlejacobi.transforms import (
     dunkl_classical_check,
     extract_recurrence,
     gegenbauer_dunkl_check,
+    gegenbauer_sequence,
     geronimus_coefficient,
     geronimus_combination,
     identify_little,
     intertwiner_check,
+    jacobi_sequence,
     monic_jacobi_01,
     monic_jacobi_sym,
     raising_check,
@@ -88,6 +92,45 @@ def test_symmetric_gegenbauer_structure():
     assert symmetric_gegenbauer(jp, 5) == Poly.X * monic_jacobi_01(shifted, 2).compose(
         Poly([0, 0, 1])
     )
+
+
+# xi, eta in (-1, 3] with denominators up to 10
+admissible = st.fractions(min_value=-1, max_value=3, max_denominator=10).filter(
+    lambda v: v > -1
+)
+
+
+# the examples sit on xi + eta = -1, where the first recurrence
+# coefficient of both sequences is a removable 0/0
+@settings(max_examples=20, deadline=None)
+@given(admissible, admissible, st.integers(min_value=0, max_value=60))
+@example(Fraction(-1, 2), Fraction(-1, 2), 12)
+@example(Fraction(-3, 4), Fraction(-1, 4), 60)
+@example(Fraction(-1, 10), Fraction(-9, 10), 7)
+def test_jacobi_sequence_equals_the_closed_form(xi, eta, n):
+    jp = JacobiParams(xi, eta)
+    seq = jacobi_sequence(jp, n)
+    assert len(seq) == n + 1
+    assert all(seq[k] == monic_jacobi_sym(jp, k) for k in range(n + 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(admissible, admissible, st.integers(min_value=0, max_value=60))
+@example(Fraction(-1, 2), Fraction(-1, 2), 12)
+@example(Fraction(-3, 4), Fraction(-1, 4), 60)
+@example(Fraction(-1, 10), Fraction(-9, 10), 7)
+def test_gegenbauer_sequence_equals_the_closed_form(xi, eta, n):
+    jp = JacobiParams(xi, eta)
+    seq = gegenbauer_sequence(jp, n)
+    assert len(seq) == n + 1
+    assert all(seq[k] == symmetric_gegenbauer(jp, k) for k in range(n + 1))
+
+
+def test_sequences_reject_a_negative_degree():
+    jp = JacobiParams(Fraction(1, 2), Fraction(3, 2))
+    for build in (jacobi_sequence, gegenbauer_sequence):
+        with pytest.raises(ValueError, match="nonnegative"):
+            build(jp, -1)
 
 
 def test_christoffel_transform_is_monic_of_right_degree():

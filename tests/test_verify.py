@@ -120,8 +120,10 @@ def test_sweep_reports_equal_the_per_n_reports(monkeypatch):
 # -- golden record of the exact suites ----------------------------------------
 
 # (suite, name, passed, detail) of `verify --n 40 --format json` for the
-# suites below, as the Fraction-ring kernels computed them
-EXACT_SUITES = ("eigen", "explicit", "dunkl", "raising", "transforms", "aw", "prop2")
+# suites below, as the Fraction-ring kernels computed them; of the
+# orthogonality suite only the exact checks, not the weight quadrature
+EXACT_SUITES = ("orthogonality", "eigen", "explicit", "dunkl", "raising", "transforms", "aw", "prop2")
+FLOAT_CHECKS = ("weight quadrature",)
 GOLDEN_N40 = {
     ("1/2", "3/2"): [
         ("aw", "Casimir Y^2+Z^2 = I (1/2,3/2)", True, "central and equal to identity at N=24"),
@@ -132,6 +134,11 @@ GOLDEN_N40 = {
         ("eigen", "L P_n = lambda_n P_n n<=40 (1/2,3/2)", True, "coefficient-exact"),
         ("eigen", "eigenvalue simplicity n<=50 (1/2,3/2)", True, "pairwise distinct"),
         ("explicit", "hypergeometric = recurrence n<=40 (1/2,3/2)", True, "exact"),
+        ("orthogonality", "Hankel positivity n<=8 (1/2,3/2)", True, "moment matrix positive definite"),
+        ("orthogonality", "norm product rule n<=40 (1/2,3/2)", True, "norms match u_1..u_n products"),
+        ("orthogonality", "pair vanishing n<=40 (1/2,3/2)", True,
+         "all cross inner products zero exactly"),
+        ("orthogonality", "u_n positivity n<=40 (1/2,3/2)", True, "all u_n > 0"),
         ("prop2", "intertwiner route n<=40 (1/2,3/2)", True, "exact"),
         ("raising", "degree raising n<=40 (1/2,3/2)", True, "exact"),
         ("raising", "degree raising n<=40 (1/2,5/2)", True, "exact"),
@@ -150,6 +157,11 @@ GOLDEN_N40 = {
         ("eigen", "L P_n = lambda_n P_n n<=40 (7/10,5/3)", True, "coefficient-exact"),
         ("eigen", "eigenvalue simplicity n<=50 (7/10,5/3)", True, "pairwise distinct"),
         ("explicit", "hypergeometric = recurrence n<=40 (7/10,5/3)", True, "exact"),
+        ("orthogonality", "Hankel positivity n<=8 (7/10,5/3)", True, "moment matrix positive definite"),
+        ("orthogonality", "norm product rule n<=40 (7/10,5/3)", True, "norms match u_1..u_n products"),
+        ("orthogonality", "pair vanishing n<=40 (7/10,5/3)", True,
+         "all cross inner products zero exactly"),
+        ("orthogonality", "u_n positivity n<=40 (7/10,5/3)", True, "all u_n > 0"),
         ("prop2", "intertwiner route n<=40 (7/10,5/3)", True, "exact"),
         ("raising", "degree raising n<=40 (1/2,5/2)", True, "exact"),
         ("raising", "degree raising n<=40 (7/10,5/3)", True, "exact"),
@@ -169,7 +181,11 @@ def test_exact_suites_golden_record(pair, capsys):
     for suite in EXACT_SUITES:
         assert cli.main([*args, "--suite", suite]) == 0
         results = json.loads(capsys.readouterr().out)["results"]
-        records += [(r["suite"], r["name"], r["passed"], r["detail"]) for r in results]
+        records += [
+            (r["suite"], r["name"], r["passed"], r["detail"])
+            for r in results
+            if not r["name"].startswith(FLOAT_CHECKS)
+        ]
     assert sorted(records) == GOLDEN_N40[pair]
 
 
