@@ -4,8 +4,9 @@ Three subcommands: ``table`` prints exact recurrence/eigenvalue data and
 monic coefficients, ``verify`` runs named check suites, and ``sample``
 emits CSV grids (weight, eigenfunction, wavefunction, potential) for
 plotting elsewhere.  Exit codes: 0 success (skipped checks included), 1
-failed checks, 2 usage or domain errors.  Rational inputs take the exact
-"p/q" form.
+failed checks, 2 usage or domain errors and an ``--output`` path that
+cannot be opened for writing.  Rational inputs take the exact "p/q"
+form.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from . import susyqm
 from .eigensolver import sample_rows as eigenfunction_rows
 from .family import ParamPair, generate_monic, table_rows, weight_values
 from .verify import DEFAULT_PAIRS, SUITE_NAMES, SuiteOptions, run_suites
+
+__all__ = ["main"]
 
 _SAMPLE_POINTS = {
     "weight": 400,
@@ -161,12 +164,11 @@ def _cmd_sample(args, out) -> int:
     _require_floats(args, "a")
     ys = susyqm.default_grid(points)
     if args.target == "wavefunction":
-        levels = args.n if args.n is not None else args.levels
-        if levels < 0:
-            raise ValueError("level count must be nonnegative")
+        if args.n < 0:
+            raise ValueError("--n must be nonnegative")
         well = susyqm.WellGrid(args.a, ys)
-        columns = [well.values(susyqm.eigenstate(args.a, k)) for k in range(levels + 1)]
-        writer.writerow(["y", "U"] + [f"psi_{k}" for k in range(levels + 1)])
+        columns = [well.values(susyqm.eigenstate(args.a, k)) for k in range(args.n + 1)]
+        writer.writerow(["y", "U"] + [f"psi_{k}" for k in range(args.n + 1)])
         writer.writerows(zip(ys, well.potential, *columns))
         return 0
 
@@ -226,8 +228,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="eigenvalue for the eigenfunction target",
     )
     sample.add_argument("--a", type=_rational, default=Fraction(3, 2))
-    sample.add_argument("--n", type=int, default=None, help="highest wavefunction level")
-    sample.add_argument("--levels", type=int, default=3)
+    sample.add_argument("--n", type=int, default=3, help="highest wavefunction level")
     sample.add_argument("--points", type=int, default=None)
     sample.add_argument("--output", default="-")
     sample.set_defaults(func=_cmd_sample)
@@ -241,7 +242,11 @@ def main(argv=None) -> int:
     try:
         if args.output == "-":
             return args.func(args, sys.stdout)
-        with open(args.output, "w", encoding="utf-8", newline="") as handle:
+        try:
+            handle = open(args.output, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from None
+        with handle:
             return args.func(args, handle)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

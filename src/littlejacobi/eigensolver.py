@@ -3,13 +3,14 @@
 For L F = lambda F with the family's first-order reflection-differential
 operator, the even part f and odd part g of F are Gauss hypergeometric
 series in x**2 on |x| < 1.  This module evaluates those series with
-term-recurrence arithmetic, handles the elementary closed form at
-lambda = 2(beta+1), measures ODE and parity-system residuals with
-term-wise differentiated series, and detects the polynomial spectrum
-lambda = -4n / lambda = 2(alpha+beta+2+2n) exactly.
+term-recurrence arithmetic (`build_solution`), measures the residual of
+the even part's second-order equation with term-wise differentiated
+series (`ode_residual`), and samples both parts on a grid
+(`sample_rows`).  At lambda = 2(beta+1) the residual and the grid take
+the even part from its elementary closed form (1-x^2)^(-(beta+1)/2).
 
-The differentiated coefficients are built once per solution, and one
-fused Horner pass (`polys.horner3`) per point yields f, f' and f''
+The differentiated coefficients of f are built once per solution, and
+one fused Horner pass (`polys.horner3`) per point yields f, f' and f''
 together: a `sample_rows` grid walks the f series once and the g series
 once per point, where separate passes walked f four times.  At the
 default 201 points and |lambda| <= 30 the series run to about 320 terms,
@@ -20,30 +21,13 @@ same numbers bit for bit.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional
 
-from .family import ParamPair, explicit_poly
-from .polys import as_fraction, horner, horner3, horner_rows
+from .family import ParamPair
+from .polys import horner, horner3, horner_rows
 
-__all__ = [
-    "EigenSolution",
-    "SpectrumClassification",
-    "build_solution",
-    "dunkl_apply_residual",
-    "elementary_case",
-    "elementary_g_case",
-    "g_from_f",
-    "ode_residual",
-    "parity_residuals",
-    "polynomial_spectrum_detect",
-    "sample_rows",
-    "second_branch_value",
-    "solve_general",
-]
+__all__ = ["EigenSolution", "build_solution", "ode_residual", "sample_rows"]
 
 _TRUNC_CAP = 400
 #: Truncation reference point: terms are compared at z = 0.95**2, the
@@ -97,15 +81,15 @@ def _jet_rows(coeffs: tuple[float, ...]) -> tuple[tuple[float, float, float], ..
 class EigenSolution:
     """One eigenvalue's solution pair: f even, g = x times an even series.
 
-    Each series is a float Horner polynomial in z = x**2.  Its first and
-    second z-derivative coefficients are built once, with the series,
-    and one `horner3` pass per point gives the series and both
-    derivatives: `_f_jet` returns (f, f', f'') from it, and f_prime,
-    f_second and g_prime read it, while f and g alone take one plain
-    Horner pass.  A grid point that needs f, f' and f'' pays three
-    accumulators per series term in one loop, where separate passes
-    walked the series four times (f' twice) and formed k c_k and
-    k(k-1) c_k at every step; the values are the same bit for bit.
+    Each series is a float Horner polynomial in z = x**2.  The f series'
+    first and second z-derivative coefficients are built once, with the
+    series, and one `horner3` pass per point gives the series and both
+    derivatives: `_f_jet` returns (f, f', f'') from it, and f_prime and
+    f_second read it, while f and g alone take one plain Horner pass.
+    A grid point that needs f, f' and f'' pays three accumulators per
+    series term in one loop, where separate passes walked the series
+    four times (f' twice) and formed k c_k and k(k-1) c_k at every step;
+    the values are the same bit for bit.
     """
 
     lam: float
@@ -114,11 +98,9 @@ class EigenSolution:
     g_series_coeffs: tuple[float, ...]
     trunc_terms: int
     _f_rows: tuple = field(init=False, repr=False, compare=False)
-    _g_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_f_rows", _jet_rows(self.f_series_coeffs))
-        object.__setattr__(self, "_g_rows", _jet_rows(self.g_series_coeffs))
 
     def _f_jet(self, x: float) -> tuple[float, float, float]:
         """(f, f', f'') at x from one pass over the f series."""
@@ -137,18 +119,6 @@ class EigenSolution:
 
     def g(self, x: float) -> float:
         return x * horner(self.g_series_coeffs, x * x)
-
-    def g_over_x(self, x: float) -> float:
-        # the odd part divided by x is an even series: no singularity at 0
-        return horner(self.g_series_coeffs, x * x)
-
-    def g_prime(self, x: float) -> float:
-        z = x * x
-        g, d, _ = horner3(self._g_rows, z)
-        return g + 2.0 * z * d
-
-    def F(self, x: float) -> float:
-        return self.f(x) + self.g(x)
 
 
 def build_solution(params: ParamPair, lam: float, c_coeff: float = 1.0) -> EigenSolution:
@@ -175,50 +145,6 @@ def build_solution(params: ParamPair, lam: float, c_coeff: float = 1.0) -> Eigen
         g_series_coeffs=g_coeffs,
         trunc_terms=max(len(f_coeffs), len(g_coeffs)),
     )
-
-
-def solve_general(params: ParamPair, lam: float, x: float) -> tuple[float, float, float]:
-    """(F, f, g) at x with the C(lambda) = 1 normalization; needs |x| < 1."""
-    x = float(x)
-    if not -1.0 < x < 1.0:
-        raise ValueError("series domain is |x| < 1")
-    sol = build_solution(params, lam)
-    return sol.F(x), sol.f(x), sol.g(x)
-
-
-def g_from_f(params: ParamPair, lam: float, f_val: float, f_prime_val: float, x: float) -> float:
-    """Odd part recovered from the even part:
-    g = (2(x^2-1) f' + lambda x f) / (2(beta+1) - lambda)."""
-    lam = float(lam)
-    den = 2.0 * (float(params.beta) + 1.0) - lam
-    if den == 0.0:
-        raise ValueError(
-            "lambda = 2(beta+1) is the elementary case: g is not recoverable from f"
-        )
-    return (2.0 * (x * x - 1.0) * f_prime_val + lam * x * f_val) / den
-
-
-def elementary_case(params: ParamPair, x: float) -> float:
-    """Closed-form even solution at lambda = 2(beta+1): (1-x^2)^(-(beta+1)/2)."""
-    x = float(x)
-    if not -1.0 < x < 1.0:
-        raise ValueError("elementary solution domain is |x| < 1")
-    return (1.0 - x * x) ** (-(float(params.beta) + 1.0) / 2.0)
-
-
-def elementary_g_case(params: ParamPair, x: float) -> float:
-    """Closed-form odd solution at lambda = 2(beta-1):
-    -(beta-1)/(alpha+1) * x * (1-x^2)^(-(beta+1)/2).
-
-    The factor of x is required by oddness (the first-order system forces
-    g(0) = 0); the residual tests check the system, not any display.
-    """
-    x = float(x)
-    if not -1.0 < x < 1.0:
-        raise ValueError("elementary solution domain is |x| < 1")
-    beta = float(params.beta)
-    alpha = float(params.alpha)
-    return -(beta - 1.0) / (alpha + 1.0) * x * (1.0 - x * x) ** (-(beta + 1.0) / 2.0)
 
 
 def _elementary_derivatives(beta: float, x: float) -> tuple[float, float, float]:
@@ -259,109 +185,6 @@ def ode_residual(params: ParamPair, lam: float, x: float) -> float:
     else:
         f, fp, fpp = build_solution(params, lam)._f_jet(x)
     return _ode_residual_from(alpha, beta, lam, f, fp, fpp, x)
-
-
-def parity_residuals(params: ParamPair, lam: float, x: float) -> tuple[float, float]:
-    """Residuals of the first-order parity system
-    f' + x g' + (1+alpha+beta) g - lambda g / 2  and
-    x f' + g' + alpha (g/x) + lambda f / 2."""
-    x = float(x)
-    if not abs(x) < 0.95:
-        raise ValueError("residual evaluation needs |x| < 0.95")
-    alpha = float(params.alpha)
-    beta = float(params.beta)
-    sol = build_solution(params, lam)
-    f, fp, _ = sol._f_jet(x)
-    g, gp, gox = sol.g(x), sol.g_prime(x), sol.g_over_x(x)
-    lam = float(lam)
-    r_even = abs(fp + x * gp + (1.0 + alpha + beta) * g - lam * g / 2.0)
-    r_odd = abs(x * fp + gp + alpha * gox + lam * f / 2.0)
-    return r_even, r_odd
-
-
-def dunkl_apply_residual(params: ParamPair, lam: float, x: float) -> float:
-    """|L F - lambda F| with L reconstructed from the parity pieces:
-    L F = 2(1-x)(f' - g') + 2(alpha+beta+1) g - 2 alpha (g/x)."""
-    x = float(x)
-    if not abs(x) < 0.95:
-        raise ValueError("residual evaluation needs |x| < 0.95")
-    alpha = float(params.alpha)
-    beta = float(params.beta)
-    sol = build_solution(params, lam)
-    f, fp, _ = sol._f_jet(x)
-    g, gp, gox = sol.g(x), sol.g_prime(x), sol.g_over_x(x)
-    applied = 2.0 * (1.0 - x) * (fp - gp) + 2.0 * (alpha + beta + 1.0) * g - 2.0 * alpha * gox
-    return abs(applied - float(lam) * (f + g))
-
-
-def second_branch_value(params: ParamPair, lam: float, x: float) -> complex:
-    """The rejected x^(1-alpha) solution branch, for demonstration only.
-
-    For non-integer alpha and x < 0 the value is genuinely complex, so
-    this branch cannot contribute to an even real f; that is why its
-    constant is zero in the admissible solution.
-    """
-    x = float(x)
-    if not -1.0 < x < 1.0 or x == 0.0:
-        raise ValueError("branch evaluation needs 0 < |x| < 1")
-    alpha = float(params.alpha)
-    beta = float(params.beta)
-    lam = float(lam)
-    coeffs = _series(
-        (lam + 2.0 - 2.0 * alpha) / 4.0,
-        (2.0 * beta + 6.0 - lam) / 4.0,
-        (3.0 - alpha) / 2.0,
-        1.0,
-    )
-    prefactor = cmath.exp((1.0 - alpha) * cmath.log(complex(x)))
-    return prefactor * horner(coeffs, x * x)
-
-
-@dataclass(frozen=True)
-class SpectrumClassification:
-    kind: str  # "even", "odd", or "nonpolynomial"
-    degree: Optional[int]
-
-
-def polynomial_spectrum_detect(params: ParamPair, lam) -> SpectrumClassification:
-    """Classify an exact rational lambda against the polynomial lattice.
-
-    lambda = -4n gives an even-degree (2n) polynomial solution;
-    lambda = 2(alpha+beta+2+2n) an odd-degree (2n+1) one.  For polynomial
-    lambda the assembled series is asserted proportional (1e-12 relative)
-    to the monic family member of that degree.
-    """
-    lam = as_fraction(lam)
-    m = -lam / 4
-    if m.denominator == 1 and m >= 0:
-        degree = 2 * int(m)
-        _assert_polynomial_match(params, lam, degree)
-        return SpectrumClassification("even", degree)
-    m = (lam / 2 - params.alpha - params.beta - 2) / 2
-    if m.denominator == 1 and m >= 0:
-        degree = 2 * int(m) + 1
-        _assert_polynomial_match(params, lam, degree)
-        return SpectrumClassification("odd", degree)
-    return SpectrumClassification("nonpolynomial", None)
-
-
-def _assert_polynomial_match(params: ParamPair, lam: Fraction, degree: int) -> None:
-    sol = build_solution(params, float(lam))
-    width = max(degree + 1, 2 * len(sol.f_series_coeffs) - 1, 2 * len(sol.g_series_coeffs))
-    dense = [0.0] * width
-    for k, c in enumerate(sol.f_series_coeffs):
-        dense[2 * k] += c
-    for k, c in enumerate(sol.g_series_coeffs):
-        dense[2 * k + 1] += c
-    target = [float(c) for c in explicit_poly(params, degree).coeffs]
-    factor = dense[degree]
-    scale = max(1.0, max(abs(factor * t) for t in target))
-    for k, value in enumerate(dense):
-        expected = factor * target[k] if k < len(target) else 0.0
-        if abs(value - expected) > 1e-12 * scale:
-            raise RuntimeError(
-                f"series at lambda={lam} not proportional to the degree-{degree} member"
-            )
 
 
 def sample_rows(params: ParamPair, lam: float, points: int, x_max: float = 0.9) -> list[dict]:

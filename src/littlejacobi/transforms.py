@@ -6,18 +6,23 @@ equivalently a two-term Geronimus combination of the same family at a
 shifted second parameter.  This module builds all three routes exactly
 and packages coefficient-level comparisons as reports, together with
 the Dunkl lowering, raising, and intertwiner properties.  Each check has
-a per-n form and a sweep form (``*_sweep``) that builds its operator and
-auxiliary members once and reports the first failing degree.
+a sweep form (``*_sweep``) that builds its operator and auxiliary
+members once and reports the first failing degree; verify calls only
+the sweeps.  The identification, the family's Dunkl lowering, the
+raising and the intertwiner checks also have a per-n form
+(`identify_little`, `dunkl_classical_check`, `raising_check`,
+`intertwiner_check`); the generalized Gegenbauer lowering has only its
+sweep.
 
 The classical members exist in two forms.  The closed forms
 (`jacobi_series`, `monic_jacobi_sym`, `symmetric_gegenbauer`) build one
 degree from a terminating 2F1, the standard Jacobi one through a Taylor
-shift, O(n^2) per member; the per-n checks use them.  The sequences
-(`jacobi_sequence`, `gegenbauer_sequence`) build every degree up to N
-from the three-term recurrence, one integer `polys.recurrence_step` per
-degree as in `family.generate_monic`, O(N^2) in all; the intertwiner
-sweep and verify's transforms suite use them.  Both forms give equal
-polynomials.
+shift, O(n^2) per member; the per-n checks and `susyqm` use them.  The
+sequences (`jacobi_sequence`, `gegenbauer_sequence`) build every degree
+up to N from the three-term recurrence, one integer
+`polys.recurrence_step` per degree as in `family.generate_monic`, O(N^2)
+in all; the intertwiner sweep and verify's transforms suite use them.
+Both forms give equal polynomials.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .family import ParamPair, generate_monic, recurrence_coeffs
+from .family import ParamPair, generate_monic
 from .operators import (
     BandedOp,
     _intertwiner_sigmas,
@@ -45,18 +50,15 @@ __all__ = [
     "dunkl_classical_check",
     "dunkl_classical_sweep",
     "extract_recurrence",
-    "gegenbauer_dunkl_check",
     "gegenbauer_dunkl_sweep",
     "gegenbauer_sequence",
     "geronimus_coefficient",
-    "geronimus_combination",
     "identify_little",
     "identify_little_sweep",
     "intertwiner_check",
     "intertwiner_sweep",
     "jacobi_sequence",
     "jacobi_series",
-    "monic_jacobi_01",
     "monic_jacobi_sym",
     "raising_check",
     "raising_sweep",
@@ -92,11 +94,6 @@ def _jacobi_2f1(jp: JacobiParams, n: int, arg_power: int = 1) -> Poly:
     if n < 0:
         raise ValueError("degree must be nonnegative")
     return terminating_2f1(-n, n + jp.xi + jp.eta + 1, jp.xi + 1, arg_power=arg_power)
-
-
-def monic_jacobi_01(jp: JacobiParams, n: int) -> Poly:
-    """Monic Jacobi polynomial on [0,1] with weight x^xi (1-x)^eta."""
-    return _monic(_jacobi_2f1(jp, n), n, "Jacobi series")
 
 
 def jacobi_series(jp: JacobiParams, n: int) -> Poly:
@@ -250,24 +247,15 @@ def geronimus_coefficient(params: ParamPair, n: int) -> Fraction:
     return (2 * n + (1 - (-1) ** n) * alpha) / (2 * (alpha + beta + 2 * n))
 
 
-def geronimus_combination(params: ParamPair, n: int) -> Poly:
-    """Two-term Geronimus combination reproducing the family member.
-
-    Uses the generalized Gegenbauer family at (xi, eta+1) with
-    xi = (alpha-1)/2, eta = (beta-1)/2 -- the Christoffel-shifted second
-    parameter.  (The two-term combination at the unshifted (xi, eta)
-    does not reproduce the family; the shifted one does, and matches the
-    Christoffel route exactly.)
-    """
-    alpha, beta = params.alpha, params.beta
-    shifted = JacobiParams((alpha - 1) / 2, (beta - 1) / 2 + 1)
-    prev = symmetric_gegenbauer(shifted, n - 1) if n >= 1 else None
-    return _geronimus(params, n, symmetric_gegenbauer(shifted, n), prev)
-
-
 def _geronimus(params: ParamPair, n: int, s_n: Poly, s_prev: Optional[Poly]) -> Poly:
-    """geronimus_combination from the shifted members S_n and S_{n-1}
-    (s_prev is unused at n = 0)."""
+    """The two-term Geronimus combination S_n - B_n S_{n-1} that reproduces
+    the family member P_n, from the generalized Gegenbauer members S_n and
+    S_{n-1} at (xi, eta+1), xi = (alpha-1)/2, eta = (beta-1)/2 (s_prev is
+    unused at n = 0).
+
+    The second parameter is the Christoffel-shifted one: the same
+    combination at the unshifted (xi, eta) does not reproduce the family.
+    """
     if n == 0:
         return s_n
     return s_n - geronimus_coefficient(params, n) * s_prev
@@ -354,8 +342,10 @@ def identify_little(params: ParamPair, n: int) -> CheckReport:
     """
     recur = generate_monic(params, n)
     base = JacobiParams((params.alpha - 1) / 2, (params.beta - 1) / 2)
+    shifted = JacobiParams(base.xi, base.eta + 1)
     chris = christoffel_transform(base, n)
-    gero = geronimus_combination(params, n)
+    prev = symmetric_gegenbauer(shifted, n - 1) if n else None
+    gero = _geronimus(params, n, symmetric_gegenbauer(shifted, n), prev)
     return _identification(params, n, recur, chris, gero)
 
 
@@ -500,21 +490,11 @@ def _gegenbauer_report(jp: JacobiParams, n: int, lhs: Poly, rhs: Poly) -> CheckR
     return _compare("gegenbauer_dunkl", {"xi": str(jp.xi), "eta": str(jp.eta)}, n, lhs, rhs)
 
 
-def gegenbauer_dunkl_check(jp: JacobiParams, n: int) -> CheckReport:
-    """Generalized Gegenbauer lowering: T_{xi+1/2} S_n^(xi,eta) =
-    [n] S_{n-1}^(xi,eta+1)."""
-    if n < 1:
-        raise ValueError("lowering check needs n >= 1")
-    op = dunkl_derivative(jp.xi + Fraction(1, 2), n)
-    s_n = symmetric_gegenbauer(jp, n)
-    t_prev = symmetric_gegenbauer(JacobiParams(jp.xi, jp.eta + 1), n - 1)
-    return _gegenbauer_report(jp, n, *_gegenbauer_lowering_sides(jp, op, s_n, t_prev, n))
-
-
 def gegenbauer_dunkl_sweep(
     jp: JacobiParams, base: Sequence[Poly], shifted: Sequence[Poly], n_max: int
 ) -> Optional[CheckReport]:
-    """The first failing ``gegenbauer_dunkl_check(jp, n)``, n = 1..n_max, or
+    """The first failing generalized Gegenbauer lowering
+    T_{xi+1/2} S_n^(xi,eta) = [n] S_{n-1}^(xi,eta+1), n = 1..n_max, or
     None; base[k] = S_k at (xi, eta) for k <= n_max and shifted[k] = S_k
     at (xi, eta+1) for k < n_max, and T_{xi+1/2} is built once, at n_max."""
     op = dunkl_derivative(jp.xi + Fraction(1, 2), max(n_max, 0))

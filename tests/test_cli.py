@@ -63,6 +63,16 @@ def test_table_output_file(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("where", ["missing_directory", "directory"])
+def test_unwritable_output_is_a_usage_error(where, tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.csv" if where == "missing_directory" else tmp_path
+    assert run(["table", "--n", "2", "--output", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot write --output")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
 def test_verify_single_suite(capsys):
     code = run(
         ["verify", "--suite", "explicit", "--alpha", "1/2", "--beta", "3/2", "--n", "6"]
@@ -311,6 +321,14 @@ def test_sample_wavefunction(capsys):
     assert len(lines) == 11
 
 
+def test_sample_wavefunction_level_is_n_alone(capsys):
+    assert run(["sample", "wavefunction", "--n", "-1"]) == 2
+    assert "--n must be nonnegative" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        run(["sample", "wavefunction", "--levels", "2"])
+    assert exc.value.code == 2
+
+
 def test_sample_wavefunction_matches_per_point_values(capsys):
     # the grid path shares sin, cos and pow across states; every printed
     # number must still be the per-point one
@@ -470,7 +488,7 @@ SAMPLE_DIGESTS = [
         "3a2027bee8e8e6f5ef108224857883a15b0ce3118c92d868431e88a3c7752127",
     ),
     (
-        ("wavefunction", "--a", "7/10", "--levels", "2", "--points", "50"),
+        ("wavefunction", "--a", "7/10", "--n", "2", "--points", "50"),
         "6ab866415c2c4f45f29782b1f3cbfc548faac96f6058b80e1f2d0be4ea96da7d",
     ),
     (("potential",), "2a61413303b4ed62b04c13ccfcc533d6ee8c0dadcd3cb1208a2ab1578f8257f7"),

@@ -1,25 +1,12 @@
 """Series eigenfunctions off (and on) the polynomial spectrum."""
 
-import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littlejacobi.eigensolver import (
-    build_solution,
-    dunkl_apply_residual,
-    elementary_case,
-    elementary_g_case,
-    g_from_f,
-    ode_residual,
-    parity_residuals,
-    polynomial_spectrum_detect,
-    sample_rows,
-    second_branch_value,
-    solve_general,
-)
+from littlejacobi.eigensolver import build_solution, ode_residual, sample_rows
 from littlejacobi.family import ParamPair, explicit_poly
 from littlejacobi.polys import horner
 
@@ -29,31 +16,85 @@ GENERIC = ParamPair(Fraction(1, 2), Fraction(3, 2))
 XS = (-0.8, -0.5, -0.2, 0.2, 0.5, 0.8)
 
 
+def _separate_d(coeffs, z):
+    # sum k c_k z**(k-1), walking the series on its own
+    out = 0.0
+    for k in range(len(coeffs) - 1, 0, -1):
+        out = out * z + k * coeffs[k]
+    return out
+
+
+def _separate_dd(coeffs, z):
+    out = 0.0
+    for k in range(len(coeffs) - 1, 1, -1):
+        out = out * z + k * (k - 1) * coeffs[k]
+    return out
+
+
+def _parts(sol, x):
+    """(f, f', g, g', g/x) at x from the solution's series coefficients:
+    f = F(z) and g = x G(z) in z = x**2, so f' = 2x F'(z),
+    g' = G(z) + 2z G'(z) and g/x = G(z), which has no singularity at 0."""
+    z = x * x
+    f_coeffs, g_coeffs = sol.f_series_coeffs, sol.g_series_coeffs
+    g_over_x = horner(g_coeffs, z)
+    return (
+        horner(f_coeffs, z),
+        2.0 * x * _separate_d(f_coeffs, z),
+        x * g_over_x,
+        g_over_x + 2.0 * z * _separate_d(g_coeffs, z),
+        g_over_x,
+    )
+
+
+def _assert_member_multiple(params, lam, degree):
+    """The series pair at lambda, laid out as one coefficient list in x (f
+    at even powers, g at odd ones), is a multiple of the monic family
+    member of that degree, 1e-12 relative, with nothing above it."""
+    sol = build_solution(params, float(lam))
+    width = max(degree + 1, 2 * len(sol.f_series_coeffs) - 1, 2 * len(sol.g_series_coeffs))
+    dense = [0.0] * width
+    for k, c in enumerate(sol.f_series_coeffs):
+        dense[2 * k] = c
+    for k, c in enumerate(sol.g_series_coeffs):
+        dense[2 * k + 1] = c
+    target = [float(c) for c in explicit_poly(params, degree).coeffs]
+    factor = dense[degree]
+    assert factor != 0.0
+    scale = max(1.0, max(abs(factor * t) for t in target))
+    for k, value in enumerate(dense):
+        expected = factor * target[k] if k < len(target) else 0.0
+        assert abs(value - expected) <= 1e-12 * scale, (lam, degree, k)
+
+
 def test_polynomial_eigenvalue_reproduces_quadratic():
     # lambda = -4 at (0,0): F = 1 + 2x - 4x^2
+    sol = build_solution(FLAT, -4.0)
     for x in XS:
-        value, f, g = solve_general(FLAT, -4.0, x)
-        assert abs(value - (1.0 + 2.0 * x - 4.0 * x * x)) < 1e-14
+        f, g = sol.f(x), sol.g(x)
+        assert abs(f + g - (1.0 + 2.0 * x - 4.0 * x * x)) < 1e-14
         assert abs(f - (1.0 - 4.0 * x * x)) < 1e-14
         assert abs(g - 2.0 * x) < 1e-14
 
 
 def test_lambda_zero_is_constant():
-    value, f, g = solve_general(FLAT, 0.0, 0.7)
-    assert value == 1.0
+    sol = build_solution(FLAT, 0.0)
+    f, g = sol.f(0.7), sol.g(0.7)
+    assert f + g == 1.0
     assert f == 1.0
     assert g == 0.0
 
 
-def test_domain_check():
-    with pytest.raises(ValueError, match="series domain"):
-        solve_general(FLAT, 1.3, 1.0)
-
-
 def test_elementary_case_value():
-    # beta = 1, x = 0.6: (1 - 0.36)^-1 = 1.5625
+    # lambda = 2(beta+1): f = (1-x^2)^(-(beta+1)/2), which the grid takes
+    # in closed form; beta = 1, x = 0.6: (1 - 0.36)^-1 = 1.5625
     params = ParamPair(Fraction(0), Fraction(1))
-    assert abs(elementary_case(params, 0.6) - 1.5625) < 1e-15
+    rows = sample_rows(params, 4.0, 2, x_max=0.6)
+    assert [row["x"] for row in rows] == [-0.6, 0.6]
+    for row in rows:
+        assert abs(row["f"] - 1.5625) < 1e-15
+    # the even series there is 2F1(a, b; b; x^2) = (1-x^2)^(-a), the same function
+    assert abs(build_solution(params, 4.0).f(0.6) - 1.5625) < 1e-14
 
 
 def test_elementary_ode_residual_closed_form():
@@ -64,41 +105,50 @@ def test_elementary_ode_residual_closed_form():
 
 
 def test_elementary_g_matches_series():
-    # lambda = 2(beta-1) collapses the odd series to a closed form
+    # lambda = 2(beta-1) collapses the odd series to the closed form
+    # g = -(beta-1)/(alpha+1) x (1-x^2)^(-(beta+1)/2)
     params = ParamPair(Fraction(1, 2), Fraction(5, 2))
-    lam = 2.0 * (float(params.beta) - 1.0)
+    alpha, beta = float(params.alpha), float(params.beta)
+    lam = 2.0 * (beta - 1.0)
     sol = build_solution(params, lam)
     for x in XS:
-        assert abs(elementary_g_case(params, x) - sol.g(x)) < 1e-12
+        closed = -(beta - 1.0) / (alpha + 1.0) * x * (1.0 - x * x) ** (-(beta + 1.0) / 2.0)
+        assert abs(closed - sol.g(x)) < 1e-12
 
 
 def test_g_recovered_from_f():
+    # off lambda = 2(beta+1), g = (2(x^2-1) f' + lambda x f) / (2(beta+1) - lambda)
     for params in (FLAT, GENERIC):
         sol = build_solution(params, 1.3)
+        den = 2.0 * (float(params.beta) + 1.0) - 1.3
         for x in XS:
-            recovered = g_from_f(params, 1.3, sol.f(x), sol.f_prime(x), x)
+            recovered = (2.0 * (x * x - 1.0) * sol.f_prime(x) + 1.3 * x * sol.f(x)) / den
             assert abs(recovered - sol.g(x)) < 1e-12
-
-
-def test_g_from_f_rejects_elementary_eigenvalue():
-    with pytest.raises(ValueError, match="elementary"):
-        g_from_f(ParamPair(Fraction(0), Fraction(1)), 4.0, 1.0, 0.0, 0.5)
 
 
 @pytest.mark.parametrize("lam", [1.3, -4.0, 7.1])
 @pytest.mark.parametrize("params", [FLAT, GENERIC], ids=str)
 def test_parity_system_residuals(params, lam):
+    # f' + x g' + (1+alpha+beta) g - lambda g/2 = 0 and
+    # x f' + g' + alpha (g/x) + lambda f/2 = 0
+    alpha, beta = float(params.alpha), float(params.beta)
+    sol = build_solution(params, lam)
     for x in XS:
-        r_even, r_odd = parity_residuals(params, lam, x)
-        assert r_even < 1e-9
-        assert r_odd < 1e-9
+        f, fp, g, gp, gox = _parts(sol, x)
+        assert abs(fp + x * gp + (1.0 + alpha + beta) * g - lam * g / 2.0) < 1e-9
+        assert abs(x * fp + gp + alpha * gox + lam * f / 2.0) < 1e-9
 
 
 @pytest.mark.parametrize("lam", [1.3, -4.0, 7.1])
 @pytest.mark.parametrize("params", [FLAT, GENERIC], ids=str)
 def test_operator_application_residual(params, lam):
+    # L F = 2(1-x)(f' - g') + 2(alpha+beta+1) g - 2 alpha (g/x) = lambda F
+    alpha, beta = float(params.alpha), float(params.beta)
+    sol = build_solution(params, lam)
     for x in XS:
-        assert dunkl_apply_residual(params, lam, x) < 1e-9
+        f, fp, g, gp, gox = _parts(sol, x)
+        applied = 2.0 * (1.0 - x) * (fp - gp) + 2.0 * (alpha + beta + 1.0) * g - 2.0 * alpha * gox
+        assert abs(applied - lam * (f + g)) < 1e-9
 
 
 @pytest.mark.parametrize("params", [FLAT, GENERIC], ids=str)
@@ -119,49 +169,30 @@ def test_g_is_odd_in_floating_point():
     for x in XS:
         assert abs(sol.g(x) + sol.g(-x)) < 1e-12
     assert sol.g(0.0) == 0.0
-    assert math.isfinite(sol.g_over_x(0.0))
-
-
-def test_second_branch_is_complex_for_negative_argument():
-    value = second_branch_value(GENERIC, 1.3, -0.5)
-    assert abs(value.imag) > 1e-3
-    positive = second_branch_value(GENERIC, 1.3, 0.5)
-    assert abs(positive.imag) < 1e-15
-    with pytest.raises(ValueError):
-        second_branch_value(GENERIC, 1.3, 0.0)
 
 
 def test_spectrum_classification_even():
+    # lambda = -4n: the series pair is the even-degree member P_2n
     for n in range(5):
-        cls = polynomial_spectrum_detect(GENERIC, Fraction(-4 * n))
-        assert cls.kind == "even"
-        assert cls.degree == 2 * n
+        _assert_member_multiple(GENERIC, Fraction(-4 * n), 2 * n)
 
 
 def test_spectrum_classification_odd():
+    # lambda = 2(alpha+beta+2+2n): the series pair is the odd-degree member P_2n+1
     alpha, beta = GENERIC.alpha, GENERIC.beta
     for n in range(5):
-        lam = 2 * (alpha + beta + 2 + 2 * n)
-        cls = polynomial_spectrum_detect(GENERIC, lam)
-        assert cls.kind == "odd"
-        assert cls.degree == 2 * n + 1
-
-
-def test_spectrum_classification_off_lattice():
-    cls = polynomial_spectrum_detect(GENERIC, Fraction(13, 10))
-    assert cls.kind == "nonpolynomial"
-    assert cls.degree is None
+        _assert_member_multiple(GENERIC, 2 * (alpha + beta + 2 + 2 * n), 2 * n + 1)
 
 
 def test_polynomial_series_proportional_to_family_member():
-    # the internal proportionality assertion doubles as a cross-check
-    # against the explicit construction; exercise it at a spot value too
+    # the lattice check against the explicit construction, and the same
+    # at a spot value
     lam = Fraction(-8)
-    cls = polynomial_spectrum_detect(GENERIC, lam)
+    _assert_member_multiple(GENERIC, lam, 4)
     sol = build_solution(GENERIC, float(lam))
-    member = explicit_poly(GENERIC, cls.degree)
+    member = explicit_poly(GENERIC, 4)
     x = 0.37
-    ratio = sol.F(x) / float(member(x))
+    ratio = (sol.f(x) + sol.g(x)) / float(member(x))
     top = sol.f_series_coeffs[-1]
     assert abs(ratio - top) < 1e-10
 
@@ -188,21 +219,6 @@ def test_sample_rows_shape():
 def _bits(values):
     # repr tells -0.0 from 0.0, which == does not
     return [repr(v) for v in values]
-
-
-def _separate_d(coeffs, z):
-    # sum k c_k z**(k-1), walking the series on its own
-    out = 0.0
-    for k in range(len(coeffs) - 1, 0, -1):
-        out = out * z + k * coeffs[k]
-    return out
-
-
-def _separate_dd(coeffs, z):
-    out = 0.0
-    for k in range(len(coeffs) - 1, 1, -1):
-        out = out * z + k * (k - 1) * coeffs[k]
-    return out
 
 
 def _separate_rows(params, lam, points, x_max=0.9):
@@ -269,11 +285,10 @@ def test_derivatives_equal_separate_passes(case, x):
     params, lam = case
     sol = build_solution(params, lam)
     z = x * x
-    f, g = sol.f_series_coeffs, sol.g_series_coeffs
-    assert _bits([sol.f_prime(x), sol.f_second(x), sol.g_prime(x)]) == _bits(
+    f = sol.f_series_coeffs
+    assert _bits([sol.f_prime(x), sol.f_second(x)]) == _bits(
         [
             2.0 * x * _separate_d(f, z),
             2.0 * _separate_d(f, z) + 4.0 * z * _separate_dd(f, z),
-            horner(g, z) + 2.0 * z * _separate_d(g, z),
         ]
     )

@@ -9,20 +9,18 @@ from hypothesis import strategies as st
 from scipy.special import jacobi as scipy_jacobi
 
 from littlejacobi.family import ParamPair, generate_monic, recurrence_coeffs
-from littlejacobi.polys import Poly, reflect
+from littlejacobi.polys import Poly, reflect, terminating_2f1
 from littlejacobi.transforms import (
     JacobiParams,
     christoffel_transform,
     dunkl_classical_check,
     extract_recurrence,
-    gegenbauer_dunkl_check,
+    gegenbauer_dunkl_sweep,
     gegenbauer_sequence,
     geronimus_coefficient,
-    geronimus_combination,
     identify_little,
     intertwiner_check,
     jacobi_sequence,
-    monic_jacobi_01,
     monic_jacobi_sym,
     raising_check,
     symmetric_gegenbauer,
@@ -40,6 +38,13 @@ def test_jacobi_params_validation():
         JacobiParams(Fraction(-5, 4), Fraction(0))
     with pytest.raises(ValueError, match="eta must be > -1"):
         JacobiParams(Fraction(0), Fraction(-1))
+
+
+def monic_jacobi_01(jp, n):
+    """Reference: the monic Jacobi polynomial on [0,1] with weight
+    x^xi (1-x)^eta, from its terminating 2F1(-n, n+xi+eta+1; xi+1; x)."""
+    p = terminating_2f1(-n, n + jp.xi + jp.eta + 1, jp.xi + 1)
+    return p / p.leading_coefficient
 
 
 def test_monic_jacobi_01_known_linear_member():
@@ -163,9 +168,12 @@ def test_unshifted_combination_differs():
     params = ParamPair(Fraction(1), Fraction(1))
     jp = JacobiParams(Fraction(0), Fraction(0))
     n = 2
-    combo = symmetric_gegenbauer(jp, n) - geronimus_coefficient(params, n) * symmetric_gegenbauer(jp, n - 1)
+    b_n = geronimus_coefficient(params, n)
+    combo = symmetric_gegenbauer(jp, n) - b_n * symmetric_gegenbauer(jp, n - 1)
     assert combo != generate_monic(params, n)
-    assert geronimus_combination(params, n) == generate_monic(params, n)
+    shifted = JacobiParams(jp.xi, jp.eta + 1)
+    combo = symmetric_gegenbauer(shifted, n) - b_n * symmetric_gegenbauer(shifted, n - 1)
+    assert combo == generate_monic(params, n)
 
 
 def test_dunkl_classical_lowering():
@@ -192,9 +200,11 @@ def test_intertwiner_route():
 
 
 def test_gegenbauer_dunkl_lowering():
+    # T_{xi+1/2} S_n^(xi,eta) = [n] S_{n-1}^(xi,eta+1), n = 1..10
     jp = JacobiParams(Fraction(-1, 4), Fraction(1, 4))
-    for n in range(1, 11):
-        assert gegenbauer_dunkl_check(jp, n).holds
+    base = [symmetric_gegenbauer(jp, k) for k in range(11)]
+    shifted = [symmetric_gegenbauer(JacobiParams(jp.xi, jp.eta + 1), k) for k in range(10)]
+    assert gegenbauer_dunkl_sweep(jp, base, shifted, 10) is None
 
 
 def test_extract_recurrence_round_trip():
