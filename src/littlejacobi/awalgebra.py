@@ -19,7 +19,6 @@ from fractions import Fraction
 from .family import ParamPair, eigenvalue
 from .operators import (
     BandedOp,
-    OpIdentityReport,
     anticommutator,
     commutator,
     identity,
@@ -62,8 +61,6 @@ class AWStructure:
     omega2: Fraction
     omega3: Fraction
     casimir_is_identity: bool
-    trunc_degree: int
-    reports: dict
 
     @property
     def omega3_sign(self) -> int:
@@ -78,8 +75,9 @@ def verify_relations(params: ParamPair, trunc_degree: int = 24) -> AWStructure:
     """Extract omega_1, omega_2, omega_3 from the three anticommutators.
 
     Each residual (anticommutator minus its linear part) must be an exact
-    scalar multiple of the identity on the shared safe degree range; a
-    non-scalar residual means the algebra does not close and raises.
+    scalar multiple of the identity on its table, which `identity_scalar`
+    reads row by row; a non-scalar residual means the algebra does not
+    close and raises.
     """
     x_op, y_op, z_op = generators(params, trunc_degree)
     residuals = {
@@ -88,7 +86,6 @@ def verify_relations(params: ParamPair, trunc_degree: int = 24) -> AWStructure:
         "XY+YX-Z": anticommutator(x_op, y_op) - z_op,
     }
     scalars = {}
-    reports = {}
     for name, op in residuals.items():
         scalar = identity_scalar(op)
         if scalar is None:
@@ -96,14 +93,11 @@ def verify_relations(params: ParamPair, trunc_degree: int = 24) -> AWStructure:
                 f"residual of {name} is not a scalar multiple of the identity"
             )
         scalars[name] = scalar
-        reports[name] = op_equal(op, scalar * identity(op.trunc_degree))
     return AWStructure(
         omega1=scalars["YZ+ZY"],
         omega2=scalars["ZX+XZ-Y"],
         omega3=scalars["XY+YX-Z"],
         casimir_is_identity=_casimir_holds(x_op, y_op, z_op),
-        trunc_degree=trunc_degree,
-        reports=reports,
     )
 
 

@@ -5,8 +5,9 @@ monic coefficients, ``verify`` runs named check suites, and ``sample``
 emits CSV grids (weight, eigenfunction, wavefunction, potential) for
 plotting elsewhere.  Exit codes: 0 success (skipped checks included), 1
 failed checks, 2 usage or domain errors and an ``--output`` path that
-cannot be opened for writing.  Rational inputs take the exact "p/q"
-form.
+cannot be opened for writing.  An ``--output`` file is written only after
+the command has finished, so an exit-2 error leaves it as it was.
+Rational inputs take the exact "p/q" form.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
+import io
 import json
 import os
 import re
@@ -242,12 +244,14 @@ def main(argv=None) -> int:
     try:
         if args.output == "-":
             return args.func(args, sys.stdout)
+        buffer = io.StringIO(newline="")
+        code = args.func(args, buffer)
         try:
-            handle = open(args.output, "w", encoding="utf-8", newline="")
+            with open(args.output, "w", encoding="utf-8", newline="") as handle:
+                handle.write(buffer.getvalue())
         except OSError as exc:
             raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from None
-        with handle:
-            return args.func(args, handle)
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

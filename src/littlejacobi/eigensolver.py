@@ -92,11 +92,8 @@ class EigenSolution:
     the values are the same bit for bit.
     """
 
-    lam: float
-    c_coeff: float
     f_series_coeffs: tuple[float, ...]
     g_series_coeffs: tuple[float, ...]
-    trunc_terms: int
     _f_rows: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -121,30 +118,24 @@ class EigenSolution:
         return x * horner(self.g_series_coeffs, x * x)
 
 
-def build_solution(params: ParamPair, lam: float, c_coeff: float = 1.0) -> EigenSolution:
-    """Assemble the series pair for one eigenvalue with C(lambda) = c_coeff.
+def build_solution(params: ParamPair, lam: float) -> EigenSolution:
+    """Assemble the series pair for one eigenvalue, normalised by f(0) = 1.
 
     f carries parameters (lam/4, (alpha+beta)/2 + 1 - lam/4; (alpha+1)/2)
     and g is x times the series at (1 + lam/4, same; (alpha+3)/2) scaled
-    by -lam c / (2(alpha+1)).  A coefficient beyond the float range (from
+    by -lam / (2(alpha+1)).  A coefficient beyond the float range (from
     |lambda| of about 1600 at small alpha and beta) raises ValueError.
     """
     alpha = float(params.alpha)
     beta = float(params.beta)
     lam = float(lam)
     b_shared = (alpha + beta) / 2.0 + 1.0 - lam / 4.0
-    f_coeffs = _series(lam / 4.0, b_shared, (alpha + 1.0) / 2.0, float(c_coeff))
-    g_scale = -lam * float(c_coeff) / (2.0 * (alpha + 1.0))
+    f_coeffs = _series(lam / 4.0, b_shared, (alpha + 1.0) / 2.0, 1.0)
+    g_scale = -lam / (2.0 * (alpha + 1.0))
     g_coeffs = _series(1.0 + lam / 4.0, b_shared, (alpha + 3.0) / 2.0, g_scale)
     if not all(map(math.isfinite, f_coeffs + g_coeffs)):
         raise ValueError(f"a series coefficient at lambda={lam} overflows the float range")
-    return EigenSolution(
-        lam=lam,
-        c_coeff=float(c_coeff),
-        f_series_coeffs=f_coeffs,
-        g_series_coeffs=g_coeffs,
-        trunc_terms=max(len(f_coeffs), len(g_coeffs)),
-    )
+    return EigenSolution(f_series_coeffs=f_coeffs, g_series_coeffs=g_coeffs)
 
 
 def _elementary_derivatives(beta: float, x: float) -> tuple[float, float, float]:

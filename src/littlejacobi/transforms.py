@@ -3,26 +3,27 @@
 The little -1 Jacobi polynomials coincide with a Christoffel transform
 (weight multiplied by x+1) of the generalized Gegenbauer polynomials,
 equivalently a two-term Geronimus combination of the same family at a
-shifted second parameter.  This module builds all three routes exactly
-and packages coefficient-level comparisons as reports, together with
-the Dunkl lowering, raising, and intertwiner properties.  Each check has
-a sweep form (``*_sweep``) that builds its operator and auxiliary
-members once and reports the first failing degree; verify calls only
-the sweeps.  The identification, the family's Dunkl lowering, the
-raising and the intertwiner checks also have a per-n form
-(`identify_little`, `dunkl_classical_check`, `raising_check`,
-`intertwiner_check`); the generalized Gegenbauer lowering has only its
-sweep.
+shifted second parameter.  This module builds the classical members and
+checks, coefficient-exactly, that all three routes agree, together with
+the family's Dunkl lowering, the raising and intertwiner properties, and
+the generalized Gegenbauer lowering.
 
-The classical members exist in two forms.  The closed forms
-(`jacobi_series`, `monic_jacobi_sym`, `symmetric_gegenbauer`) build one
-degree from a terminating 2F1, the standard Jacobi one through a Taylor
-shift, O(n^2) per member; the per-n checks and `susyqm` use them.  The
-sequences (`jacobi_sequence`, `gegenbauer_sequence`) build every degree
-up to N from the three-term recurrence, one integer
-`polys.recurrence_step` per degree as in `family.generate_monic`, O(N^2)
-in all; the intertwiner sweep and verify's transforms suite use them.
-Both forms give equal polynomials.
+Each identity is written once, as a ``_..._sides`` factory that builds
+its operator and auxiliary members once, at a top degree, and gives both
+sides at any degree up to it; `_first_failure` scans degrees over it.  A
+sweep (``*_sweep``) returns the first failing degree, or None; verify
+calls only the sweeps.  A per-n check (`identify_little`,
+`dunkl_classical_check`, `raising_check`, `intertwiner_check`) is the
+same scan over its one degree and returns whether the identity holds.
+
+The classical members come from the sequences (`jacobi_sequence`,
+`gegenbauer_sequence`), which build every degree up to N from the
+three-term recurrence, one integer `polys.recurrence_step` per degree as
+in `family.generate_monic`, O(N^2) in all.  The closed forms
+`jacobi_series` (for `susyqm`) and `symmetric_gegenbauer` (for
+`christoffel_transform`) build one degree from a terminating 2F1, the
+standard Jacobi one through a Taylor shift, O(n^2) per member; the tests
+compare the sequences with them.
 """
 
 from __future__ import annotations
@@ -30,21 +31,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
 from .family import ParamPair, generate_monic
 from .operators import (
-    BandedOp,
     _intertwiner_sigmas,
     dunkl_derivative,
     dunkl_intertwiner,
-    intertwiner_sigma,
     raising_operator,
 )
 from .polys import Poly, as_fraction, recurrence_step, terminating_2f1
 
 __all__ = [
-    "CheckReport",
     "JacobiParams",
     "christoffel_transform",
     "dunkl_classical_check",
@@ -59,7 +57,6 @@ __all__ = [
     "intertwiner_sweep",
     "jacobi_sequence",
     "jacobi_series",
-    "monic_jacobi_sym",
     "raising_check",
     "raising_sweep",
     "symmetric_gegenbauer",
@@ -103,16 +100,6 @@ def jacobi_series(jp: JacobiParams, n: int) -> Poly:
     return _jacobi_2f1(jp, n).compose(Poly([Fraction(1, 2), Fraction(-1, 2)]))
 
 
-def monic_jacobi_sym(jp: JacobiParams, n: int) -> Poly:
-    """Monic standard Jacobi polynomial on [-1,1], weight (1-x)^xi (1+x)^eta.
-
-    The prefactor 2^n (xi+1)_n / (xi+eta+n+1)_n that makes the classical
-    normalization of jacobi_series monic is recovered here by direct
-    leading-coefficient rescale.
-    """
-    return _monic(jacobi_series(jp, n), n, "Jacobi series")
-
-
 def symmetric_gegenbauer(jp: JacobiParams, n: int) -> Poly:
     """Generalized Gegenbauer polynomial, weight |x|^(2 xi + 1) (1-x^2)^eta.
 
@@ -150,9 +137,9 @@ def _over_common_denominator(jp: JacobiParams) -> tuple[int, int, int]:
 
 
 def jacobi_sequence(jp: JacobiParams, n_max: int) -> list[Poly]:
-    """``[monic_jacobi_sym(jp, n) for n in range(n_max + 1)]`` from the
-    monic Jacobi recurrence (Koekoek, Lesky and Swarttouw, 2010, §9.8),
-    with a = xi, b = eta:
+    """The monic standard Jacobi polynomials J_0..J_n_max on [-1,1], weight
+    (1-x)^xi (1+x)^eta, from the monic Jacobi recurrence (Koekoek, Lesky
+    and Swarttouw, 2010, §9.8), with a = xi, b = eta:
       B_0 = (b - a)/(a + b + 2),
       B_n = (b^2 - a^2)/((2n+a+b)(2n+a+b+2)),
       A_n = 4n(n+a)(n+b)(n+a+b)/((2n+a+b)^2 (2n+a+b+1)(2n+a+b-1)),
@@ -247,262 +234,151 @@ def geronimus_coefficient(params: ParamPair, n: int) -> Fraction:
     return (2 * n + (1 - (-1) ** n) * alpha) / (2 * (alpha + beta + 2 * n))
 
 
-def _geronimus(params: ParamPair, n: int, s_n: Poly, s_prev: Optional[Poly]) -> Poly:
-    """The two-term Geronimus combination S_n - B_n S_{n-1} that reproduces
-    the family member P_n, from the generalized Gegenbauer members S_n and
-    S_{n-1} at (xi, eta+1), xi = (alpha-1)/2, eta = (beta-1)/2 (s_prev is
-    unused at n = 0).
-
-    The second parameter is the Christoffel-shifted one: the same
-    combination at the unshifted (xi, eta) does not reproduce the family.
-    """
-    if n == 0:
-        return s_n
-    return s_n - geronimus_coefficient(params, n) * s_prev
+#: n -> both sides (or all three routes) of one identity at degree n
+_Sides = Callable[[int], tuple[Poly, ...]]
 
 
-# -- reports ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    """Coefficient-level comparison of two exact polynomial constructions."""
-
-    check: str
-    params: dict
-    n: int
-    holds: bool
-    first_mismatch_degree: Optional[int]
-    lhs: tuple[str, ...]
-    rhs: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "params": dict(self.params),
-            "n": self.n,
-            "holds": self.holds,
-            "first_mismatch_degree": self.first_mismatch_degree,
-            "lhs": list(self.lhs),
-            "rhs": list(self.rhs),
-        }
-
-
-def _compare(check: str, params: dict, n: int, lhs: Poly, rhs: Poly) -> CheckReport:
-    diff = lhs - rhs
-    first = None
-    if not diff.is_zero():
-        first = next(k for k, c in enumerate(diff.nums) if c)
-    return CheckReport(
-        check=check,
-        params=params,
-        n=n,
-        holds=diff.is_zero(),
-        first_mismatch_degree=first,
-        lhs=tuple(lhs.to_strings()),
-        rhs=tuple(rhs.to_strings()),
-    )
-
-
-def _pdict(params: ParamPair) -> dict:
-    return {"alpha": str(params.alpha), "beta": str(params.beta)}
-
-
-def _first_mismatch(ns, sides, report) -> Optional[CheckReport]:
-    """``report(n, *sides(n))`` at the first n in ns whose sides are not all
-    equal, else None.  A degree that passes costs one exact comparison of
-    coefficient tuples; no report and no to_strings is built for it."""
+def _first_failure(ns: Iterable[int], sides: _Sides) -> Optional[int]:
+    """The first n in ns whose ``sides(n)`` are not all equal, or None.  A
+    degree costs one exact comparison of coefficient tuples per side."""
     for n in ns:
-        polys = sides(n)
-        if any(p != polys[0] for p in polys[1:]):
-            return report(n, *polys)
+        first, *rest = sides(n)
+        if any(p != first for p in rest):
+            return n
     return None
 
 
-# Each identity below is written once, as a ``_..._sides`` helper that takes
-# its operator and auxiliary members ready-made.  The per-n check builds
-# them for its one degree; the sweep builds them once, at its top degree,
-# and applies them to every member.  An operator table's rows do not
-# depend on its truncation, so both give the same polynomials.
+# Each identity below is written once, as a ``_..._sides(params, top)``
+# factory: it builds the operator and the auxiliary members once, at degree
+# top, and returns n -> (lhs, rhs[, ...]) for every n <= top.  An operator
+# table's rows do not depend on its truncation, and a sequence's members do
+# not depend on its length, so every degree sees the same polynomials
+# whatever top is.  A sweep scans 0..n_max (1..n_max for the lowerings)
+# and returns the first failing degree; a per-n check scans its one degree.
 
 
-def _identification(params: ParamPair, n: int, recur: Poly, chris: Poly, gero: Poly) -> CheckReport:
-    report = _compare("identify_little", _pdict(params), n, recur, chris)
-    if report.holds:
-        report = _compare("identify_little", _pdict(params), n, recur, gero)
-    return report
+def _identification_sides(params: ParamPair, top: int) -> _Sides:
+    """n -> (P_n, Christoffel transform, Geronimus combination).
 
-
-def identify_little(params: ParamPair, n: int) -> CheckReport:
-    """Recurrence member == Christoffel transform == Geronimus combination.
-
-    The Christoffel route runs at xi = (alpha-1)/2, eta = (beta-1)/2;
-    the Geronimus combination at the eta+1 shift.  All three must agree
-    coefficient-exactly.
+    The Christoffel route divides S_{n+1} - A_n S_n by x+1, with S_k the
+    generalized Gegenbauer members at xi = (alpha-1)/2, eta = (beta-1)/2.
+    The Geronimus combination S_n - B_n S_{n-1} takes its members at
+    (xi, eta+1), the Christoffel-shifted parameter: the same combination
+    at the unshifted (xi, eta) does not reproduce the family.
     """
-    recur = generate_monic(params, n)
-    base = JacobiParams((params.alpha - 1) / 2, (params.beta - 1) / 2)
-    shifted = JacobiParams(base.xi, base.eta + 1)
-    chris = christoffel_transform(base, n)
-    prev = symmetric_gegenbauer(shifted, n - 1) if n else None
-    gero = _geronimus(params, n, symmetric_gegenbauer(shifted, n), prev)
-    return _identification(params, n, recur, chris, gero)
+    jp = JacobiParams((params.alpha - 1) / 2, (params.beta - 1) / 2)
+    base = gegenbauer_sequence(jp, top + 1)
+    shifted = gegenbauer_sequence(JacobiParams(jp.xi, jp.eta + 1), top)
+
+    def sides(n: int) -> tuple[Poly, Poly, Poly]:
+        gero = shifted[n] - geronimus_coefficient(params, n) * shifted[n - 1] if n else shifted[0]
+        return generate_monic(params, n), _christoffel(base[n], base[n + 1], n), gero
+
+    return sides
 
 
-def identify_little_sweep(
-    params: ParamPair, base: Sequence[Poly], shifted: Sequence[Poly], n_max: int
-) -> Optional[CheckReport]:
-    """The first failing ``identify_little(params, n)``, n = 0..n_max, or None.
-
-    base[k] = S_k at (xi, eta) for k <= n_max + 1 and shifted[k] = S_k at
-    (xi, eta+1) for k <= n_max, each built once by the caller: the
-    per-n check builds four Gegenbauer members for every n.
-    """
-
-    def sides(n):
-        chris = _christoffel(base[n], base[n + 1], n)
-        gero = _geronimus(params, n, shifted[n], shifted[n - 1] if n else None)
-        return generate_monic(params, n), chris, gero
-
-    return _first_mismatch(
-        range(n_max + 1), sides, lambda n, *polys: _identification(params, n, *polys)
-    )
+def identify_little(params: ParamPair, n: int) -> bool:
+    """Recurrence member == Christoffel transform == Geronimus combination
+    at degree n, coefficient-exactly."""
+    return _first_failure((n,), _identification_sides(params, n)) is None
 
 
-def _lowering_sides(params: ParamPair, op: BandedOp, n: int) -> tuple[Poly, Poly]:
-    """T_{alpha/2} P_n and [n] P_{n-1} at (alpha, beta+2); op is T_{alpha/2}."""
+def identify_little_sweep(params: ParamPair, n_max: int) -> Optional[int]:
+    """The first n = 0..n_max at which `identify_little` fails, or None."""
+    return _first_failure(range(n_max + 1), _identification_sides(params, max(n_max, 0)))
+
+
+def _lowering_sides(params: ParamPair, top: int) -> _Sides:
+    """n -> (T_{alpha/2} P_n, [n] P_{n-1} at (alpha, beta+2)), n >= 1."""
     mu = params.alpha / 2
-    lhs = op.apply(generate_monic(params, n))
-    bracket = n + mu * (1 - (-1) ** n)
+    op = dunkl_derivative(mu, top)
     shifted = ParamPair(params.alpha, params.beta + 2)
-    return lhs, bracket * generate_monic(shifted, n - 1)
+
+    def sides(n: int) -> tuple[Poly, Poly]:
+        bracket = n + mu * (1 - (-1) ** n)
+        return op.apply(generate_monic(params, n)), bracket * generate_monic(shifted, n - 1)
+
+    return sides
 
 
-def dunkl_classical_check(params: ParamPair, n: int) -> CheckReport:
+def dunkl_classical_check(params: ParamPair, n: int) -> bool:
     """Dunkl lowering: T_{alpha/2} P_n = [n] P_{n-1} at (alpha, beta+2)."""
     if n < 1:
         raise ValueError("lowering check needs n >= 1")
-    op = dunkl_derivative(params.alpha / 2, n)
-    return _compare("dunkl_classical", _pdict(params), n, *_lowering_sides(params, op, n))
+    return _first_failure((n,), _lowering_sides(params, n)) is None
 
 
-def dunkl_classical_sweep(params: ParamPair, n_max: int) -> Optional[CheckReport]:
-    """The first failing ``dunkl_classical_check(params, n)``, n = 1..n_max,
-    or None; T_{alpha/2} is built once, at n_max."""
-    op = dunkl_derivative(params.alpha / 2, max(n_max, 0))
-    return _first_mismatch(
-        range(1, n_max + 1),
-        lambda n: _lowering_sides(params, op, n),
-        lambda n, lhs, rhs: _compare("dunkl_classical", _pdict(params), n, lhs, rhs),
-    )
+def dunkl_classical_sweep(params: ParamPair, n_max: int) -> Optional[int]:
+    """The first n = 1..n_max at which `dunkl_classical_check` fails, or None."""
+    return _first_failure(range(1, n_max + 1), _lowering_sides(params, max(n_max, 0)))
 
 
-def _check_raising_domain(params: ParamPair) -> None:
+def _raising_sides(params: ParamPair, top: int) -> _Sides:
+    """n -> (Theta P_n, nu_{n+1} P_{n+1} at (alpha, beta-2)),
+    nu_m = m + beta - 1 + (1-(-1)^m) alpha/2.  Needs beta > 1 so the
+    target parameters stay admissible."""
     if params.beta <= 1:
         raise ValueError("raising lands at beta-2, so beta must exceed 1")
-
-
-def _raising_sides(params: ParamPair, op: BandedOp, n: int) -> tuple[Poly, Poly]:
-    """Theta P_n and nu_{n+1} P_{n+1} at (alpha, beta-2); op is Theta."""
-    lhs = op.apply(generate_monic(params, n))
-    m = n + 1
-    nu = m + params.beta - 1 + Fraction(1 - (-1) ** m, 2) * params.alpha
+    op = raising_operator(params.alpha, params.beta, top)
     lowered = ParamPair(params.alpha, params.beta - 2)
-    return lhs, nu * generate_monic(lowered, m)
+
+    def sides(n: int) -> tuple[Poly, Poly]:
+        m = n + 1
+        nu = m + params.beta - 1 + Fraction(1 - (-1) ** m, 2) * params.alpha
+        return op.apply(generate_monic(params, n)), nu * generate_monic(lowered, m)
+
+    return sides
 
 
-def raising_check(params: ParamPair, n: int) -> CheckReport:
-    """Raising: Theta P_n^(alpha,beta) = nu_{n+1} P_{n+1}^(alpha,beta-2).
-
-    nu_m = m + beta - 1 + (1-(-1)^m) alpha/2.  Needs beta > 1 so the
-    target parameters stay admissible.
-    """
-    _check_raising_domain(params)
-    op = raising_operator(params.alpha, params.beta, n)
-    return _compare("raising", _pdict(params), n, *_raising_sides(params, op, n))
+def raising_check(params: ParamPair, n: int) -> bool:
+    """Raising: Theta P_n^(alpha,beta) = nu_{n+1} P_{n+1}^(alpha,beta-2)."""
+    return _first_failure((n,), _raising_sides(params, n)) is None
 
 
-def raising_sweep(params: ParamPair, n_max: int) -> Optional[CheckReport]:
-    """The first failing ``raising_check(params, n)``, n = 0..n_max, or
-    None; Theta is built once, at n_max."""
-    _check_raising_domain(params)
-    op = raising_operator(params.alpha, params.beta, max(n_max, 0))
-    return _first_mismatch(
-        range(n_max + 1),
-        lambda n: _raising_sides(params, op, n),
-        lambda n, lhs, rhs: _compare("raising", _pdict(params), n, lhs, rhs),
-    )
+def raising_sweep(params: ParamPair, n_max: int) -> Optional[int]:
+    """The first n = 0..n_max at which `raising_check` fails, or None."""
+    return _first_failure(range(n_max + 1), _raising_sides(params, max(n_max, 0)))
 
 
-def _intertwiner_xi(params: ParamPair) -> Fraction:
+def _intertwiner_sides(params: ParamPair, top: int) -> _Sides:
+    """n -> (sigma_n^{-1} V_{alpha/2} J_n, P_n), with J_n the monic standard
+    Jacobi polynomial at (xi, xi+1), xi = (alpha+beta-1)/2, and sigma_n the
+    diagonal of V_{alpha/2}.  Needs alpha + beta > -1 so that (xi, xi+1)
+    is admissible."""
     xi = (params.alpha + params.beta - 1) / 2
     if xi <= -1:
         raise ValueError("intertwiner route needs alpha + beta > -1")
-    return xi
-
-
-def _intertwiner_sides(
-    params: ParamPair, op: BandedOp, sigma: Fraction, jac: Poly, n: int
-) -> tuple[Poly, Poly]:
-    """sigma_n^{-1} V_{alpha/2} J_n and P_n; op is V_{alpha/2}, sigma = sigma_n
-    and jac = J_n, the monic standard Jacobi polynomial at (xi, xi+1)."""
-    return op.apply(jac) / sigma, generate_monic(params, n)
-
-
-def intertwiner_check(params: ParamPair, n: int) -> CheckReport:
-    """Intertwiner route: sigma_n^{-1} V_{alpha/2} applied to the standard
-    Jacobi polynomial at (xi, xi+1), xi = (alpha+beta-1)/2, equals P_n."""
-    xi = _intertwiner_xi(params)
     mu = params.alpha / 2
-    jac = monic_jacobi_sym(JacobiParams(xi, xi + 1), n)
-    sides = _intertwiner_sides(params, dunkl_intertwiner(mu, n), intertwiner_sigma(mu, n), jac, n)
-    return _compare("intertwiner", _pdict(params), n, *sides)
-
-
-def intertwiner_sweep(params: ParamPair, n_max: int) -> Optional[CheckReport]:
-    """The first failing ``intertwiner_check(params, n)``, n = 0..n_max, or
-    None; V_{alpha/2}, its sigma table and the Jacobi sequence J_0..J_n_max
-    are built once, at n_max."""
-    xi = _intertwiner_xi(params)
-    mu = params.alpha / 2
-    top = max(n_max, 0)
     op = dunkl_intertwiner(mu, top)
     sigmas = _intertwiner_sigmas(mu, top)
     jacs = jacobi_sequence(JacobiParams(xi, xi + 1), top)
-    return _first_mismatch(
-        range(n_max + 1),
-        lambda n: _intertwiner_sides(params, op, sigmas[n], jacs[n], n),
-        lambda n, lhs, rhs: _compare("intertwiner", _pdict(params), n, lhs, rhs),
-    )
+    return lambda n: (op.apply(jacs[n]) / sigmas[n], generate_monic(params, n))
 
 
-def _gegenbauer_lowering_sides(
-    jp: JacobiParams, op: BandedOp, s_n: Poly, t_prev: Poly, n: int
-) -> tuple[Poly, Poly]:
-    """T_{xi+1/2} S_n and [n] S_{n-1} at (xi, eta+1); op is T_{xi+1/2},
-    s_n = S_n at (xi, eta) and t_prev = S_{n-1} at (xi, eta+1)."""
+def intertwiner_check(params: ParamPair, n: int) -> bool:
+    """Intertwiner route: sigma_n^{-1} V_{alpha/2} applied to the standard
+    Jacobi polynomial at (xi, xi+1), xi = (alpha+beta-1)/2, equals P_n."""
+    return _first_failure((n,), _intertwiner_sides(params, n)) is None
+
+
+def intertwiner_sweep(params: ParamPair, n_max: int) -> Optional[int]:
+    """The first n = 0..n_max at which `intertwiner_check` fails, or None."""
+    return _first_failure(range(n_max + 1), _intertwiner_sides(params, max(n_max, 0)))
+
+
+def _gegenbauer_lowering_sides(jp: JacobiParams, top: int) -> _Sides:
+    """n -> (T_{xi+1/2} S_n^(xi,eta), [n] S_{n-1}^(xi,eta+1)), n >= 1."""
     mu = jp.xi + Fraction(1, 2)
-    bracket = n + mu * (1 - (-1) ** n)
-    return op.apply(s_n), bracket * t_prev
+    op = dunkl_derivative(mu, top)
+    base = gegenbauer_sequence(jp, top)
+    shifted = gegenbauer_sequence(JacobiParams(jp.xi, jp.eta + 1), top)
+    return lambda n: (op.apply(base[n]), (n + mu * (1 - (-1) ** n)) * shifted[n - 1])
 
 
-def _gegenbauer_report(jp: JacobiParams, n: int, lhs: Poly, rhs: Poly) -> CheckReport:
-    return _compare("gegenbauer_dunkl", {"xi": str(jp.xi), "eta": str(jp.eta)}, n, lhs, rhs)
-
-
-def gegenbauer_dunkl_sweep(
-    jp: JacobiParams, base: Sequence[Poly], shifted: Sequence[Poly], n_max: int
-) -> Optional[CheckReport]:
-    """The first failing generalized Gegenbauer lowering
-    T_{xi+1/2} S_n^(xi,eta) = [n] S_{n-1}^(xi,eta+1), n = 1..n_max, or
-    None; base[k] = S_k at (xi, eta) for k <= n_max and shifted[k] = S_k
-    at (xi, eta+1) for k < n_max, and T_{xi+1/2} is built once, at n_max."""
-    op = dunkl_derivative(jp.xi + Fraction(1, 2), max(n_max, 0))
-    return _first_mismatch(
-        range(1, n_max + 1),
-        lambda n: _gegenbauer_lowering_sides(jp, op, base[n], shifted[n - 1], n),
-        lambda n, lhs, rhs: _gegenbauer_report(jp, n, lhs, rhs),
-    )
+def gegenbauer_dunkl_sweep(jp: JacobiParams, n_max: int) -> Optional[int]:
+    """The first n = 1..n_max at which the generalized Gegenbauer lowering
+    T_{xi+1/2} S_n^(xi,eta) = [n] S_{n-1}^(xi,eta+1) fails, or None."""
+    return _first_failure(range(1, n_max + 1), _gegenbauer_lowering_sides(jp, max(n_max, 0)))
 
 
 def extract_recurrence(seq: list[Poly], n: int) -> tuple[Fraction, Fraction]:

@@ -146,11 +146,11 @@ def _sweep(suite, name, ns, fails, ok, bad="mismatch at n={}") -> CheckResult:
 
 def _report_sweep(suite, name, ns, sweep, ok) -> CheckResult:
     """The result of a transforms sweep over ns: ``sweep()`` returns the
-    first failing CheckReport or None.  Skip when ns is empty."""
+    first failing degree or None.  Skip when ns is empty."""
     if not ns:
         return _skip_empty(suite, name)
     first = sweep()
-    return CheckResult(suite, name, first is None, ok if first is None else f"mismatch at n={first.n}")
+    return CheckResult(suite, name, first is None, ok if first is None else f"mismatch at n={first}")
 
 
 def _suite_orthogonality(opts: SuiteOptions) -> list[CheckResult]:
@@ -322,17 +322,14 @@ def _suite_transforms(opts: SuiteOptions) -> list[CheckResult]:
     n_max = opts.degree(12)
     for params in opts.pairs:
         jp = JacobiParams((params.alpha - 1) / 2, (params.beta - 1) / 2)
-        # S_k at (xi, eta) and at (xi, eta+1), each sequence built once, by
-        # its recurrence, for the three Gegenbauer checks below
-        base = gegenbauer_sequence(jp, max(n_max + 1, 20))
-        shifted = gegenbauer_sequence(JacobiParams(jp.xi, jp.eta + 1), max(n_max, 9))
+        base = gegenbauer_sequence(jp, 20)
         seq = [generate_monic(params, k) for k in range(12)]
         results += [
             _report_sweep(
                 "transforms",
                 f"Christoffel/Geronimus identification n<={n_max} {_tag(params)}",
                 range(n_max + 1),
-                lambda: identify_little_sweep(params, base, shifted, n_max),
+                lambda: identify_little_sweep(params, n_max),
                 "all three constructions agree",
             ),
             _sweep(
@@ -347,7 +344,7 @@ def _suite_transforms(opts: SuiteOptions) -> list[CheckResult]:
                 "transforms",
                 f"Gegenbauer Dunkl lowering n<=10 {_tag(params)}",
                 range(1, 11),
-                lambda: gegenbauer_dunkl_sweep(jp, base, shifted, 10),
+                lambda: gegenbauer_dunkl_sweep(jp, 10),
                 "exact",
             ),
             _sweep(

@@ -73,6 +73,19 @@ def test_unwritable_output_is_a_usage_error(where, tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["sample", "eigenfunction", "--lambda", "1e400"], ["table", "--alpha", "-2"]],
+    ids=["sample", "table"],
+)
+def test_failed_command_leaves_the_output_file_unchanged(args, tmp_path, capsys):
+    target = tmp_path / "x.csv"
+    target.write_bytes(b"keep me\n")
+    assert run([*args, "--output", str(target)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert target.read_bytes() == b"keep me\n"
+
+
 def test_verify_single_suite(capsys):
     code = run(
         ["verify", "--suite", "explicit", "--alpha", "1/2", "--beta", "3/2", "--n", "6"]
@@ -505,6 +518,29 @@ SAMPLE_DIGESTS = [
 )
 def test_sample_output_is_pinned(args, digest, capsys):
     assert run(["sample", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+#: sha256 of `verify --format json`: the default run, and each suite of
+#: transforms sweeps and the aw suite at --n 40 for (7/10,5/3)
+VERIFY_DIGESTS = [
+    ((), "908df8b0943346f4cec8ee4cd8b730a75cbbfed9f13cd1a2163b3ce888e0ba0c"),
+    (("--suite", "dunkl"), "821b908ff23323fd9b1331532c59f2984f97b55be3bddd64e7f28a06d5b7d877"),
+    (("--suite", "raising"), "4c5be1324e75c4d32c0cd3f3af9d1e050c36e45c72a1a9ab85a0a887fbb5fe18"),
+    (("--suite", "transforms"), "7ed520e7c1c51e1e4d27469356adc295a7161aa9f9b033135b7ae348ecac2979"),
+    (("--suite", "prop2"), "e7961165055e0492e8303b1ce76f7cad9c4802a5fabc2487cbbd04ffd15ad651"),
+    (("--suite", "aw"), "4c60c6dc6628729858d3e11427a8a3c8147e7c53ac5d1ca8d8099ed832d36ea3"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", VERIFY_DIGESTS, ids=[" ".join(args) or "defaults" for args, _ in VERIFY_DIGESTS]
+)
+def test_verify_output_is_pinned(args, digest, monkeypatch, capsys):
+    monkeypatch.delenv("MINUSONE_SEED", raising=False)
+    if args:
+        args = (*args, "--n", "40", "--alpha", "7/10", "--beta", "5/3")
+    assert run(["verify", *args, "--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

@@ -12,6 +12,7 @@ from littlejacobi.family import ParamPair, generate_monic, recurrence_coeffs
 from littlejacobi.polys import Poly, reflect, terminating_2f1
 from littlejacobi.transforms import (
     JacobiParams,
+    _first_failure,
     christoffel_transform,
     dunkl_classical_check,
     extract_recurrence,
@@ -21,7 +22,7 @@ from littlejacobi.transforms import (
     identify_little,
     intertwiner_check,
     jacobi_sequence,
-    monic_jacobi_sym,
+    jacobi_series,
     raising_check,
     symmetric_gegenbauer,
 )
@@ -44,6 +45,13 @@ def monic_jacobi_01(jp, n):
     """Reference: the monic Jacobi polynomial on [0,1] with weight
     x^xi (1-x)^eta, from its terminating 2F1(-n, n+xi+eta+1; xi+1; x)."""
     p = terminating_2f1(-n, n + jp.xi + jp.eta + 1, jp.xi + 1)
+    return p / p.leading_coefficient
+
+
+def monic_jacobi_sym(jp, n):
+    """Reference: the monic standard Jacobi polynomial on [-1,1] with weight
+    (1-x)^xi (1+x)^eta, from its terminating 2F1 in (1-x)/2."""
+    p = jacobi_series(jp, n)
     return p / p.leading_coefficient
 
 
@@ -157,9 +165,19 @@ def test_geronimus_coefficient_values():
 
 def test_identification_all_routes_agree():
     for params in PAIRS:
+        jp = JacobiParams((params.alpha - 1) / 2, (params.beta - 1) / 2)
         for n in range(13):
-            report = identify_little(params, n)
-            assert report.holds, report.to_dict()
+            assert identify_little(params, n)
+            # the Christoffel route on the closed-form Gegenbauer members
+            assert christoffel_transform(jp, n) == generate_monic(params, n)
+
+
+def test_first_failure_compares_every_side():
+    # the identification has three routes: a mismatch in the last one fails
+    sides = lambda n: (Poly.ONE, Poly.ONE, Poly.X if n == 2 else Poly.ONE)  # noqa: E731
+    assert _first_failure(range(5), sides) == 2
+    assert _first_failure(range(2), sides) is None
+    assert _first_failure((), sides) is None
 
 
 def test_unshifted_combination_differs():
@@ -179,13 +197,13 @@ def test_unshifted_combination_differs():
 def test_dunkl_classical_lowering():
     for params in PAIRS:
         for n in range(1, 13):
-            assert dunkl_classical_check(params, n).holds
+            assert dunkl_classical_check(params, n)
 
 
 def test_raising_property():
     params = ParamPair(Fraction(1, 2), Fraction(5, 2))
     for n in range(11):
-        assert raising_check(params, n).holds
+        assert raising_check(params, n)
 
 
 def test_raising_needs_beta_above_one():
@@ -196,15 +214,17 @@ def test_raising_needs_beta_above_one():
 def test_intertwiner_route():
     for params in (ParamPair(Fraction(1), Fraction(1)), ParamPair(Fraction(1, 2), Fraction(3, 2))):
         for n in range(11):
-            assert intertwiner_check(params, n).holds
+            assert intertwiner_check(params, n)
 
 
 def test_gegenbauer_dunkl_lowering():
-    # T_{xi+1/2} S_n^(xi,eta) = [n] S_{n-1}^(xi,eta+1), n = 1..10
+    # T_{xi+1/2} S_n^(xi,eta) = [n] S_{n-1}^(xi,eta+1), n = 1..10, on the
+    # sequence members, which equal the closed-form ones
     jp = JacobiParams(Fraction(-1, 4), Fraction(1, 4))
-    base = [symmetric_gegenbauer(jp, k) for k in range(11)]
-    shifted = [symmetric_gegenbauer(JacobiParams(jp.xi, jp.eta + 1), k) for k in range(10)]
-    assert gegenbauer_dunkl_sweep(jp, base, shifted, 10) is None
+    shifted = JacobiParams(jp.xi, jp.eta + 1)
+    assert gegenbauer_dunkl_sweep(jp, 10) is None
+    assert gegenbauer_sequence(jp, 10) == [symmetric_gegenbauer(jp, k) for k in range(11)]
+    assert gegenbauer_sequence(shifted, 9) == [symmetric_gegenbauer(shifted, k) for k in range(10)]
 
 
 def test_extract_recurrence_round_trip():
@@ -221,11 +241,3 @@ def test_extract_recurrence_rejects_non_orthogonal():
     seq = [Poly.ONE, Poly.X, Poly([0, 0, 1]), Poly([1, 0, 0, 1])]
     with pytest.raises(RuntimeError, match="three-term recurrence"):
         extract_recurrence(seq, 2)
-
-
-def test_report_serialization():
-    report = identify_little(PAIRS[0], 3)
-    data = report.to_dict()
-    assert data["holds"] is True
-    assert data["n"] == 3
-    assert data["params"] == {"alpha": "1/2", "beta": "3/2"}

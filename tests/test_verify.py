@@ -69,16 +69,16 @@ def test_sweeps_report_the_first_failure_of_the_per_n_scan(monkeypatch):
     op_of = lambda n: little_jacobi_operator(PAIR.alpha, PAIR.beta, n)  # noqa: E731
     per_n = {
         "lowering": _first_failing(
-            range(1, N_MAX + 1), lambda n: not transforms.dunkl_classical_check(PAIR, n).holds
+            range(1, N_MAX + 1), lambda n: not transforms.dunkl_classical_check(PAIR, n)
         ),
         "degree raising": _first_failing(
-            range(N_MAX + 1), lambda n: not transforms.raising_check(PAIR, n).holds
+            range(N_MAX + 1), lambda n: not transforms.raising_check(PAIR, n)
         ),
         "Christoffel/Geronimus identification": _first_failing(
-            range(N_MAX + 1), lambda n: not transforms.identify_little(PAIR, n).holds
+            range(N_MAX + 1), lambda n: not transforms.identify_little(PAIR, n)
         ),
         "intertwiner route": _first_failing(
-            range(N_MAX + 1), lambda n: not transforms.intertwiner_check(PAIR, n).holds
+            range(N_MAX + 1), lambda n: not transforms.intertwiner_check(PAIR, n)
         ),
         "L P_n = lambda_n P_n": _first_failing(
             range(N_MAX + 1),
@@ -100,21 +100,20 @@ def test_sweeps_report_the_first_failure_of_the_per_n_scan(monkeypatch):
 def test_sweep_reports_equal_the_per_n_reports(monkeypatch):
     member = _perturbed(family.generate_monic)
     monkeypatch.setattr(transforms, "generate_monic", member)
+    scans = [  # (sweep, per-n check, first degree)
+        (transforms.dunkl_classical_sweep, transforms.dunkl_classical_check, 1),
+        (transforms.raising_sweep, transforms.raising_check, 0),
+        (transforms.intertwiner_sweep, transforms.intertwiner_check, 0),
+        (transforms.identify_little_sweep, transforms.identify_little, 0),
+    ]
+    for sweep, check, start in scans:
+        assert sweep(PAIR, N_MAX) == K
+        assert not check(PAIR, K)
+        assert all(check(PAIR, n) for n in range(start, K))
+        assert sweep(PAIR, K - 1) is None
+    # the Gegenbauer family never uses the members
     jp = transforms.JacobiParams((PAIR.alpha - 1) / 2, (PAIR.beta - 1) / 2)
-    shifted = transforms.JacobiParams(jp.xi, jp.eta + 1)
-    base = [transforms.symmetric_gegenbauer(jp, k) for k in range(N_MAX + 2)]
-    raised = [transforms.symmetric_gegenbauer(shifted, k) for k in range(N_MAX + 1)]
-
-    assert transforms.dunkl_classical_sweep(PAIR, N_MAX) == transforms.dunkl_classical_check(PAIR, K)
-    assert transforms.raising_sweep(PAIR, N_MAX) == transforms.raising_check(PAIR, K)
-    assert transforms.intertwiner_sweep(PAIR, N_MAX) == transforms.intertwiner_check(PAIR, K)
-    assert transforms.identify_little_sweep(PAIR, base, raised, N_MAX) == transforms.identify_little(
-        PAIR, K
-    )
-    # nothing fails below K, and the Gegenbauer family never uses the members
-    assert transforms.raising_sweep(PAIR, K - 1) is None
-    assert transforms.gegenbauer_dunkl_sweep(jp, base, raised, N_MAX) is None
-    assert not transforms.raising_check(PAIR, K).holds
+    assert transforms.gegenbauer_dunkl_sweep(jp, N_MAX) is None
 
 
 # -- golden record of the exact suites ----------------------------------------
