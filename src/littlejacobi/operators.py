@@ -32,7 +32,6 @@ __all__ = [
     "dunkl_intertwiner",
     "identity",
     "identity_scalar",
-    "intertwiner_sigma",
     "jacobi_sturm_liouville",
     "little_jacobi_operator",
     "mult_x",
@@ -173,31 +172,20 @@ class OpIdentityReport:
 
     holds: bool
     safe_degree: int
-    #: Nonzero rows of lhs - rhs: n -> {output power: coefficient}.
-    residual_action: dict
     first_mismatch: Optional[int]
 
 
 def op_equal(lhs: BandedOp, rhs: BandedOp) -> OpIdentityReport:
-    """Exact comparison of two operator tables up to the shared safe degree."""
+    """Exact comparison of two operator tables up to the shared safe degree.
+
+    Every row holds only nonzero Fraction coefficients (see `_clean`), so
+    two rows are the same action exactly when they are equal dicts.
+    """
     safe = min(lhs.trunc_degree, rhs.trunc_degree)
     if safe < 0:
         raise TruncationError("operators share no trusted degrees")
-    residual = {}
-    for n in range(safe + 1):
-        row = dict(lhs.actions[n])
-        for k, c in rhs.actions[n].items():
-            row[k] = row.get(k, Fraction(0)) - c
-        row = {k: c for k, c in row.items() if c}
-        if row:
-            residual[n] = row
-    first = min(residual) if residual else None
-    return OpIdentityReport(
-        holds=not residual,
-        safe_degree=safe,
-        residual_action=residual,
-        first_mismatch=first,
-    )
+    first = next((n for n in range(safe + 1) if lhs.actions[n] != rhs.actions[n]), None)
+    return OpIdentityReport(holds=first is None, safe_degree=safe, first_mismatch=first)
 
 
 def identity_scalar(op: BandedOp) -> Optional[Fraction]:
@@ -255,38 +243,25 @@ def dunkl_derivative(mu, trunc_degree: int) -> BandedOp:
     return BandedOp.from_monomial(trunc_degree, action)
 
 
-def _intertwiner_sigmas(mu, n: int) -> list[Fraction]:
-    """sigma_0..sigma_n as one running product: sigma_0 = 1, the odd step
-    n = 2k+1 multiplies by (1/2 + k)/(mu + 1/2 + k), the even step repeats
-    the previous entry."""
-    mu = as_fraction(mu)
-    if mu <= Fraction(-1, 2):
-        raise ValueError("Dunkl parameter mu must exceed -1/2")
-    if n < 0:
-        raise ValueError("index must be nonnegative")
-    sigmas = [Fraction(1)]
-    for j in range(1, n + 1):
-        if j % 2:
-            k = j // 2
-            sigmas.append(sigmas[-1] * (Fraction(1, 2) + k) / (mu + Fraction(1, 2) + k))
-        else:
-            sigmas.append(sigmas[-1])
-    return sigmas
-
-
-def intertwiner_sigma(mu, n: int) -> Fraction:
-    """Diagonal entries of the Dunkl intertwiner: sigma_{2m-1} = sigma_{2m}."""
-    return _intertwiner_sigmas(mu, n)[-1]
-
-
 def dunkl_intertwiner(mu, trunc_degree: int) -> BandedOp:
     """Diagonal operator V with T_mu V = V d/dx (degree-preserving).
 
-    V x**n = sigma_n x**n where sigma pairs off odd/even indices; it maps
-    the plain derivative's eigenstructure onto the Dunkl operator's.  The
-    whole table costs O(trunc_degree) Fraction products.
+    V x**n = sigma_n x**n, where sigma_0 = 1, the odd step n = 2k+1
+    multiplies by (1/2 + k)/(mu + 1/2 + k) and the even step repeats the
+    previous entry, so sigma_{2m-1} = sigma_{2m}; it maps the plain
+    derivative's eigenstructure onto the Dunkl operator's.  The whole
+    table costs O(trunc_degree) Fraction products.
     """
-    sigmas = _intertwiner_sigmas(mu, max(trunc_degree, 0))
+    mu = as_fraction(mu)
+    if mu <= Fraction(-1, 2):
+        raise ValueError("Dunkl parameter mu must exceed -1/2")
+    sigmas = [Fraction(1)]
+    for n in range(1, trunc_degree + 1):
+        if n % 2:
+            k = n // 2
+            sigmas.append(sigmas[-1] * (Fraction(1, 2) + k) / (mu + Fraction(1, 2) + k))
+        else:
+            sigmas.append(sigmas[-1])
     return BandedOp.from_monomial(trunc_degree, lambda n: {n: sigmas[n]})
 
 

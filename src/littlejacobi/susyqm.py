@@ -5,22 +5,24 @@ U(y) = (a+1/2)(a+1/2 - sin y)/cos^2 y (no additive constant) has
 closed-form eigenfunctions psi_n = Phi * (degree-n polynomial in sin y)
 and energies (a+n+1)^2.  A first-order reflection operator L1 squares
 to the Hamiltonian; composing it with the parity flip exchanges the
-well with its mirror image.  All derivatives here are analytic: the
-residual checks measure the identities themselves, not a finite
-difference scheme.
+well with its mirror image.  All derivatives here are analytic, so the
+susy suite of `verify`, which holds every residual check, measures the
+identities themselves, not a finite difference scheme.
 
 Every evaluation goes through the per-point pieces sin y, cos y, Phi(y)
 and the log-derivative of Phi (a sin, a cos, a sqrt and a pow), then
 Horner passes over p, p' and p'' (one fused pass for the full jet, see
 PhiPoly).  The per-point functions (PhiPoly's value/d1/d2, apply_L1,
-apply_H1, L1Image, node_count) take the pieces afresh on every call; a
-WellGrid takes them once per grid point and shares them across every
-state, every derivative and both signs of y, so a check over many states
-on one grid pays for the trigonometry once: at its defaults (six levels,
-200 points, node counts on 400) the susy suite takes 1,044 sets of
-pieces, 800 of them on its two grids, where per-point calls took 15,644.
-Both paths apply the same formula functions in the same order, so their
-numbers agree bit for bit.
+apply_H1, L1Image, node_count, potential, superpotential) take the
+pieces afresh on every call; a WellGrid takes them once per grid point
+and shares them across every state, every derivative and both signs of
+y, so a check over many states on one grid pays for the trigonometry
+once: at its defaults (six levels, 200 points, node counts on 400) the
+susy suite takes all its 848 sets of pieces on four grids (the main
+grid, the node grid, the Darboux flip's four points and the
+conjugation's sub-grid), where per-point calls took 15,644.  Both paths
+apply the same formula functions in the same order, so their numbers
+agree bit for bit.
 """
 
 from __future__ import annotations
@@ -28,16 +30,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
-from .operators import jacobi_sturm_liouville
-from .polys import NEG_INFINITY, Poly, as_fraction, horner, horner3, horner_rows
+from .polys import Poly, as_fraction, horner, horner3, horner_rows
 from .transforms import JacobiParams, jacobi_series
 
 __all__ = [
     "DEFAULT_MARGIN",
-    "ConjugationReport",
-    "FactorizationReport",
     "L1Image",
     "NODE_POINTS",
     "PhiPoly",
@@ -45,19 +44,15 @@ __all__ = [
     "WellGrid",
     "apply_H1",
     "apply_L1",
-    "conjugation_check",
-    "darboux_flip",
     "default_grid",
     "eigenstate",
     "energy",
-    "factorization_check",
-    "ground_state",
     "node_count",
     "potential",
     "potential_values",
+    "sign_changes",
     "superpotential",
     "superpotential_prime",
-    "wavefunction",
 ]
 
 HALF_PI = math.pi / 2.0
@@ -120,11 +115,6 @@ def energy(a, n: int) -> float:
     if n < 0:
         raise ValueError("level index must be nonnegative")
     return (float(a) + n + 1.0) ** 2
-
-
-def ground_state(a, y) -> float:
-    """Phi(y) = sqrt(1 + sin y) * cos^(a+1/2) y, the nodeless bottom state."""
-    return _pieces(_check_a(a), _check_y(y))[2]
 
 
 def _pieces(a: float, y: float) -> tuple[float, float, float, float]:
@@ -210,10 +200,6 @@ def eigenstate(a, n: int) -> PhiPoly:
     return PhiPoly(a, _state_poly(a, n))
 
 
-def wavefunction(a, n: int, y) -> float:
-    return eigenstate(a, n).value(y)
-
-
 def apply_L1(a, f, y) -> float:
     """(d/dy - (a+1/2)/cos y) applied to the parity flip of f:
     -f'(-y) - (a+1/2) f(-y)/cos y.  f must expose value() and d1()."""
@@ -274,125 +260,23 @@ def superpotential(a, y) -> float:
     """chi(y) = -(a+1/2)/cos y; even, and H1 = (d+chi)(-d+chi) splits off it."""
     a = _check_a(a)
     y = _check_y(y)
-    return -(a + 0.5) / math.cos(y)
+    return _chi(a + 0.5, math.cos(y))
 
 
 def superpotential_prime(a, y) -> float:
     a = _check_a(a)
     y = _check_y(y)
-    c = math.cos(y)
-    return -(a + 0.5) * math.sin(y) / (c * c)
+    return _chi_prime(a + 0.5, math.sin(y), math.cos(y))
 
 
-@dataclass(frozen=True)
-class FactorizationReport:
-    holds: bool
-    tol: float
-    worst: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {"holds": self.holds, "tol": self.tol, "worst": dict(self.worst)}
+def _chi(k: float, c: float) -> float:
+    """chi(y) from c = cos y, with k = a + 1/2."""
+    return -k / c
 
 
-def factorization_check(
-    chi: Callable[[float], float],
-    chi_prime: Callable[[float], float],
-    potential_fn: Callable[[float], float],
-    constant: float,
-    ys: Sequence[float],
-    tol: float = 1e-10,
-) -> FactorizationReport:
-    """Check the four superpotential conditions at each sample:
-
-        odd part:    2 chi'(y)  = U(y) - U(-y)
-        even part:   2 chi(y)^2 = U(y) + U(-y) + 2C
-        refactoring: chi^2 + chi' = U(y) + C
-                     chi^2 - chi' = U(-y) + C
-
-    Residuals are taken relative to the local magnitude of the terms
-    involved, since U grows like 1/cos^2 toward the walls.
-    """
-    worst = {
-        "odd_difference": 0.0,
-        "even_sum": 0.0,
-        "refactor_plus": 0.0,
-        "refactor_minus": 0.0,
-    }
-    constant = float(constant)
-    for y in ys:
-        u_plus = potential_fn(y)
-        u_minus = potential_fn(-y)
-        x = chi(y)
-        xp = chi_prime(y)
-        scale = max(1.0, abs(u_plus), abs(u_minus), x * x, abs(constant))
-        worst["odd_difference"] = max(
-            worst["odd_difference"], abs(2.0 * xp - (u_plus - u_minus)) / scale
-        )
-        worst["even_sum"] = max(
-            worst["even_sum"],
-            abs(2.0 * x * x - (u_plus + u_minus + 2.0 * constant)) / scale,
-        )
-        worst["refactor_plus"] = max(
-            worst["refactor_plus"], abs(x * x + xp - (u_plus + constant)) / scale
-        )
-        worst["refactor_minus"] = max(
-            worst["refactor_minus"], abs(x * x - xp - (u_minus + constant)) / scale
-        )
-    holds = all(value <= tol for value in worst.values())
-    return FactorizationReport(holds=holds, tol=tol, worst=worst)
-
-
-def darboux_flip(a, n: int, y, tol: float = 1e-8) -> float:
-    """Apply the parity flip after the square-root operator to psi_n.
-
-    Asserts the result equals (-1)^(n+1) (a+n+1) psi_n(-y) to the given
-    relative tolerance, then returns it.
-    """
-    a_float = _check_a(a)
-    y = _check_y(y)
-    state = eigenstate(a, n)
-    flipped = apply_L1(a, state, -y)
-    root = a_float + n + 1.0
-    expected = (-1.0) ** (n + 1) * root * state.value(-y)
-    scale = root * max(1.0, abs(state.value(-y)))
-    if abs(flipped - expected) > tol * scale:
-        raise ArithmeticError(
-            f"parity-flipped image of level {n} missed its eigen-relation "
-            f"by {abs(flipped - expected):.3e}"
-        )
-    return flipped
-
-
-@dataclass(frozen=True)
-class ConjugationReport:
-    holds: bool
-    tol: float
-    worst: float
-
-    def to_dict(self) -> dict:
-        return {"holds": self.holds, "tol": self.tol, "worst": self.worst}
-
-
-def conjugation_check(a, p: Poly, ys: Sequence[float], tol: float = 1e-8) -> ConjugationReport:
-    """Verify H1(Phi p)(y) = Phi(y) q(sin y) with q = (a+1)^2 p - S p,
-    where S is the exact Sturm-Liouville operator of the alpha = 0 family.
-
-    The operator image q is computed in exact rational arithmetic, so the
-    residual is purely floating evaluation noise.
-    """
-    af = as_fraction(a)
-    _check_a(af)
-    trunc = p.degree if p.degree != NEG_INFINITY else 0
-    op = jacobi_sturm_liouville(af, trunc)
-    q = (af + 1) ** 2 * p - op.apply(p)
-    state = PhiPoly(a, p)
-    image = PhiPoly(a, q)
-    worst = 0.0
-    for y in ys:
-        lhs = apply_H1(a, state, y)
-        rhs = image.value(y)
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return ConjugationReport(holds=worst <= tol, tol=tol, worst=worst)
+def _chi_prime(k: float, s: float, c: float) -> float:
+    """chi'(y) from s = sin y and c = cos y, with k = a + 1/2."""
+    return -k * s / (c * c)
 
 
 def default_grid(points: int, margin: float = DEFAULT_MARGIN) -> tuple[float, ...]:
@@ -410,10 +294,11 @@ def default_grid(points: int, margin: float = DEFAULT_MARGIN) -> tuple[float, ..
 def node_count(a, n: int, points: int = NODE_POINTS, margin: float = DEFAULT_MARGIN) -> int:
     """Sign changes of psi_n across the default grid; should equal n."""
     state = eigenstate(a, n)
-    return _sign_changes(state.value(y) for y in default_grid(points, margin))
+    return sign_changes(state.value(y) for y in default_grid(points, margin))
 
 
-def _sign_changes(values) -> int:
+def sign_changes(values) -> int:
+    """Sign changes along values; zeros are skipped."""
     changes = 0
     previous = 0
     for value in values:
@@ -462,10 +347,6 @@ class WellGrid:
         self._check(f)
         return [f._jet(here, 0)[0] for here in self._here]
 
-    def node_count(self, f: PhiPoly) -> int:
-        """Sign changes of f across the grid."""
-        return _sign_changes(self.values(f))
-
     def eigen_images(self, f: PhiPoly) -> list[tuple[float, float, float]]:
         """(f(y), (L1 f)(y), (H1 f)(y)) at each grid point."""
         self._check(f)
@@ -476,6 +357,17 @@ class WellGrid:
             g0, g1 = f._jet(mirror, 1)
             out.append((f0, _l1(k, g1, g0, here[1]), _h1(f2, u, f0)))
         return out
+
+    def superpotential_terms(self) -> list[tuple[float, float, float, float]]:
+        """(U(y), U(-y), chi(y), chi'(y)) at each grid point."""
+        a = self.a
+        k = a + 0.5
+        return [
+            (u, _potential(a, s_mirror, c_mirror), _chi(k, c), _chi_prime(k, s, c))
+            for (s, c, _, _), (s_mirror, c_mirror, _, _), u in zip(
+                self._here, self._mirrored(), self.potential
+            )
+        ]
 
     def square_images(self, f: PhiPoly) -> list[tuple[float, float]]:
         """((L1 L1 f)(y), (H1 f)(y)) at each grid point.  L1 L1 f goes

@@ -34,12 +34,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional
 
 from .family import ParamPair, generate_monic
-from .operators import (
-    _intertwiner_sigmas,
-    dunkl_derivative,
-    dunkl_intertwiner,
-    raising_operator,
-)
+from .operators import dunkl_derivative, dunkl_intertwiner, raising_operator
 from .polys import Poly, as_fraction, recurrence_step, terminating_2f1
 
 __all__ = [
@@ -350,9 +345,8 @@ def _intertwiner_sides(params: ParamPair, top: int) -> _Sides:
         raise ValueError("intertwiner route needs alpha + beta > -1")
     mu = params.alpha / 2
     op = dunkl_intertwiner(mu, top)
-    sigmas = _intertwiner_sigmas(mu, top)
     jacs = jacobi_sequence(JacobiParams(xi, xi + 1), top)
-    return lambda n: (op.apply(jacs[n]) / sigmas[n], generate_monic(params, n))
+    return lambda n: (op.apply(jacs[n]) / op.actions[n][n], generate_monic(params, n))
 
 
 def intertwiner_check(params: ParamPair, n: int) -> bool:

@@ -442,6 +442,39 @@ def test_verify_all_suites_beyond_the_float_range(capsys):
     assert lines[-1] == "25/27 checks passed, 2 skipped"
 
 
+@pytest.mark.parametrize(
+    "args, skipped",
+    [
+        (
+            ["--suite", "susy", "--a", "300", "--points", "2"],
+            ["H1 eigen-relation n<=5", "L1 eigen-relation n<=5",
+             "Sturm-Liouville conjugation", "square root L1^2 = H1"],
+        ),
+        (
+            ["--a", "1e20"],
+            ["H1 eigen-relation n<=5", "L1 eigen-relation n<=5",
+             "Sturm-Liouville conjugation", "node counts n<=5", "square root L1^2 = H1"],
+        ),
+    ],
+    ids=["a300_points2", "a1e20"],
+)
+def test_verify_skips_susy_rows_whose_states_underflow(args, skipped, capsys):
+    # cos^(a+1/2) underflows at every point of a row's grid: the L1/H1 rows
+    # divided by a zero peak (ZeroDivisionError, exit 1); now such a row
+    # reports a skip with the reason, and every other row still runs
+    assert run(["verify", *args, "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    susy = [r for r in json.loads(captured.out)["results"] if r["suite"] == "susy"]
+    assert len(susy) == 7
+    assert all(r["passed"] for r in susy)
+    assert [r["name"].split(" a=")[0] for r in susy if r["skipped"]] == skipped
+    for r in susy:
+        if r["skipped"]:
+            assert r["detail"].startswith("not applicable: ")
+            assert r["detail"].endswith(" underflows to 0.0 at every grid point")
+
+
 def test_sample_weight_beyond_the_float_range(capsys):
     # a finite pair whose normalization exp(...) overflows: OverflowError
     # and exit 1 before, a domain error now

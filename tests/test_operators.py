@@ -16,7 +16,6 @@ from littlejacobi.operators import (
     dunkl_intertwiner,
     identity,
     identity_scalar,
-    intertwiner_sigma,
     jacobi_sturm_liouville,
     little_jacobi_operator,
     mult_x,
@@ -122,6 +121,38 @@ def test_op_equal_reports_first_mismatch():
     assert report.safe_degree == 5
 
 
+# rows over few powers and coefficients, so that equal rows are common;
+# zeros (which the table drops) and ints next to Fractions among them
+op_rows = st.lists(
+    st.dictionaries(
+        st.integers(0, 2), st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(2, 4)]), max_size=2
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+@given(op_rows, op_rows)
+@settings(max_examples=200, deadline=None)
+def test_op_equal_matches_the_row_differences(lhs_rows, rhs_rows):
+    # the first mismatch is the first row whose coefficientwise difference
+    # has a nonzero entry
+    safe = min(len(lhs_rows), len(rhs_rows)) - 1
+    first = next(
+        (
+            n
+            for n in range(safe + 1)
+            if any(
+                Fraction(lhs_rows[n].get(k, 0)) != Fraction(rhs_rows[n].get(k, 0))
+                for k in lhs_rows[n].keys() | rhs_rows[n].keys()
+            )
+        ),
+        None,
+    )
+    report = op_equal(BandedOp(lhs_rows), BandedOp(rhs_rows))
+    assert (report.holds, report.safe_degree, report.first_mismatch) == (first is None, safe, first)
+
+
 def test_dunkl_parameter_domain():
     with pytest.raises(ValueError):
         dunkl_derivative(Fraction(-1, 2), 4)
@@ -166,23 +197,24 @@ def test_intertwiner_table_matches_closed_form(mu):
         m = (n + 1) // 2
         sigma = pochhammer(Fraction(1, 2), m) / pochhammer(mu + Fraction(1, 2), m)
         assert table.action(n) == {n: sigma}
-    assert intertwiner_sigma(mu, n_max) == sigma
 
 
 def test_intertwiner_domain():
     with pytest.raises(ValueError):
-        intertwiner_sigma(Fraction(-1, 2), 3)
+        dunkl_intertwiner(Fraction(-1, 2), 3)
     with pytest.raises(ValueError):
-        intertwiner_sigma(Fraction(1), -1)
-    with pytest.raises(ValueError):
-        dunkl_intertwiner(Fraction(-1, 2), 4)
+        dunkl_intertwiner(Fraction(1), -1)
 
 
 def test_intertwiner_sigma_pairing():
     mu = Fraction(1, 2)
+
+    def sigma(n):
+        return dunkl_intertwiner(mu, n).action(n)[n]
+
     for m in range(1, 6):
-        assert intertwiner_sigma(mu, 2 * m - 1) == intertwiner_sigma(mu, 2 * m)
-    assert intertwiner_sigma(mu, 0) == 1
+        assert sigma(2 * m - 1) == sigma(2 * m)
+    assert sigma(0) == 1
 
 
 def test_eigen_operator_slow_path():

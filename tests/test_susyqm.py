@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from littlejacobi import susyqm
 from littlejacobi.family import ParamPair, generate_monic
+from littlejacobi.operators import jacobi_sturm_liouville
 from littlejacobi.polys import Poly, horner
 from littlejacobi.susyqm import (
     NODE_POINTS,
@@ -17,21 +19,18 @@ from littlejacobi.susyqm import (
     WellGrid,
     apply_H1,
     apply_L1,
-    conjugation_check,
-    darboux_flip,
     default_grid,
     eigenstate,
     energy,
-    factorization_check,
-    ground_state,
     node_count,
     potential,
     potential_values,
+    sign_changes,
     superpotential,
     superpotential_prime,
-    wavefunction,
 )
 from littlejacobi.susyqm import _pieces  # the jets take a point's pieces
+from littlejacobi.verify import SuiteOptions, run_suites
 
 A = Fraction(3, 2)
 GRID = default_grid(200)
@@ -68,15 +67,19 @@ def test_energy_values():
 
 
 def test_ground_state_values():
-    assert ground_state(A, 0.0) == 1.0
-    assert wavefunction(A, 0, 0.0) == 1.0
+    # psi_0 is Phi(y) = sqrt(1 + sin y) cos^(a+1/2) y itself
+    ground = eigenstate(A, 0)
+    assert ground.poly == Poly.ONE
+    edge = math.pi / 2 - 1e-3
+    at_origin, at_left, at_right = WellGrid(A, (0.0, -edge, edge)).values(ground)
+    assert at_origin == ground.value(0.0) == 1.0
     # vanishes toward both walls
-    assert abs(wavefunction(A, 0, math.pi / 2 - 1e-3)) < 1e-4
-    assert abs(wavefunction(A, 0, -math.pi / 2 + 1e-3)) < 1e-4
+    assert abs(at_left) < 1e-4
+    assert abs(at_right) < 1e-4
 
 
 def test_first_excited_value_at_origin():
-    assert abs(wavefunction(A, 1, 0.0) + 0.2) < 1e-15
+    assert abs(eigenstate(A, 1).value(0.0) + 0.2) < 1e-15
 
 
 def test_state_polynomial_is_family_member():
@@ -148,58 +151,62 @@ def test_L1_image_derivative_is_consistent():
 
 
 def test_factorization_conditions_hold():
-    report = factorization_check(
-        lambda y: superpotential(A, y),
-        lambda y: superpotential_prime(A, y),
-        lambda y: potential(A, y),
-        0.0,
-        GRID,
-    )
-    assert report.holds
-    assert all(v <= 1e-10 for v in report.worst.values())
+    # chi^2 + chi' = U(y) and chi^2 - chi' = U(-y); their sum and
+    # difference are the even and odd parts of U
+    for u_plus, u_minus, chi, chi_prime in WellGrid(A, GRID).superpotential_terms():
+        scale = max(1.0, u_plus, u_minus, chi * chi)
+        assert abs(chi * chi + chi_prime - u_plus) / scale <= 1e-10
+        assert abs(chi * chi - chi_prime - u_minus) / scale <= 1e-10
 
 
-def test_factorization_detects_parity_violation():
-    # an odd perturbation of chi breaks the odd-difference condition
-    eps = 1e-3
-    report = factorization_check(
-        lambda y: superpotential(A, y) + eps * y,
-        lambda y: superpotential_prime(A, y) + eps,
-        lambda y: potential(A, y),
-        0.0,
-        GRID,
-    )
-    assert not report.holds
-    assert report.worst["odd_difference"] > 1e-10
+def _susy_row(name: str):
+    [row] = [r for r in run_suites(["susy"], SuiteOptions()) if r.name.startswith(name)]
+    return row
 
 
-def test_free_particle_factorization():
-    report = factorization_check(
-        lambda y: 0.0, lambda y: 0.0, lambda y: 0.0, 0.0, GRID
-    )
-    assert report.holds
+def test_factorization_row_detects_parity_violation(monkeypatch):
+    # an odd perturbation of U breaks the odd-difference condition and
+    # leaves the even sum alone
+    exact = susyqm._potential
+    monkeypatch.setattr(susyqm, "_potential", lambda a, s, c: exact(a, s, c) + 1e-3 * s)
+    row = _susy_row("superpotential factorization")
+    assert not row.passed
+    worst = row.detail.removeprefix("worst residuals ").split(", ")
+    worst = {key: float(value) for key, value in (pair.split("=") for pair in worst)}
+    assert worst["odd_difference"] > 1e-10
+    assert worst["even_sum"] <= 1e-10
+
+
+def test_darboux_row_detects_a_sign_error(monkeypatch):
+    # L1 with the sign of the mirrored derivative flipped
+    monkeypatch.setattr(susyqm, "_l1", lambda k, d1, value, c: d1 - k * value / c)
+    row = _susy_row("Darboux flip")
+    assert not row.passed
+    assert row.detail.startswith("parity-flipped image of level 0 missed its eigen-relation by ")
 
 
 def test_darboux_flip_at_origin():
     # level 0 at the symmetric point: the flip returns -(a+1)
-    value = darboux_flip(A, 0, 0.0)
-    assert abs(value + (float(A) + 1.0)) < 1e-10
+    [(_, flipped, _)] = WellGrid(A, (-0.0,)).eigen_images(eigenstate(A, 0))
+    assert abs(flipped + (float(A) + 1.0)) < 1e-10
 
 
 def test_darboux_flip_magnitude():
+    # the L1 image at -y is the parity flip of psi_n: (a+n+1) |psi_n(-y)| in size
+    flip = WellGrid(A, (-0.4, 0.7, -1.1))
     for n in range(4):
-        state = eigenstate(A, n)
-        for y in (0.4, -0.7, 1.1):
-            value = darboux_flip(A, n, y)
-            assert abs(abs(value) - (float(A) + n + 1.0) * abs(state.value(-y))) < 1e-8
+        for value, flipped, _ in flip.eigen_images(eigenstate(A, n)):
+            assert abs(abs(flipped) - (float(A) + n + 1.0) * abs(value)) < 1e-8
 
 
-def test_conjugation_reports():
-    ys = GRID[::10]
+def test_conjugation_holds_on_the_grid():
+    # H1 (Phi p) = Phi q with q = (a+1)^2 p - S p, exact in Fraction
+    well = WellGrid(A, GRID[::10])
     for p in (Poly.ONE, Poly.X, Poly([Fraction(-1, 2), 0, 1])):
-        report = conjugation_check(A, p, ys)
-        assert report.holds, report.to_dict()
-        assert report.worst < 1e-8
+        q = (A + 1) ** 2 * p - jacobi_sturm_liouville(A, p.degree).apply(p)
+        images = well.eigen_images(PhiPoly(A, p))
+        for (_, _, lhs), rhs in zip(images, well.values(PhiPoly(A, q))):
+            assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-8
 
 
 def test_node_counts():
@@ -253,6 +260,10 @@ def test_grid_equals_per_point_evaluation(a, n, points):
     ]
     assert well.square_images(state) == [
         (apply_L1(a, image, y), apply_H1(a, state, y)) for y in ys
+    ]
+    assert well.superpotential_terms() == [
+        (potential(a, y), potential(a, -y), superpotential(a, y), superpotential_prime(a, y))
+        for y in ys
     ]
 
 
@@ -326,7 +337,7 @@ def test_potential_values_equal_per_point_potential():
 @settings(max_examples=15, deadline=None)
 def test_grid_node_counts_equal_node_count(a, n):
     well = WellGrid(a, default_grid(NODE_POINTS))
-    assert well.node_count(eigenstate(a, n)) == node_count(a, n)
+    assert sign_changes(well.values(eigenstate(a, n))) == node_count(a, n)
 
 
 def test_grid_refuses_a_state_of_another_well():
