@@ -5,18 +5,19 @@ operator, the even part f and odd part g of F are Gauss hypergeometric
 series in x**2 on |x| < 1.  This module evaluates those series with
 term-recurrence arithmetic (`build_solution`), measures the residual of
 the even part's second-order equation with term-wise differentiated
-series (`ode_residual`), and samples both parts on a grid
-(`sample_rows`).  At lambda = 2(beta+1) the residual and the grid take
-the even part from its elementary closed form (1-x^2)^(-(beta+1)/2).
+series (`ode_residual`), and samples both parts on a grid over
+[-0.9, 0.9] (`sample_rows`).  At lambda = 2(beta+1) the residual and
+the grid take the even part from its elementary closed form
+(1-x^2)^(-(beta+1)/2).
 
 The differentiated coefficients of f are built once per solution, and
 one fused Horner pass (`polys.horner3`) per point yields f, f' and f''
-together: a `sample_rows` grid walks the f series once and the g series
-once per point, where separate passes walked f four times.  At the
-default 201 points and |lambda| <= 30 the series run to about 320 terms,
-and `sample eigenfunction` takes about 10 ms in process on a 2-core
-machine (Python 3.11.7), against 22 ms with separate passes, with the
-same numbers bit for bit.
+together; it is the only route to f.  A `sample_rows` grid walks the f
+series once and the g series once per point, where separate passes
+walked f four times.  At the default 201 points and |lambda| <= 30 the
+series run to about 320 terms, and `sample eigenfunction` takes about
+10 ms in process on a 2-core machine (Python 3.11.7), against 22 ms
+with separate passes, with the same numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -84,8 +85,8 @@ class EigenSolution:
     Each series is a float Horner polynomial in z = x**2.  The f series'
     first and second z-derivative coefficients are built once, with the
     series, and one `horner3` pass per point gives the series and both
-    derivatives: `_f_jet` returns (f, f', f'') from it, and f_prime and
-    f_second read it, while f and g alone take one plain Horner pass.
+    derivatives: `_f_jet` returns (f, f', f''), the one route to f; g
+    takes one plain Horner pass.
     A grid point that needs f, f' and f'' pays three accumulators per
     series term in one loop, where separate passes walked the series
     four times (f' twice) and formed k c_k and k(k-1) c_k at every step;
@@ -104,15 +105,6 @@ class EigenSolution:
         z = x * x
         f, d, dd = horner3(self._f_rows, z)
         return f, 2.0 * x * d, 2.0 * d + 4.0 * z * dd
-
-    def f(self, x: float) -> float:
-        return horner(self.f_series_coeffs, x * x)
-
-    def f_prime(self, x: float) -> float:
-        return self._f_jet(x)[1]
-
-    def f_second(self, x: float) -> float:
-        return self._f_jet(x)[2]
 
     def g(self, x: float) -> float:
         return x * horner(self.g_series_coeffs, x * x)
@@ -178,8 +170,9 @@ def ode_residual(params: ParamPair, lam: float, x: float) -> float:
     return _ode_residual_from(alpha, beta, lam, f, fp, fpp, x)
 
 
-def sample_rows(params: ParamPair, lam: float, points: int, x_max: float = 0.9) -> list[dict]:
-    """Evaluation grid for CSV emission: x, F, f, g, residual columns.
+def sample_rows(params: ParamPair, lam: float, points: int) -> list[dict]:
+    """Evaluation grid for CSV emission on [-0.9, 0.9]: x, F, f, g,
+    residual columns.
 
     alpha, beta and lambda are read as floats once per call; each point
     then costs one `horner3` pass over the f series (f, f' and f'') and
@@ -189,13 +182,12 @@ def sample_rows(params: ParamPair, lam: float, points: int, x_max: float = 0.9) 
     """
     if points < 2:
         raise ValueError("need at least two sample points")
-    if not 0.0 < x_max < 0.95:
-        raise ValueError("sampling must stay inside |x| < 0.95")
     alpha = float(params.alpha)
     beta = float(params.beta)
     lam = float(lam)
     elementary = lam == 2.0 * (beta + 1.0)
     sol = build_solution(params, lam)
+    x_max = 0.9  # inside the residual's |x| < 0.95
     rows = []
     for i in range(points):
         x = -x_max + 2.0 * x_max * i / (points - 1)

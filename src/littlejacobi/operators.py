@@ -37,7 +37,6 @@ __all__ = [
     "mult_x",
     "op_equal",
     "raising_operator",
-    "reflection",
 ]
 
 
@@ -83,9 +82,6 @@ class BandedOp:
     @property
     def trunc_degree(self) -> int:
         return len(self.actions) - 1
-
-    def action(self, n: int) -> dict[int, Fraction]:
-        return dict(self.actions[n])
 
     def apply(self, p: Poly) -> Poly:
         """op(p), exact, accumulated over integers.
@@ -208,11 +204,6 @@ def identity_scalar(op: BandedOp) -> Optional[Fraction]:
 
 def identity(trunc_degree: int) -> BandedOp:
     return BandedOp.from_monomial(trunc_degree, lambda n: {n: 1})
-
-
-def reflection(trunc_degree: int) -> BandedOp:
-    """R: f(x) -> f(-x)."""
-    return BandedOp.from_monomial(trunc_degree, lambda n: {n: (-1) ** n})
 
 
 def derivative(trunc_degree: int) -> BandedOp:

@@ -16,7 +16,6 @@ arithmetic of their argument, floats included.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from operator import add
@@ -24,14 +23,12 @@ from typing import Iterable, Sequence
 
 __all__ = [
     "NEG_INFINITY",
-    "ParityPair",
     "Poly",
     "as_fraction",
     "horner",
     "horner3",
     "horner_rows",
     "monomial",
-    "parity_split",
     "pochhammer",
     "recurrence_step",
     "reflect",
@@ -286,10 +283,6 @@ class Poly:
         """Coefficients as exact "p/q" strings, constant term first."""
         return [str(c) for c in self.coeffs]
 
-    @classmethod
-    def from_strings(cls, items: Sequence[str]) -> "Poly":
-        return cls([Fraction(s) for s in items])
-
     # -- object protocol ---------------------------------------------------
 
     def __eq__(self, other):
@@ -314,20 +307,6 @@ def monomial(power: int, coeff=1) -> Poly:
     if power < 0:
         raise ValueError("monomial power must be nonnegative")
     return Poly([0] * power + [coeff])
-
-
-@dataclass(frozen=True)
-class ParityPair:
-    """Even and odd parts of a polynomial; even + odd reconstructs it."""
-
-    even: Poly
-    odd: Poly
-
-
-def parity_split(p: Poly) -> ParityPair:
-    even = Poly.from_ints([0 if k % 2 else c for k, c in enumerate(p.nums)], p.den)
-    odd = Poly.from_ints([c if k % 2 else 0 for k, c in enumerate(p.nums)], p.den)
-    return ParityPair(even=even, odd=odd)
 
 
 def reflect(p: Poly) -> Poly:

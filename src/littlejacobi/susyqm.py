@@ -3,11 +3,15 @@
 An infinitely deep well on (-pi/2, pi/2) with potential
 U(y) = (a+1/2)(a+1/2 - sin y)/cos^2 y (no additive constant) has
 closed-form eigenfunctions psi_n = Phi * (degree-n polynomial in sin y)
-and energies (a+n+1)^2.  A first-order reflection operator L1 squares
-to the Hamiltonian; composing it with the parity flip exchanges the
-well with its mirror image.  All derivatives here are analytic, so the
-susy suite of `verify`, which holds every residual check, measures the
-identities themselves, not a finite difference scheme.
+and energies (a+n+1)^2.  The polynomial factor is the family member at
+alpha = 0, beta = 2a + 1 (`family.generate_monic`, built by the
+three-term recurrence), scaled to equal 1 at sin y = 1; it is the
+terminating 2F1(-n, n+2a+2; a+1; (1 - sin y)/2).  A first-order
+reflection operator L1 squares to the Hamiltonian; composing it with
+the parity flip exchanges the well with its mirror image.  All
+derivatives here are analytic, so the susy suite of `verify`, which
+holds every residual check, measures the identities themselves, not a
+finite difference scheme.
 
 Every evaluation goes through the per-point pieces sin y, cos y, Phi(y)
 and the log-derivative of Phi (a sin, a cos, a sqrt and a pow), then
@@ -32,8 +36,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .family import ParamPair, generate_monic
 from .polys import Poly, as_fraction, horner, horner3, horner_rows
-from .transforms import JacobiParams, jacobi_series
 
 __all__ = [
     "DEFAULT_MARGIN",
@@ -187,9 +191,10 @@ class PhiPoly:
 
 
 def _state_poly(a, n: int) -> Poly:
-    # 2F1(-n, n+2a+2; a+1; (1-s)/2) as an exact polynomial in s
-    af = as_fraction(a)
-    return jacobi_series(JacobiParams(af, af + 1), n)
+    # 2F1(-n, n+2a+2; a+1; (1-s)/2) as an exact polynomial in s: the
+    # (0, 2a+1) family member, scaled to 1 at s = 1 (no zero lies there)
+    p = generate_monic(ParamPair(0, SchrodingerParams(a).beta), n)
+    return p * Fraction(p.den, sum(p.nums))
 
 
 def eigenstate(a, n: int) -> PhiPoly:
@@ -279,22 +284,20 @@ def _chi_prime(k: float, s: float, c: float) -> float:
     return -k * s / (c * c)
 
 
-def default_grid(points: int, margin: float = DEFAULT_MARGIN) -> tuple[float, ...]:
-    """Uniform grid on [-pi/2 + margin, pi/2 - margin]."""
+def default_grid(points: int) -> tuple[float, ...]:
+    """Uniform grid on [-pi/2 + DEFAULT_MARGIN, pi/2 - DEFAULT_MARGIN]."""
     if points < 2:
         raise ValueError("need at least two grid points")
-    if not 0.0 < margin < HALF_PI:
-        raise ValueError("margin must sit strictly between 0 and pi/2")
-    lo = -HALF_PI + margin
-    hi = HALF_PI - margin
+    lo = -HALF_PI + DEFAULT_MARGIN
+    hi = HALF_PI - DEFAULT_MARGIN
     step = (hi - lo) / (points - 1)
     return tuple(lo + i * step for i in range(points))
 
 
-def node_count(a, n: int, points: int = NODE_POINTS, margin: float = DEFAULT_MARGIN) -> int:
+def node_count(a, n: int, points: int = NODE_POINTS) -> int:
     """Sign changes of psi_n across the default grid; should equal n."""
     state = eigenstate(a, n)
-    return sign_changes(state.value(y) for y in default_grid(points, margin))
+    return sign_changes(state.value(y) for y in default_grid(points))
 
 
 def sign_changes(values) -> int:

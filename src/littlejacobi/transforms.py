@@ -16,14 +16,14 @@ calls only the sweeps.  A per-n check (`identify_little`,
 `dunkl_classical_check`, `raising_check`, `intertwiner_check`) is the
 same scan over its one degree and returns whether the identity holds.
 
-The classical members come from the sequences (`jacobi_sequence`,
-`gegenbauer_sequence`), which build every degree up to N from the
-three-term recurrence, one integer `polys.recurrence_step` per degree as
-in `family.generate_monic`, O(N^2) in all.  The closed forms
-`jacobi_series` (for `susyqm`) and `symmetric_gegenbauer` (for
-`christoffel_transform`) build one degree from a terminating 2F1, the
-standard Jacobi one through a Taylor shift, O(n^2) per member; the tests
-compare the sequences with them.
+The classical members are built one way only: the sequences
+(`jacobi_sequence`, `gegenbauer_sequence`) give every degree up to N
+from the three-term recurrence, one integer `polys.recurrence_step` per
+degree as in `family.generate_monic`, O(N^2) in all.
+`symmetric_gegenbauer` and `christoffel_transform` read one or two
+members off a sequence.  The terminating-2F1 closed forms of the same
+members live in the tests, as references the sequences are checked
+against.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Optional
 
 from .family import ParamPair, generate_monic
 from .operators import dunkl_derivative, dunkl_intertwiner, raising_operator
-from .polys import Poly, as_fraction, recurrence_step, terminating_2f1
+from .polys import Poly, as_fraction, recurrence_step
 
 __all__ = [
     "JacobiParams",
@@ -51,7 +51,6 @@ __all__ = [
     "intertwiner_check",
     "intertwiner_sweep",
     "jacobi_sequence",
-    "jacobi_series",
     "raising_check",
     "raising_sweep",
     "symmetric_gegenbauer",
@@ -72,42 +71,6 @@ class JacobiParams:
             raise ValueError("xi must be > -1")
         if self.eta <= -1:
             raise ValueError("eta must be > -1")
-
-
-def _monic(p: Poly, n: int, what: str) -> Poly:
-    if p.degree != n:
-        raise RuntimeError(f"{what} degenerated: expected degree {n}, got {p.degree}")
-    return p / p.leading_coefficient
-
-
-def _jacobi_2f1(jp: JacobiParams, n: int, arg_power: int = 1) -> Poly:
-    """The terminating series 2F1(-n, n+xi+eta+1; xi+1; t) as a polynomial
-    in t = x**arg_power."""
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    return terminating_2f1(-n, n + jp.xi + jp.eta + 1, jp.xi + 1, arg_power=arg_power)
-
-
-def jacobi_series(jp: JacobiParams, n: int) -> Poly:
-    """Standard Jacobi polynomial on [-1,1], weight (1-x)^xi (1+x)^eta, not
-    made monic: the series 2F1(-n, n+xi+eta+1; xi+1; (1-x)/2), which equals
-    1 at x = 1."""
-    return _jacobi_2f1(jp, n).compose(Poly([Fraction(1, 2), Fraction(-1, 2)]))
-
-
-def symmetric_gegenbauer(jp: JacobiParams, n: int) -> Poly:
-    """Generalized Gegenbauer polynomial, weight |x|^(2 xi + 1) (1-x^2)^eta.
-
-    Even degrees are Jacobi-on-[0,1] polynomials in x**2; odd degrees are
-    x times the same construction with xi raised by one.
-    """
-    if n < 0:
-        raise ValueError("degree must be nonnegative")
-    if n % 2 == 0:
-        return _monic(_jacobi_2f1(jp, n // 2, arg_power=2), n, "Gegenbauer series")
-    raised = JacobiParams(jp.xi + 1, jp.eta)
-    even = _monic(_jacobi_2f1(raised, (n - 1) // 2, arg_power=2), n - 1, "Gegenbauer series")
-    return Poly._canonical((0, *even.nums), even.den)  # x times the even part
 
 
 def _sequence(n_max: int, coeffs: Callable[[int], tuple[Fraction, Fraction]]) -> list[Poly]:
@@ -160,7 +123,7 @@ def jacobi_sequence(jp: JacobiParams, n_max: int) -> list[Poly]:
 
 
 def gegenbauer_sequence(jp: JacobiParams, n_max: int) -> list[Poly]:
-    """``[symmetric_gegenbauer(jp, n) for n in range(n_max + 1)]`` from the
+    """The monic generalized Gegenbauer polynomials S_0..S_n_max, from the
     monic recurrence S_{n+1} = x S_n - gamma_n S_{n-1} of the weight
     |x|^(2 xi + 1) (1-x^2)^eta (every b_n is 0), with
       gamma_{2m} = m(m+eta)/((2m+xi+eta)(2m+xi+eta+1)),
@@ -186,6 +149,12 @@ def gegenbauer_sequence(jp: JacobiParams, n_max: int) -> list[Poly]:
     return _sequence(n_max, coeffs)
 
 
+def symmetric_gegenbauer(jp: JacobiParams, n: int) -> Poly:
+    """The monic generalized Gegenbauer member S_n, weight
+    |x|^(2 xi + 1) (1-x^2)^eta: the last entry of `gegenbauer_sequence`."""
+    return gegenbauer_sequence(jp, n)[n]
+
+
 def christoffel_transform(jp: JacobiParams, n: int) -> Poly:
     """Kernel-polynomial quotient (S_{n+1} - A_n S_n)/(x+1), exact.
 
@@ -193,7 +162,10 @@ def christoffel_transform(jp: JacobiParams, n: int) -> Poly:
     parameters (all zeros lie inside (-1,1)).  The division must leave a
     zero remainder; a nonzero one signals an internal inconsistency.
     """
-    return _christoffel(symmetric_gegenbauer(jp, n), symmetric_gegenbauer(jp, n + 1), n)
+    if n < 0:
+        raise ValueError("degree must be nonnegative")
+    *_, s_n, s_next = gegenbauer_sequence(jp, n + 1)
+    return _christoffel(s_n, s_next, n)
 
 
 def _christoffel(s_n: Poly, s_next: Poly, n: int) -> Poly:

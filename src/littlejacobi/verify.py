@@ -124,15 +124,14 @@ def _tag(params: ParamPair) -> str:
     return f"({params.alpha},{params.beta})"
 
 
+def _skip(suite, name, reason) -> CheckResult:
+    """A check that does not apply to its inputs, with the reason."""
+    return CheckResult(suite, name, True, f"not applicable: {reason}", skipped=True)
+
+
 def _skip_empty(suite, name, what="degree") -> CheckResult:
     """An empty sweep checks nothing, so it reports a skip, not a pass."""
-    return CheckResult(suite, name, True, f"not applicable: no {what} in the sweep", skipped=True)
-
-
-def _skip_float_range(suite, name, exc: FloatRangeError) -> CheckResult:
-    """A float check whose pair lies beyond the float range reports a skip
-    with the reason; the exact checks of the same pair still run."""
-    return CheckResult(suite, name, True, f"not applicable: {exc}", skipped=True)
+    return _skip(suite, name, f"no {what} in the sweep")
 
 
 def _sweep(suite, name, ns, fails, ok, bad="mismatch at n={}") -> CheckResult:
@@ -221,7 +220,7 @@ def _suite_orthogonality(opts: SuiteOptions) -> list[CheckResult]:
                 abs(weight_moment(params, k) - float(mf.c(k))) for k in range(9)
             )
         except FloatRangeError as exc:
-            results.append(_skip_float_range("orthogonality", name, exc))
+            results.append(_skip("orthogonality", name, exc))
             continue
         results.append(
             CheckResult(
@@ -302,20 +301,27 @@ def _suite_dunkl(opts: SuiteOptions) -> list[CheckResult]:
 
 def _suite_raising(opts: SuiteOptions) -> list[CheckResult]:
     n_max = opts.degree(10)
-    pairs = [p for p in opts.pairs if p.beta > 1]
+    pairs = list(opts.pairs)
     anchor = ParamPair(Fraction(1, 2), Fraction(5, 2))
     if anchor not in pairs:
         pairs.append(anchor)
-    return [
-        _report_sweep(
-            "raising",
-            f"degree raising n<={n_max} {_tag(params)}",
-            range(n_max + 1),
-            lambda: raising_sweep(params, n_max),
-            "exact",
+    results = []
+    for params in pairs:
+        name = f"degree raising n<={n_max} {_tag(params)}"
+        if params.beta <= 1:
+            # the target pair (alpha, beta-2) leaves the admissible range
+            results.append(_skip("raising", name, "raising lands at beta-2, so beta must exceed 1"))
+            continue
+        results.append(
+            _report_sweep(
+                "raising",
+                name,
+                range(n_max + 1),
+                lambda: raising_sweep(params, n_max),
+                "exact",
+            )
         )
-        for params in pairs
-    ]
+    return results
 
 
 def _suite_transforms(opts: SuiteOptions) -> list[CheckResult]:
@@ -406,15 +412,7 @@ def _suite_prop2(opts: SuiteOptions) -> list[CheckResult]:
         name = f"intertwiner route n<={n_max} {_tag(params)}"
         if params.alpha + params.beta <= -1:
             # the Jacobi pair (xi, xi+1) leaves the admissible range
-            results.append(
-                CheckResult(
-                    "prop2",
-                    name,
-                    True,
-                    "not applicable: the intertwiner route needs alpha + beta > -1",
-                    skipped=True,
-                )
-            )
+            results.append(_skip("prop2", name, "the intertwiner route needs alpha + beta > -1"))
             continue
         results.append(
             _report_sweep(
@@ -455,7 +453,7 @@ def _suite_qlimit(opts: SuiteOptions) -> list[CheckResult]:
         try:
             ratios, bad = _qlimit_ratios(params, n_max, eps_hi, eps_lo)
         except FloatRangeError as exc:
-            results.append(_skip_float_range("qlimit", name, exc))
+            results.append(_skip("qlimit", name, exc))
             continue
         results.append(
             CheckResult(
@@ -472,13 +470,7 @@ def _skip_underflow(name, what) -> CheckResult:
     """A well so deep that cos^(a+1/2) y underflows at every point of a
     row's grid leaves the row only zeros to compare, so it reports a skip
     with the reason."""
-    return CheckResult(
-        "susy",
-        name,
-        True,
-        f"not applicable: {what} underflows to 0.0 at every grid point",
-        skipped=True,
-    )
+    return _skip("susy", name, f"{what} underflows to 0.0 at every grid point")
 
 
 def _scaled_row(name, pairs, passes, note="") -> CheckResult:

@@ -138,8 +138,9 @@ def test_verify_off_the_default_pairs(suite, alpha, beta, capsys):
     ids=["-9/10--9/10", "-1/2--1/2"],
 )
 def test_verify_skips_prop2_below_its_range(alpha, beta, may_fail, capsys):
-    # the intertwiner route needs alpha + beta > -1: prop2 reports a skip,
-    # which is no failure, and every other suite still runs
+    # the intertwiner route needs alpha + beta > -1 and raising needs
+    # beta > 1: each reports a skip, which is no failure, and every other
+    # suite still runs
     assert run(["verify", "--suite", "prop2", "--alpha", alpha, "--beta", beta]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("SKIP [prop2] intertwiner route")
@@ -150,12 +151,31 @@ def test_verify_skips_prop2_below_its_range(alpha, beta, may_fail, capsys):
     data = json.loads(capsys.readouterr().out)
     results = data["results"]
     assert {r["suite"] for r in results} == set(verify.SUITES)
-    assert [r["suite"] for r in results if r["skipped"]] == ["prop2"]
+    assert [r["suite"] for r in results if r["skipped"]] == ["prop2", "raising"]
     assert all(r["passed"] for r in results if r["skipped"])
-    assert data["skipped"] == 1
+    assert data["skipped"] == 2
     assert data["passed"] + data["failed"] + data["skipped"] == len(results)
     assert {r["suite"] for r in results if not r["passed"]} <= may_fail
     assert code == (1 if data["failed"] else 0)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, skipped",
+    [("1/2", "1/2", True), ("3/2", "1", True), ("3/2", "11/10", False)],
+)
+def test_verify_raising_skips_pairs_with_beta_at_most_one(alpha, beta, skipped, capsys):
+    # raising lands at (alpha, beta - 2): a pair with beta <= 1 is reported
+    # as a SKIP row of its own, not dropped, and the anchor (1/2,5/2) runs
+    assert run(["verify", "--suite", "raising", "--alpha", alpha, "--beta", beta]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    row = f"[raising] degree raising n<=10 ({alpha},{beta})"
+    if skipped:
+        assert f"SKIP {row}: not applicable: raising lands at beta-2, so beta must exceed 1" in lines
+        assert lines[-1] == "1/2 checks passed, 1 skipped"
+    else:
+        assert f"PASS {row}: exact" in lines
+        assert lines[-1] == "2/2 checks passed, 0 skipped"
+    assert "PASS [raising] degree raising n<=10 (1/2,5/2): exact" in lines
 
 
 @pytest.mark.parametrize("coarse", [1e-3, 0.0], ids=["nonzero_coarse", "zero_coarse"])
@@ -438,8 +458,9 @@ def test_verify_all_suites_beyond_the_float_range(capsys):
     assert [line.split(":")[0].split(" (")[0] for line in lines if line.startswith("SKIP")] == [
         "SKIP [orthogonality] weight quadrature k<=8",
         "SKIP [qlimit] linear convergence n<=10",
+        "SKIP [raising] degree raising n<=10",
     ]
-    assert lines[-1] == "25/27 checks passed, 2 skipped"
+    assert lines[-1] == "25/28 checks passed, 3 skipped"
 
 
 @pytest.mark.parametrize(
@@ -557,7 +578,7 @@ def test_sample_output_is_pinned(args, digest, capsys):
 #: sha256 of `verify --format json`: the default run, and each suite of
 #: transforms sweeps and the aw suite at --n 40 for (7/10,5/3)
 VERIFY_DIGESTS = [
-    ((), "908df8b0943346f4cec8ee4cd8b730a75cbbfed9f13cd1a2163b3ce888e0ba0c"),
+    ((), "0e544b7b22bb94754a24053625e7bf05bf416d2e984e74a9efbeeaddc6207dc2"),
     (("--suite", "dunkl"), "821b908ff23323fd9b1331532c59f2984f97b55be3bddd64e7f28a06d5b7d877"),
     (("--suite", "raising"), "4c5be1324e75c4d32c0cd3f3af9d1e050c36e45c72a1a9ab85a0a887fbb5fe18"),
     (("--suite", "transforms"), "7ed520e7c1c51e1e4d27469356adc295a7161aa9f9b033135b7ae348ecac2979"),

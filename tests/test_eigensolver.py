@@ -71,7 +71,7 @@ def test_polynomial_eigenvalue_reproduces_quadratic():
     # lambda = -4 at (0,0): F = 1 + 2x - 4x^2
     sol = build_solution(FLAT, -4.0)
     for x in XS:
-        f, g = sol.f(x), sol.g(x)
+        f, g = sol._f_jet(x)[0], sol.g(x)
         assert abs(f + g - (1.0 + 2.0 * x - 4.0 * x * x)) < 1e-14
         assert abs(f - (1.0 - 4.0 * x * x)) < 1e-14
         assert abs(g - 2.0 * x) < 1e-14
@@ -79,7 +79,7 @@ def test_polynomial_eigenvalue_reproduces_quadratic():
 
 def test_lambda_zero_is_constant():
     sol = build_solution(FLAT, 0.0)
-    f, g = sol.f(0.7), sol.g(0.7)
+    f, g = sol._f_jet(0.7)[0], sol.g(0.7)
     assert f + g == 1.0
     assert f == 1.0
     assert g == 0.0
@@ -87,14 +87,14 @@ def test_lambda_zero_is_constant():
 
 def test_elementary_case_value():
     # lambda = 2(beta+1): f = (1-x^2)^(-(beta+1)/2), which the grid takes
-    # in closed form; beta = 1, x = 0.6: (1 - 0.36)^-1 = 1.5625
+    # in closed form; beta = 1, x = +-0.9: (1 - 0.81)^-1 = 1/0.19
     params = ParamPair(Fraction(0), Fraction(1))
-    rows = sample_rows(params, 4.0, 2, x_max=0.6)
-    assert [row["x"] for row in rows] == [-0.6, 0.6]
+    rows = sample_rows(params, 4.0, 2)
+    assert [row["x"] for row in rows] == [-0.9, 0.9]
     for row in rows:
-        assert abs(row["f"] - 1.5625) < 1e-15
+        assert abs(row["f"] - 1 / 0.19) < 1e-14
     # the even series there is 2F1(a, b; b; x^2) = (1-x^2)^(-a), the same function
-    assert abs(build_solution(params, 4.0).f(0.6) - 1.5625) < 1e-14
+    assert abs(build_solution(params, 4.0)._f_jet(0.9)[0] - 1 / 0.19) < 1e-13
 
 
 def test_elementary_ode_residual_closed_form():
@@ -122,7 +122,8 @@ def test_g_recovered_from_f():
         sol = build_solution(params, 1.3)
         den = 2.0 * (float(params.beta) + 1.0) - 1.3
         for x in XS:
-            recovered = (2.0 * (x * x - 1.0) * sol.f_prime(x) + 1.3 * x * sol.f(x)) / den
+            f, fp, _ = sol._f_jet(x)
+            recovered = (2.0 * (x * x - 1.0) * fp + 1.3 * x * f) / den
             assert abs(recovered - sol.g(x)) < 1e-12
 
 
@@ -192,7 +193,7 @@ def test_polynomial_series_proportional_to_family_member():
     sol = build_solution(GENERIC, float(lam))
     member = explicit_poly(GENERIC, 4)
     x = 0.37
-    ratio = (sol.f(x) + sol.g(x)) / float(member(x))
+    ratio = (sol._f_jet(x)[0] + sol.g(x)) / float(member(x))
     top = sol.f_series_coeffs[-1]
     assert abs(ratio - top) < 1e-10
 
@@ -209,8 +210,6 @@ def test_sample_rows_shape():
     assert rows[0]["x"] == -0.9
     assert rows[-1]["x"] == 0.9
     assert all(row["residual"] < 1e-10 for row in rows)
-    with pytest.raises(ValueError):
-        sample_rows(GENERIC, 1.3, 21, x_max=0.99)
 
 
 # -- the fused pass against separate passes, bit for bit ----------------------
@@ -221,13 +220,13 @@ def _bits(values):
     return [repr(v) for v in values]
 
 
-def _separate_rows(params, lam, points, x_max=0.9):
+def _separate_rows(params, lam, points):
     """sample_rows as separate per-point passes: f, f' (once for f' and
     again inside f''), f'' and g each walk their series."""
     sol = build_solution(params, lam)
     rows = []
     for i in range(points):
-        x = -x_max + 2.0 * x_max * i / (points - 1)
+        x = -0.9 + 2.0 * 0.9 * i / (points - 1)
         alpha = float(params.alpha)
         beta = float(params.beta)
         z = x * x
@@ -286,8 +285,9 @@ def test_derivatives_equal_separate_passes(case, x):
     sol = build_solution(params, lam)
     z = x * x
     f = sol.f_series_coeffs
-    assert _bits([sol.f_prime(x), sol.f_second(x)]) == _bits(
+    assert _bits(sol._f_jet(x)) == _bits(
         [
+            horner(f, z),
             2.0 * x * _separate_d(f, z),
             2.0 * _separate_d(f, z) + 4.0 * z * _separate_dd(f, z),
         ]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from littlejacobi import susyqm
 from littlejacobi.family import ParamPair, generate_monic
 from littlejacobi.operators import jacobi_sturm_liouville
-from littlejacobi.polys import Poly, horner
+from littlejacobi.polys import Poly, horner, terminating_2f1
 from littlejacobi.susyqm import (
     NODE_POINTS,
     L1Image,
@@ -84,13 +84,18 @@ def test_first_excited_value_at_origin():
 
 def test_state_polynomial_is_family_member():
     # the polynomial factor in sin y, made monic, is the alpha = 0,
-    # beta = 2a+1 family member -- exactly, coefficient by coefficient
-    family = ParamPair(Fraction(0), 2 * A + 1)
-    for n in range(7):
-        poly = eigenstate(A, n).poly
-        assert poly.degree == n
-        monic = poly / poly.leading_coefficient
-        assert monic == generate_monic(family, n)
+    # beta = 2a+1 family member -- exactly, coefficient by coefficient --
+    # and it equals 1 at sin y = 1: it is 2F1(-n, n+2a+2; a+1; (1-s)/2),
+    # the standard Jacobi polynomial at (a, a+1)
+    half_one_minus_s = Poly([Fraction(1, 2), Fraction(-1, 2)])
+    for a in (Fraction(7, 10), Fraction(51, 100), A, Fraction(1000)):
+        family = ParamPair(Fraction(0), 2 * a + 1)
+        for n in range(7):
+            poly = eigenstate(a, n).poly
+            assert poly.degree == n
+            assert poly(Fraction(1)) == 1
+            assert poly / poly.leading_coefficient == generate_monic(family, n)
+            assert poly == terminating_2f1(-n, n + 2 * a + 2, a + 1).compose(half_one_minus_s)
 
 
 def test_derivatives_against_finite_differences():
@@ -229,8 +234,6 @@ def test_default_grid_properties():
     assert all(b > a for a, b in zip(grid, grid[1:]))
     with pytest.raises(ValueError):
         default_grid(1)
-    with pytest.raises(ValueError):
-        default_grid(10, margin=0.0)
 
 
 # -- the grid path against the per-point functions ----------------------------
