@@ -164,20 +164,18 @@ def _cmd_sample(args, out) -> int:
         return 0
 
     _require_floats(args, "a")
-    ys = susyqm.default_grid(points)
+    # the potential target is the wavefunction grid without psi columns;
+    # only wavefunction reads --n
+    levels = 0
     if args.target == "wavefunction":
         if args.n < 0:
             raise ValueError("--n must be nonnegative")
-        well = susyqm.WellGrid(args.a, ys)
-        columns = [well.values(susyqm.eigenstate(args.a, k)) for k in range(args.n + 1)]
-        writer.writerow(["y", "U"] + [f"psi_{k}" for k in range(args.n + 1)])
-        writer.writerows(zip(ys, well.potential, *columns))
-        return 0
-
-    # potential
-    values = susyqm.potential_values(args.a, ys)
-    writer.writerow(["y", "U"])
-    writer.writerows(zip(ys, values))
+        levels = args.n + 1
+    ys = susyqm.default_grid(points)
+    well = susyqm.WellGrid(args.a, ys)
+    columns = [well.values(susyqm.eigenstate(args.a, k)) for k in range(levels)]
+    writer.writerow(["y", "U"] + [f"psi_{k}" for k in range(levels)])
+    writer.writerows(zip(ys, well.potential, *columns))
     return 0
 
 

@@ -13,20 +13,15 @@ derivatives here are analytic, so the susy suite of `verify`, which
 holds every residual check, measures the identities themselves, not a
 finite difference scheme.
 
-Every evaluation goes through the per-point pieces sin y, cos y, Phi(y)
-and the log-derivative of Phi (a sin, a cos, a sqrt and a pow), then
-Horner passes over p, p' and p'' (one fused pass for the full jet, see
-PhiPoly).  The per-point functions (PhiPoly's value/d1/d2, apply_L1,
-apply_H1, L1Image, node_count, potential, superpotential) take the
-pieces afresh on every call; a WellGrid takes them once per grid point
-and shares them across every state, every derivative and both signs of
-y, so a check over many states on one grid pays for the trigonometry
-once: at its defaults (six levels, 200 points, node counts on 400) the
-susy suite takes all its 848 sets of pieces on four grids (the main
-grid, the node grid, the Darboux flip's four points and the
-conjugation's sub-grid), where per-point calls took 15,644.  Both paths
-apply the same formula functions in the same order, so their numbers
-agree bit for bit.
+Every evaluation goes through a WellGrid: it takes the per-point
+pieces sin y, cos y, Phi(y) and the log-derivative of Phi (a sin, a cos,
+a sqrt and a pow) once per grid point, and shares them across every
+state, every derivative and both signs of y, so a check over many
+states on one grid pays for the trigonometry once.  A state then costs
+its Horner passes over p, p' and p'' (one fused pass for the full jet,
+see PhiPoly).  The per-point functions (potential, apply_L1, apply_H1,
+node_count) are views of a grid on their one point or on the node grid;
+only PhiPoly's value/d1/d2 take a point's pieces themselves.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ from .polys import Poly, as_fraction, horner, horner3, horner_rows
 
 __all__ = [
     "DEFAULT_MARGIN",
-    "L1Image",
     "NODE_POINTS",
     "PhiPoly",
     "SchrodingerParams",
@@ -53,10 +47,7 @@ __all__ = [
     "energy",
     "node_count",
     "potential",
-    "potential_values",
     "sign_changes",
-    "superpotential",
-    "superpotential_prime",
 ]
 
 HALF_PI = math.pi / 2.0
@@ -94,19 +85,6 @@ class SchrodingerParams:
     @property
     def beta(self) -> Fraction:
         return 2 * self.a + 1
-
-
-def potential(a, y) -> float:
-    """U(y) = (a+1/2)(a+1/2 - sin y)/cos^2 y on |y| < pi/2."""
-    a = _check_a(a)
-    y = _check_y(y)
-    return _potential(a, math.sin(y), math.cos(y))
-
-
-def potential_values(a, ys: Sequence[float]) -> list[float]:
-    """potential(a, y) at each y, with a checked once."""
-    a = _check_a(a)
-    return [_potential(a, math.sin(y), math.cos(y)) for y in map(_check_y, ys)]
 
 
 def _potential(a: float, s: float, c: float) -> float:
@@ -205,21 +183,6 @@ def eigenstate(a, n: int) -> PhiPoly:
     return PhiPoly(a, _state_poly(a, n))
 
 
-def apply_L1(a, f, y) -> float:
-    """(d/dy - (a+1/2)/cos y) applied to the parity flip of f:
-    -f'(-y) - (a+1/2) f(-y)/cos y.  f must expose value() and d1()."""
-    a = _check_a(a)
-    y = _check_y(y)
-    return _l1(a + 0.5, f.d1(-y), f.value(-y), math.cos(y))
-
-
-def apply_H1(a, f, y) -> float:
-    """-f''(y) + U(y) f(y).  f must expose value() and d2()."""
-    _check_a(a)
-    y = _check_y(y)
-    return _h1(f.d2(y), potential(a, y), f.value(y))
-
-
 def _l1(k: float, d1_mirror: float, value_mirror: float, c: float) -> float:
     """(L1 f)(y) from f'(-y), f(-y) and c = cos y, with k = a + 1/2."""
     return -d1_mirror - k * value_mirror / c
@@ -230,60 +193,6 @@ def _h1(d2: float, u: float, value: float) -> float:
     return -d2 + u * value
 
 
-def _l1_d1(
-    k: float, d2_mirror: float, d1_mirror: float, value_mirror: float, s: float, c: float
-) -> float:
-    """(L1 f)'(y) from f''(-y), f'(-y), f(-y), s = sin y and c = cos y."""
-    return d2_mirror + k * d1_mirror / c - k * value_mirror * s / (c * c)
-
-
-class L1Image:
-    """Lazy image of f under the square-root operator.
-
-    Carries one derivative of the image so the operator can be applied
-    twice: with k = a + 1/2 and v(y) = -f'(-y) - k f(-y)/cos y,
-
-        v'(y) = f''(-y) + k f'(-y)/cos y - k f(-y) sin y / cos^2 y.
-    """
-
-    __slots__ = ("a", "f")
-
-    def __init__(self, a, f):
-        self.a = _check_a(a)
-        self.f = f
-
-    def value(self, y) -> float:
-        return apply_L1(self.a, self.f, y)
-
-    def d1(self, y) -> float:
-        y = _check_y(y)
-        f = self.f
-        return _l1_d1(self.a + 0.5, f.d2(-y), f.d1(-y), f.value(-y), math.sin(y), math.cos(y))
-
-
-def superpotential(a, y) -> float:
-    """chi(y) = -(a+1/2)/cos y; even, and H1 = (d+chi)(-d+chi) splits off it."""
-    a = _check_a(a)
-    y = _check_y(y)
-    return _chi(a + 0.5, math.cos(y))
-
-
-def superpotential_prime(a, y) -> float:
-    a = _check_a(a)
-    y = _check_y(y)
-    return _chi_prime(a + 0.5, math.sin(y), math.cos(y))
-
-
-def _chi(k: float, c: float) -> float:
-    """chi(y) from c = cos y, with k = a + 1/2."""
-    return -k / c
-
-
-def _chi_prime(k: float, s: float, c: float) -> float:
-    """chi'(y) from s = sin y and c = cos y, with k = a + 1/2."""
-    return -k * s / (c * c)
-
-
 def default_grid(points: int) -> tuple[float, ...]:
     """Uniform grid on [-pi/2 + DEFAULT_MARGIN, pi/2 - DEFAULT_MARGIN]."""
     if points < 2:
@@ -292,12 +201,6 @@ def default_grid(points: int) -> tuple[float, ...]:
     hi = HALF_PI - DEFAULT_MARGIN
     step = (hi - lo) / (points - 1)
     return tuple(lo + i * step for i in range(points))
-
-
-def node_count(a, n: int, points: int = NODE_POINTS) -> int:
-    """Sign changes of psi_n across the default grid; should equal n."""
-    state = eigenstate(a, n)
-    return sign_changes(state.value(y) for y in default_grid(points))
 
 
 def sign_changes(values) -> int:
@@ -321,9 +224,7 @@ class WellGrid:
     The pieces at y and U(y) are taken when the grid is made, the pieces
     at -y when a mirrored image is first asked for.  A state then costs
     one jet per point (and one more at -y for the L1 image): Horner
-    passes and a few products, with no sin, cos, sqrt or pow.  Each
-    number equals the one the per-point functions give at that y, bit for
-    bit, because both paths apply the same formula functions.
+    passes and a few products, with no sin, cos, sqrt or pow.
     """
 
     __slots__ = ("a", "ys", "potential", "_here", "_mirror")
@@ -362,11 +263,13 @@ class WellGrid:
         return out
 
     def superpotential_terms(self) -> list[tuple[float, float, float, float]]:
-        """(U(y), U(-y), chi(y), chi'(y)) at each grid point."""
+        """(U(y), U(-y), chi(y), chi'(y)) at each grid point, with the
+        superpotential chi(y) = -(a+1/2)/cos y: even, and
+        H1 = (d+chi)(-d+chi) splits off it."""
         a = self.a
         k = a + 0.5
         return [
-            (u, _potential(a, s_mirror, c_mirror), _chi(k, c), _chi_prime(k, s, c))
+            (u, _potential(a, s_mirror, c_mirror), -k / c, -k * s / (c * c))
             for (s, c, _, _), (s_mirror, c_mirror, _, _), u in zip(
                 self._here, self._mirrored(), self.potential
             )
@@ -374,8 +277,11 @@ class WellGrid:
 
     def square_images(self, f: PhiPoly) -> list[tuple[float, float]]:
         """((L1 L1 f)(y), (H1 f)(y)) at each grid point.  L1 L1 f goes
-        through the image v = L1 f at -y and its derivative there, as
-        apply_L1 on an L1Image does."""
+        through the image v = L1 f at -y and its derivative there: with
+        k = a + 1/2, v(y) = -f'(-y) - k f(-y)/cos y and
+
+            v'(y) = f''(-y) + k f'(-y)/cos y - k f(-y) sin y / cos^2 y.
+        """
         self._check(f)
         k = self.a + 0.5
         out = []
@@ -383,6 +289,30 @@ class WellGrid:
             f0, f1, f2 = f._jet(here)
             s_mirror, c_mirror, _, _ = mirror
             image = _l1(k, f1, f0, c_mirror)
-            image_d1 = _l1_d1(k, f2, f1, f0, s_mirror, c_mirror)
+            image_d1 = f2 + k * f1 / c_mirror - k * f0 * s_mirror / (c_mirror * c_mirror)
             out.append((_l1(k, image_d1, image, here[1]), _h1(f2, u, f0)))
         return out
+
+
+def potential(a, y) -> float:
+    """U(y) = (a+1/2)(a+1/2 - sin y)/cos^2 y on |y| < pi/2."""
+    return WellGrid(a, (y,)).potential[0]
+
+
+def apply_L1(a, f: PhiPoly, y) -> float:
+    """(d/dy - (a+1/2)/cos y) applied to the parity flip of f:
+    -f'(-y) - (a+1/2) f(-y)/cos y, the L1 column of
+    `WellGrid.eigen_images` at y.  f is a PhiPoly of the same a; the
+    grid refuses one of another well."""
+    return WellGrid(a, (y,)).eigen_images(f)[0][1]
+
+
+def apply_H1(a, f: PhiPoly, y) -> float:
+    """-f''(y) + U(y) f(y), the H1 column of `WellGrid.eigen_images` at y."""
+    return WellGrid(a, (y,)).eigen_images(f)[0][2]
+
+
+def node_count(a, n: int, points: int = NODE_POINTS) -> int:
+    """Sign changes of psi_n across the default grid; should equal n."""
+    state = eigenstate(a, n)
+    return sign_changes(WellGrid(a, default_grid(points)).values(state))

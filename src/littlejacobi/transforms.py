@@ -8,13 +8,13 @@ checks, coefficient-exactly, that all three routes agree, together with
 the family's Dunkl lowering, the raising and intertwiner properties, and
 the generalized Gegenbauer lowering.
 
-Each identity is written once, as a ``_..._sides`` factory that builds
-its operator and auxiliary members once, at a top degree, and gives both
-sides at any degree up to it; `_first_failure` scans degrees over it.  A
-sweep (``*_sweep``) returns the first failing degree, or None; verify
-calls only the sweeps.  A per-n check (`identify_little`,
+The module holds the identities only; `verify` scans their degrees.
+Each identity is written once, as a ``..._sides(params, top)`` factory
+that builds its operator and auxiliary members once, at a top degree,
+and gives both sides at any degree up to it; an identity `holds` at a
+degree when all its sides are equal.  A per-n check (`identify_little`,
 `dunkl_classical_check`, `raising_check`, `intertwiner_check`) is the
-same scan over its one degree and returns whether the identity holds.
+factory at its one degree and returns whether the identity holds.
 
 The classical members are built one way only: the sequences
 (`jacobi_sequence`, `gegenbauer_sequence`) give every degree up to N
@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional
+from typing import Callable
 
 from .family import ParamPair, generate_monic
 from .operators import dunkl_derivative, dunkl_intertwiner, raising_operator
@@ -41,18 +41,19 @@ __all__ = [
     "JacobiParams",
     "christoffel_transform",
     "dunkl_classical_check",
-    "dunkl_classical_sweep",
     "extract_recurrence",
-    "gegenbauer_dunkl_sweep",
+    "gegenbauer_lowering_sides",
     "gegenbauer_sequence",
     "geronimus_coefficient",
+    "holds",
+    "identification_sides",
     "identify_little",
-    "identify_little_sweep",
     "intertwiner_check",
-    "intertwiner_sweep",
+    "intertwiner_sides",
     "jacobi_sequence",
+    "lowering_sides",
     "raising_check",
-    "raising_sweep",
+    "raising_sides",
     "symmetric_gegenbauer",
 ]
 
@@ -205,26 +206,23 @@ def geronimus_coefficient(params: ParamPair, n: int) -> Fraction:
 _Sides = Callable[[int], tuple[Poly, ...]]
 
 
-def _first_failure(ns: Iterable[int], sides: _Sides) -> Optional[int]:
-    """The first n in ns whose ``sides(n)`` are not all equal, or None.  A
-    degree costs one exact comparison of coefficient tuples per side."""
-    for n in ns:
-        first, *rest = sides(n)
-        if any(p != first for p in rest):
-            return n
-    return None
+def holds(sides: tuple[Poly, ...]) -> bool:
+    """Whether all sides of an identity at one degree are equal: one exact
+    comparison of coefficient tuples per side."""
+    first, *rest = sides
+    return all(p == first for p in rest)
 
 
-# Each identity below is written once, as a ``_..._sides(params, top)``
+# Each identity below is written once, as a ``..._sides(params, top)``
 # factory: it builds the operator and the auxiliary members once, at degree
 # top, and returns n -> (lhs, rhs[, ...]) for every n <= top.  An operator
 # table's rows do not depend on its truncation, and a sequence's members do
 # not depend on its length, so every degree sees the same polynomials
-# whatever top is.  A sweep scans 0..n_max (1..n_max for the lowerings)
-# and returns the first failing degree; a per-n check scans its one degree.
+# whatever top is.  verify scans 0..top (1..top for the lowerings); a
+# per-n check reads its one degree.
 
 
-def _identification_sides(params: ParamPair, top: int) -> _Sides:
+def identification_sides(params: ParamPair, top: int) -> _Sides:
     """n -> (P_n, Christoffel transform, Geronimus combination).
 
     The Christoffel route divides S_{n+1} - A_n S_n by x+1, with S_k the
@@ -247,15 +245,10 @@ def _identification_sides(params: ParamPair, top: int) -> _Sides:
 def identify_little(params: ParamPair, n: int) -> bool:
     """Recurrence member == Christoffel transform == Geronimus combination
     at degree n, coefficient-exactly."""
-    return _first_failure((n,), _identification_sides(params, n)) is None
+    return holds(identification_sides(params, n)(n))
 
 
-def identify_little_sweep(params: ParamPair, n_max: int) -> Optional[int]:
-    """The first n = 0..n_max at which `identify_little` fails, or None."""
-    return _first_failure(range(n_max + 1), _identification_sides(params, max(n_max, 0)))
-
-
-def _lowering_sides(params: ParamPair, top: int) -> _Sides:
+def lowering_sides(params: ParamPair, top: int) -> _Sides:
     """n -> (T_{alpha/2} P_n, [n] P_{n-1} at (alpha, beta+2)), n >= 1."""
     mu = params.alpha / 2
     op = dunkl_derivative(mu, top)
@@ -272,15 +265,10 @@ def dunkl_classical_check(params: ParamPair, n: int) -> bool:
     """Dunkl lowering: T_{alpha/2} P_n = [n] P_{n-1} at (alpha, beta+2)."""
     if n < 1:
         raise ValueError("lowering check needs n >= 1")
-    return _first_failure((n,), _lowering_sides(params, n)) is None
+    return holds(lowering_sides(params, n)(n))
 
 
-def dunkl_classical_sweep(params: ParamPair, n_max: int) -> Optional[int]:
-    """The first n = 1..n_max at which `dunkl_classical_check` fails, or None."""
-    return _first_failure(range(1, n_max + 1), _lowering_sides(params, max(n_max, 0)))
-
-
-def _raising_sides(params: ParamPair, top: int) -> _Sides:
+def raising_sides(params: ParamPair, top: int) -> _Sides:
     """n -> (Theta P_n, nu_{n+1} P_{n+1} at (alpha, beta-2)),
     nu_m = m + beta - 1 + (1-(-1)^m) alpha/2.  Needs beta > 1 so the
     target parameters stay admissible."""
@@ -299,15 +287,10 @@ def _raising_sides(params: ParamPair, top: int) -> _Sides:
 
 def raising_check(params: ParamPair, n: int) -> bool:
     """Raising: Theta P_n^(alpha,beta) = nu_{n+1} P_{n+1}^(alpha,beta-2)."""
-    return _first_failure((n,), _raising_sides(params, n)) is None
+    return holds(raising_sides(params, n)(n))
 
 
-def raising_sweep(params: ParamPair, n_max: int) -> Optional[int]:
-    """The first n = 0..n_max at which `raising_check` fails, or None."""
-    return _first_failure(range(n_max + 1), _raising_sides(params, max(n_max, 0)))
-
-
-def _intertwiner_sides(params: ParamPair, top: int) -> _Sides:
+def intertwiner_sides(params: ParamPair, top: int) -> _Sides:
     """n -> (sigma_n^{-1} V_{alpha/2} J_n, P_n), with J_n the monic standard
     Jacobi polynomial at (xi, xi+1), xi = (alpha+beta-1)/2, and sigma_n the
     diagonal of V_{alpha/2}.  Needs alpha + beta > -1 so that (xi, xi+1)
@@ -324,27 +307,16 @@ def _intertwiner_sides(params: ParamPair, top: int) -> _Sides:
 def intertwiner_check(params: ParamPair, n: int) -> bool:
     """Intertwiner route: sigma_n^{-1} V_{alpha/2} applied to the standard
     Jacobi polynomial at (xi, xi+1), xi = (alpha+beta-1)/2, equals P_n."""
-    return _first_failure((n,), _intertwiner_sides(params, n)) is None
+    return holds(intertwiner_sides(params, n)(n))
 
 
-def intertwiner_sweep(params: ParamPair, n_max: int) -> Optional[int]:
-    """The first n = 0..n_max at which `intertwiner_check` fails, or None."""
-    return _first_failure(range(n_max + 1), _intertwiner_sides(params, max(n_max, 0)))
-
-
-def _gegenbauer_lowering_sides(jp: JacobiParams, top: int) -> _Sides:
+def gegenbauer_lowering_sides(jp: JacobiParams, top: int) -> _Sides:
     """n -> (T_{xi+1/2} S_n^(xi,eta), [n] S_{n-1}^(xi,eta+1)), n >= 1."""
     mu = jp.xi + Fraction(1, 2)
     op = dunkl_derivative(mu, top)
     base = gegenbauer_sequence(jp, top)
     shifted = gegenbauer_sequence(JacobiParams(jp.xi, jp.eta + 1), top)
     return lambda n: (op.apply(base[n]), (n + mu * (1 - (-1) ** n)) * shifted[n - 1])
-
-
-def gegenbauer_dunkl_sweep(jp: JacobiParams, n_max: int) -> Optional[int]:
-    """The first n = 1..n_max at which the generalized Gegenbauer lowering
-    T_{xi+1/2} S_n^(xi,eta) = [n] S_{n-1}^(xi,eta+1) fails, or None."""
-    return _first_failure(range(1, n_max + 1), _gegenbauer_lowering_sides(jp, max(n_max, 0)))
 
 
 def extract_recurrence(seq: list[Poly], n: int) -> tuple[Fraction, Fraction]:

@@ -42,13 +42,14 @@ from .operators import (
 from .polys import Poly, reflect
 from .transforms import (
     JacobiParams,
-    dunkl_classical_sweep,
     extract_recurrence,
-    gegenbauer_dunkl_sweep,
+    gegenbauer_lowering_sides,
     gegenbauer_sequence,
-    identify_little_sweep,
-    intertwiner_sweep,
-    raising_sweep,
+    holds,
+    identification_sides,
+    intertwiner_sides,
+    lowering_sides,
+    raising_sides,
 )
 
 __all__ = [
@@ -142,15 +143,6 @@ def _sweep(suite, name, ns, fails, ok, bad="mismatch at n={}") -> CheckResult:
         return _skip_empty(suite, name)
     first = next((n for n in ns if fails(n)), None)
     return CheckResult(suite, name, first is None, ok if first is None else bad.format(first))
-
-
-def _report_sweep(suite, name, ns, sweep, ok) -> CheckResult:
-    """The result of a transforms sweep over ns: ``sweep()`` returns the
-    first failing degree or None.  Skip when ns is empty."""
-    if not ns:
-        return _skip_empty(suite, name)
-    first = sweep()
-    return CheckResult(suite, name, first is None, ok if first is None else f"mismatch at n={first}")
 
 
 def _suite_orthogonality(opts: SuiteOptions) -> list[CheckResult]:
@@ -275,16 +267,18 @@ def _suite_explicit(opts: SuiteOptions) -> list[CheckResult]:
 
 def _suite_dunkl(opts: SuiteOptions) -> list[CheckResult]:
     n_max = opts.degree(12)
-    results = [
-        _report_sweep(
-            "dunkl",
-            f"lowering n<={n_max} {_tag(params)}",
-            range(1, n_max + 1),
-            lambda: dunkl_classical_sweep(params, n_max),
-            "exact",
+    results = []
+    for params in opts.pairs:
+        sides = lowering_sides(params, n_max)
+        results.append(
+            _sweep(
+                "dunkl",
+                f"lowering n<={n_max} {_tag(params)}",
+                range(1, n_max + 1),
+                lambda n: not holds(sides(n)),
+                "exact",
+            )
         )
-        for params in opts.pairs
-    ]
     # mu = alpha/2 = 0 degenerates the reflection term: plain derivative,
     # on the whole truncation window
     report = op_equal(dunkl_derivative(0, 30), derivative(30))
@@ -312,14 +306,9 @@ def _suite_raising(opts: SuiteOptions) -> list[CheckResult]:
             # the target pair (alpha, beta-2) leaves the admissible range
             results.append(_skip("raising", name, "raising lands at beta-2, so beta must exceed 1"))
             continue
+        sides = raising_sides(params, n_max)
         results.append(
-            _report_sweep(
-                "raising",
-                name,
-                range(n_max + 1),
-                lambda: raising_sweep(params, n_max),
-                "exact",
-            )
+            _sweep("raising", name, range(n_max + 1), lambda n: not holds(sides(n)), "exact")
         )
     return results
 
@@ -331,12 +320,14 @@ def _suite_transforms(opts: SuiteOptions) -> list[CheckResult]:
         jp = JacobiParams((params.alpha - 1) / 2, (params.beta - 1) / 2)
         base = gegenbauer_sequence(jp, 20)
         seq = [generate_monic(params, k) for k in range(12)]
+        routes = identification_sides(params, n_max)
+        lowering = gegenbauer_lowering_sides(jp, 10)
         results += [
-            _report_sweep(
+            _sweep(
                 "transforms",
                 f"Christoffel/Geronimus identification n<={n_max} {_tag(params)}",
                 range(n_max + 1),
-                lambda: identify_little_sweep(params, n_max),
+                lambda n: not holds(routes(n)),
                 "all three constructions agree",
             ),
             _sweep(
@@ -347,11 +338,11 @@ def _suite_transforms(opts: SuiteOptions) -> list[CheckResult]:
                 "S_n(-x) = (-1)^n S_n(x)",
                 "parity broken at n={}",
             ),
-            _report_sweep(
+            _sweep(
                 "transforms",
                 f"Gegenbauer Dunkl lowering n<=10 {_tag(params)}",
                 range(1, 11),
-                lambda: gegenbauer_dunkl_sweep(jp, 10),
+                lambda n: not holds(lowering(n)),
                 "exact",
             ),
             _sweep(
@@ -414,14 +405,9 @@ def _suite_prop2(opts: SuiteOptions) -> list[CheckResult]:
             # the Jacobi pair (xi, xi+1) leaves the admissible range
             results.append(_skip("prop2", name, "the intertwiner route needs alpha + beta > -1"))
             continue
+        sides = intertwiner_sides(params, n_max)
         results.append(
-            _report_sweep(
-                "prop2",
-                name,
-                range(n_max + 1),
-                lambda: intertwiner_sweep(params, n_max),
-                "exact",
-            )
+            _sweep("prop2", name, range(n_max + 1), lambda n: not holds(sides(n)), "exact")
         )
     return results
 

@@ -384,6 +384,16 @@ def test_sample_potential(capsys):
     assert len(lines) == 6
 
 
+def test_sample_potential_ignores_n(capsys):
+    # potential shares the wavefunction branch, but --n is wavefunction's
+    assert run(["sample", "potential", "--points", "9"]) == 0
+    expected = capsys.readouterr().out
+    assert run(["sample", "potential", "--points", "9", "--n", "-1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == expected
+    assert captured.err == ""
+
+
 def test_sample_rejects_bad_lambda():
     with pytest.raises(SystemExit) as exc:
         run(["sample", "eigenfunction", "--lambda", "abc"])
@@ -595,6 +605,27 @@ def test_verify_output_is_pinned(args, digest, monkeypatch, capsys):
     if args:
         args = (*args, "--n", "40", "--alpha", "7/10", "--beta", "5/3")
     assert run(["verify", *args, "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+#: sha256 of `verify --suite susy --format json`: a shallow well on a
+#: 7-point grid, a deep well, and one so deep that cos^(a+1/2) y underflows
+#: and five rows report SKIP; every printed residual is pinned to the bit.
+SUSY_DIGESTS = [
+    (
+        ("--a", "51/100", "--points", "7", "--levels", "3"),
+        "f4e48f92f44c9bfcc0ae500179caee5c982eba2b5fd9e27a4ed93f1c0a08b449",
+    ),
+    (("--a", "1000"), "06236319a0ac831e22c014d848c3a4135f352d29ddbab046e8c2e34d7d92cdc7"),
+    (("--a", "1e20"), "59eee08ca94985c71822267103a873555ef6e0aa45e39909e4b36c6476116fba"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", SUSY_DIGESTS, ids=[" ".join(args) for args, _ in SUSY_DIGESTS]
+)
+def test_verify_susy_output_is_pinned(args, digest, capsys):
+    assert run(["verify", "--suite", "susy", *args, "--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

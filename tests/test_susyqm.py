@@ -13,7 +13,6 @@ from littlejacobi.operators import jacobi_sturm_liouville
 from littlejacobi.polys import Poly, horner, terminating_2f1
 from littlejacobi.susyqm import (
     NODE_POINTS,
-    L1Image,
     PhiPoly,
     SchrodingerParams,
     WellGrid,
@@ -24,10 +23,7 @@ from littlejacobi.susyqm import (
     energy,
     node_count,
     potential,
-    potential_values,
     sign_changes,
-    superpotential,
-    superpotential_prime,
 )
 from littlejacobi.susyqm import _pieces  # the jets take a point's pieces
 from littlejacobi.verify import SuiteOptions, run_suites
@@ -136,23 +132,10 @@ def test_H1_eigen_relation():
 
 def test_L1_squared_is_H1():
     polys = [Poly.ONE, Poly.X, Poly([Fraction(-1, 2), 0, 1]), Poly([0, 0, 0, 1, 0, 0, 2])]
-    ys = GRID[::4]
+    well = WellGrid(A, GRID[::4])
     for p in polys:
-        f = PhiPoly(A, p)
-        image = L1Image(A, f)
-        for y in ys:
-            twice = apply_L1(A, image, y)
-            direct = apply_H1(A, f, y)
+        for twice, direct in well.square_images(PhiPoly(A, p)):
             assert abs(twice - direct) / max(1.0, abs(direct)) < 1e-8
-
-
-def test_L1_image_derivative_is_consistent():
-    f = eigenstate(A, 2)
-    image = L1Image(A, f)
-    h = 1e-4
-    for y in (-0.9, 0.1, 0.8):
-        num = (image.value(y + h) - image.value(y - h)) / (2 * h)
-        assert abs(image.d1(y) - num) < 1e-5
 
 
 def test_factorization_conditions_hold():
@@ -221,9 +204,11 @@ def test_node_counts():
 
 def test_superpotential_prime_consistency():
     h = 1e-4
-    for y in (-1.0, -0.2, 0.5, 1.3):
-        num = (superpotential(A, y + h) - superpotential(A, y - h)) / (2 * h)
-        assert abs(superpotential_prime(A, y) - num) < 1e-5
+    ys = (-1.0, -0.2, 0.5, 1.3)
+    terms = WellGrid(A, [p for y in ys for p in (y - h, y, y + h)]).superpotential_terms()
+    for k in range(len(ys)):
+        (_, _, chi_minus, _), (_, _, _, chi_prime), (_, _, chi_plus, _) = terms[3 * k : 3 * k + 3]
+        assert abs(chi_prime - (chi_plus - chi_minus) / (2 * h)) < 1e-5
 
 
 def test_default_grid_properties():
@@ -236,7 +221,42 @@ def test_default_grid_properties():
         default_grid(1)
 
 
-# -- the grid path against the per-point functions ----------------------------
+# -- the grid against closed-form references, point by point -----------------
+#
+# Each reference applies the closed form to PhiPoly's per-point jets in the
+# same order of operations as susyqm, so the grid must equal it bit for bit.
+
+
+def _u_ref(a, y):
+    # U(y) = (a+1/2)(a+1/2 - sin y)/cos^2 y
+    a, c = float(a), math.cos(y)
+    return (a + 0.5) * (a + 0.5 - math.sin(y)) / (c * c)
+
+
+def _l1_ref(a, f, y):
+    # (L1 f)(y) = -f'(-y) - k f(-y)/cos y, k = a + 1/2
+    return -f.d1(-y) - (float(a) + 0.5) * f.value(-y) / math.cos(y)
+
+
+def _h1_ref(a, f, y):
+    # (H1 f)(y) = -f''(y) + U(y) f(y)
+    return -f.d2(y) + _u_ref(a, y) * f.value(y)
+
+
+def _l1_squared_ref(a, f, y):
+    # L1 of v = L1 f, from v(-y) = -f'(y) - k f(y)/cos(-y) and
+    # v'(-y) = f''(y) + k f'(y)/cos(-y) - k f(y) sin(-y)/cos^2(-y)
+    k, s, c = float(a) + 0.5, math.sin(-y), math.cos(-y)
+    image = -f.d1(y) - k * f.value(y) / c
+    image_d1 = f.d2(y) + k * f.d1(y) / c - k * f.value(y) * s / (c * c)
+    return -image_d1 - k * image / math.cos(y)
+
+
+def _chi_ref(a, y):
+    # chi(y) = -(a+1/2)/cos y and chi'(y) = -(a+1/2) sin y/cos^2 y
+    k, c = float(a) + 0.5, math.cos(y)
+    return -k / c, -k * math.sin(y) / (c * c)
+
 
 wells = st.fractions(min_value=Fraction(1, 2), max_value=5, max_denominator=11).filter(
     lambda a: a > Fraction(1, 2)
@@ -247,27 +267,29 @@ wells = st.fractions(min_value=Fraction(1, 2), max_value=5, max_denominator=11).
 @settings(max_examples=40, deadline=None)
 def test_grid_equals_per_point_evaluation(a, n, points):
     # one set of pieces per point, shared by every state and derivative,
-    # must give exactly what the per-point calls give
+    # must give exactly what the closed forms give point by point
     ys = default_grid(points)
     well = WellGrid(a, ys)
     state = eigenstate(a, n)
-    image = L1Image(a, state)
     assert well.ys == ys
     assert well.values(state) == [state.value(y) for y in ys]
-    assert list(well.potential) == [potential(a, y) for y in ys]
     for y, here, mirror in zip(ys, well._here, well._mirrored()):
         assert state._jet(here) == (state.value(y), state.d1(y), state.d2(y))
         assert state._jet(mirror) == (state.value(-y), state.d1(-y), state.d2(-y))
     assert well.eigen_images(state) == [
-        (state.value(y), apply_L1(a, state, y), apply_H1(a, state, y)) for y in ys
+        (state.value(y), _l1_ref(a, state, y), _h1_ref(a, state, y)) for y in ys
     ]
     assert well.square_images(state) == [
-        (apply_L1(a, image, y), apply_H1(a, state, y)) for y in ys
+        (_l1_squared_ref(a, state, y), _h1_ref(a, state, y)) for y in ys
     ]
     assert well.superpotential_terms() == [
-        (potential(a, y), potential(a, -y), superpotential(a, y), superpotential_prime(a, y))
-        for y in ys
+        (_u_ref(a, y), _u_ref(a, -y), *_chi_ref(a, y)) for y in ys
     ]
+    # the per-point functions are views of a one-point grid
+    y = ys[len(ys) // 2]
+    assert potential(a, y) == _u_ref(a, y)
+    assert apply_L1(a, state, y) == _l1_ref(a, state, y)
+    assert apply_H1(a, state, y) == _h1_ref(a, state, y)
 
 
 def _separate_jet(state, pieces, order):
@@ -331,9 +353,8 @@ def test_empty_derivative_reads_negative_zero(p, pieces, k):
 
 def test_potential_values_equal_per_point_potential():
     ys = default_grid(41)
-    assert potential_values(A, ys) == [potential(A, y) for y in ys]
-    with pytest.raises(ValueError, match="exceed 1/2"):
-        potential_values(Fraction(1, 2), ys)
+    assert list(WellGrid(A, ys).potential) == [_u_ref(A, y) for y in ys]
+    assert [potential(A, y) for y in ys] == [_u_ref(A, y) for y in ys]
 
 
 @given(wells, st.integers(min_value=0, max_value=9))
@@ -345,8 +366,13 @@ def test_grid_node_counts_equal_node_count(a, n):
 
 def test_grid_refuses_a_state_of_another_well():
     well = WellGrid(A, GRID)
+    other = eigenstate(Fraction(5, 2), 1)
     with pytest.raises(ValueError, match="share the well parameter"):
-        well.values(eigenstate(Fraction(5, 2), 1))
+        well.values(other)
+    # the per-point operators are grid views, so they refuse it too
+    for apply in (apply_L1, apply_H1):
+        with pytest.raises(ValueError, match="share the well parameter"):
+            apply(A, other, 0.3)
     with pytest.raises(ValueError, match="exceed 1/2"):
         WellGrid(Fraction(1, 2), GRID)
     with pytest.raises(ValueError, match="inside"):

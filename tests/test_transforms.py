@@ -11,19 +11,20 @@ from littlejacobi.family import ParamPair, generate_monic, recurrence_coeffs
 from littlejacobi.polys import Poly, reflect, terminating_2f1
 from littlejacobi.transforms import (
     JacobiParams,
-    _first_failure,
     christoffel_transform,
     dunkl_classical_check,
     extract_recurrence,
-    gegenbauer_dunkl_sweep,
+    gegenbauer_lowering_sides,
     gegenbauer_sequence,
     geronimus_coefficient,
+    holds,
     identify_little,
     intertwiner_check,
     jacobi_sequence,
     raising_check,
     symmetric_gegenbauer,
 )
+from littlejacobi.verify import _sweep
 
 PAIRS = [
     ParamPair(Fraction(1, 2), Fraction(3, 2)),
@@ -181,9 +182,13 @@ def test_identification_all_routes_agree():
 def test_first_failure_compares_every_side():
     # the identification has three routes: a mismatch in the last one fails
     sides = lambda n: (Poly.ONE, Poly.ONE, Poly.X if n == 2 else Poly.ONE)  # noqa: E731
-    assert _first_failure(range(5), sides) == 2
-    assert _first_failure(range(2), sides) is None
-    assert _first_failure((), sides) is None
+
+    def scan(ns):
+        return _sweep("transforms", "scan", ns, lambda n: not holds(sides(n)), "exact")
+
+    assert scan(range(5)).detail == "mismatch at n=2"
+    assert scan(range(2)).passed
+    assert scan(()).skipped
 
 
 def test_unshifted_combination_differs():
@@ -228,7 +233,8 @@ def test_gegenbauer_dunkl_lowering():
     # sequence members, which equal the closed-form ones
     jp = JacobiParams(Fraction(-1, 4), Fraction(1, 4))
     shifted = JacobiParams(jp.xi, jp.eta + 1)
-    assert gegenbauer_dunkl_sweep(jp, 10) is None
+    sides = gegenbauer_lowering_sides(jp, 10)
+    assert all(holds(sides(n)) for n in range(1, 11))
     assert gegenbauer_sequence(jp, 10) == [gegenbauer_2f1(jp, k) for k in range(11)]
     assert gegenbauer_sequence(shifted, 9) == [gegenbauer_2f1(shifted, k) for k in range(10)]
 

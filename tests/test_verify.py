@@ -97,23 +97,28 @@ def test_sweeps_report_the_first_failure_of_the_per_n_scan(monkeypatch):
     assert failed == set(per_n)
 
 
+def _scan(sides, ns):
+    # verify's scan of a transforms identity over the degrees ns
+    return verify._sweep("scan", "scan", ns, lambda n: not transforms.holds(sides(n)), "exact")
+
+
 def test_sweep_reports_equal_the_per_n_reports(monkeypatch):
     member = _perturbed(family.generate_monic)
     monkeypatch.setattr(transforms, "generate_monic", member)
-    scans = [  # (sweep, per-n check, first degree)
-        (transforms.dunkl_classical_sweep, transforms.dunkl_classical_check, 1),
-        (transforms.raising_sweep, transforms.raising_check, 0),
-        (transforms.intertwiner_sweep, transforms.intertwiner_check, 0),
-        (transforms.identify_little_sweep, transforms.identify_little, 0),
+    scans = [  # (sides factory, per-n check, first degree)
+        (transforms.lowering_sides, transforms.dunkl_classical_check, 1),
+        (transforms.raising_sides, transforms.raising_check, 0),
+        (transforms.intertwiner_sides, transforms.intertwiner_check, 0),
+        (transforms.identification_sides, transforms.identify_little, 0),
     ]
-    for sweep, check, start in scans:
-        assert sweep(PAIR, N_MAX) == K
+    for sides, check, start in scans:
+        assert _scan(sides(PAIR, N_MAX), range(start, N_MAX + 1)).detail == f"mismatch at n={K}"
         assert not check(PAIR, K)
         assert all(check(PAIR, n) for n in range(start, K))
-        assert sweep(PAIR, K - 1) is None
+        assert _scan(sides(PAIR, K - 1), range(start, K)).passed
     # the Gegenbauer family never uses the members
     jp = transforms.JacobiParams((PAIR.alpha - 1) / 2, (PAIR.beta - 1) / 2)
-    assert transforms.gegenbauer_dunkl_sweep(jp, N_MAX) is None
+    assert _scan(transforms.gegenbauer_lowering_sides(jp, N_MAX), range(1, N_MAX + 1)).passed
 
 
 # -- golden record of the exact suites ----------------------------------------
