@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .family import ParamPair
+from .family import FloatRangeError, ParamPair
 from .polys import horner, horner3, horner_rows
 
 __all__ = ["EigenSolution", "build_solution", "ode_residual", "sample_rows"]
@@ -52,8 +52,8 @@ def _series(a: float, b: float, c: float, scale: float) -> tuple[float, ...]:
     k = 0
     while len(coeffs) < _TRUNC_CAP:
         den = (c + k) * (k + 1)
-        if den == 0.0:
-            raise ValueError("series denominator vanished: parameter out of domain")
+        if den == 0.0:  # only c = (alpha+1)/2 > 0 can round to 0.0, at alpha = -1 + tiny
+            raise FloatRangeError("alpha lies within float rounding of -1")
         term = coeffs[-1] * (a + k) * (b + k) / den
         if term == 0.0:
             break

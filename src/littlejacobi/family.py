@@ -165,9 +165,6 @@ class MomentFunctional:
     params: ParamPair
     moments: tuple[Fraction, ...]
 
-    def __len__(self) -> int:
-        return len(self.moments)
-
     def c(self, k: int) -> Fraction:
         if not 0 <= k < len(self.moments):
             raise ValueError(
@@ -187,42 +184,29 @@ class MomentFunctional:
             Fraction(0),
         ) / prod.den
 
-    def gram(self, polys: Sequence[Poly]) -> list[list[Fraction]]:
-        """Lower triangle of the Gram matrix: ``gram(ps)[n][m] = <ps[n], ps[m]>``
-        for m <= n, exact and equal to ``inner_product`` entry by entry.
-
-        No polynomial product is formed.  The moments are scaled to
-        integers C_k = D c_k over one common denominator D, and each
-        polynomial is read as its integer numerators over its denominator
-        d_n (``Poly.nums`` and ``Poly.den``).  The moment
-        image L[x^j p_n] = sum_i p_n[i] C_{i+j} is computed once per
-        polynomial, and each entry is the integer dot product of p_m with
-        it, divided by D d_n d_m once.  For N polynomials of degree <= N
-        that is O(N^3) integer multiply-adds, against O(N^4) Fraction
-        products for the pairwise ``inner_product`` scan.
+    def mixed_moments(self, polys: Sequence[Poly]) -> list[Poly]:
+        """Row n holds sigma_n(j) = L[x^j polys[n]], j = 0..n, as the
+        coefficients of a Poly, so <q, polys[n]> = sum_j q[j] sigma_n(j) for
+        deg q <= n.  polys holds one polynomial of each degree 0..N in order,
+        so polys[0..n-1] span degree < n.  Row n is sum_i p_n[i] C_{i+j} over
+        D d_n, with C_k = D c_k the moments scaled once to integers over a
+        common denominator and p_n[i] / d_n the coefficients of polys[n]
+        (``Poly.nums``, ``Poly.den``): O(N^3) integer multiply-adds and no
+        Fraction per entry.
         """
-        top = max([0] + [2 * len(p.nums) - 2 for p in polys])
+        if not polys or [p.degree for p in polys] != list(range(len(polys))):
+            raise ValueError("mixed moments need one polynomial of each degree 0..N, in order")
+        top = 2 * len(polys) - 2
         if top >= len(self.moments):
-            raise ValueError(
-                f"inner product needs moment {top}, have 0..{len(self.moments) - 1}"
+            raise ValueError(f"inner product needs moment {top}, have 0..{len(self.moments) - 1}")
+        den = math.lcm(*(c.denominator for c in self.moments[: top + 1]))
+        scaled = [c.numerator * (den // c.denominator) for c in self.moments[: top + 1]]
+        return [
+            Poly.from_ints(
+                [sum(map(mul, p.nums, scaled[j:])) for j in range(len(p.nums))], den * p.den
             )
-        moment_den = math.lcm(*(c.denominator for c in self.moments[: top + 1]))
-        scaled_moments = [
-            c.numerator * (moment_den // c.denominator) for c in self.moments[: top + 1]
+            for p in polys
         ]
-        scaled = [(p.nums, p.den) for p in polys]
-
-        rows, width = [], 0
-        for a, den in scaled:
-            width = max(width, len(a))
-            image = [sum(map(mul, a, scaled_moments[j:])) for j in range(width)]
-            rows.append(
-                [
-                    Fraction(sum(map(mul, b, image)), moment_den * den * d)
-                    for b, d in scaled[: len(rows) + 1]
-                ]
-            )
-        return rows
 
     def hankel_determinant(self, n: int) -> Fraction:
         """det of the (n+1) x (n+1) moment matrix (c_{i+j}), exact.
@@ -342,6 +326,8 @@ def weight_normalization(params: ParamPair) -> float:
         )
     except OverflowError:
         raise FloatRangeError("the weight's normalization lies beyond the float range") from None
+    except ValueError:  # lgamma(0.0): an admissible alpha or beta that rounds to -1.0
+        raise FloatRangeError("alpha or beta lies within float rounding of -1") from None
 
 
 def weight_eval(params: ParamPair, x: float) -> float:

@@ -151,17 +151,19 @@ def _suite_orthogonality(opts: SuiteOptions) -> list[CheckResult]:
     for params in opts.pairs:
         # the Hankel check reads moments up to 16 and the quadrature up to 8
         mf = moments(params, max(2 * n_max, 16))
-        gram = mf.gram([generate_monic(params, k) for k in range(n_max + 1)])
+        members = [generate_monic(params, k) for k in range(n_max + 1)]
+        rows = mf.mixed_moments(members)
+
+        def pairing(m, n):  # <P_m, P_n> = sum_i p_m[i] sigma_n(i), for m <= n
+            p, row = members[m], rows[n]
+            return Fraction(sum(map(operator.mul, p.nums, row.nums)), p.den * row.den)
 
         name = f"pair vanishing n<={n_max} {_tag(params)}"
-        witness = next(
-            (
-                f"<P_{n}, P_{m}> = {gram[n][m]}"
-                for n in range(1, n_max + 1)
-                for m in range(n)
-                if gram[n][m] != 0
-            ),
-            "",
+        # P_0..P_{n-1} span degree < n, so the first row with a nonzero
+        # sigma_n(j), j < n, holds the scan's first nonzero <P_n, P_m>
+        bad = next((n for n in range(1, n_max + 1) if any(rows[n].nums[:n])), None)
+        witness = "" if bad is None else next(
+            f"<P_{bad}, P_{m}> = {value}" for m in range(bad) if (value := pairing(m, bad))
         )
         results.append(
             CheckResult(
@@ -181,7 +183,7 @@ def _suite_orthogonality(opts: SuiteOptions) -> list[CheckResult]:
                 "orthogonality",
                 f"norm product rule n<={n_max} {_tag(params)}",
                 range(n_max + 1),
-                lambda n: gram[n][n] != norms[n],
+                lambda n: pairing(n, n) != norms[n],
                 "norms match u_1..u_n products",
             )
         )

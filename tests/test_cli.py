@@ -424,6 +424,10 @@ def test_rational_beyond_float_range_is_a_domain_error(argv, option, capsys):
     assert captured.out == ""
 
 
+#: -1 + 10^-30: admissible, but float() rounds it to -1.0
+NEAR_MINUS_ONE = "-999999999999999999999999999999/1000000000000000000000000000000"
+
+
 @pytest.mark.parametrize(
     "args, skipped, reason",
     [
@@ -447,8 +451,21 @@ def test_rational_beyond_float_range_is_a_domain_error(argv, option, capsys):
             "weight quadrature k<=8",
             "the weight integrand overflows the float range",
         ),
+        (
+            ["--suite", "orthogonality", "--alpha", "1/2", f"--beta={NEAR_MINUS_ONE}"],
+            "weight quadrature k<=8",
+            "alpha or beta lies within float rounding of -1",
+        ),
+        (
+            ["--suite", "orthogonality", f"--alpha={NEAR_MINUS_ONE}", "--beta", "3/2"],
+            "weight quadrature k<=8",
+            "alpha or beta lies within float rounding of -1",
+        ),
     ],
-    ids=["quadrature_1e400", "qlimit_1e400", "quadrature_1e6", "integrand_beta_2100"],
+    ids=[
+        "quadrature_1e400", "qlimit_1e400", "quadrature_1e6", "integrand_beta_2100",
+        "quadrature_beta_near_-1", "quadrature_alpha_near_-1",
+    ],
 )
 def test_verify_skips_float_checks_beyond_the_float_range(args, skipped, reason, capsys):
     # the float checks raised OverflowError (a traceback, exit 1); now each
@@ -506,12 +523,34 @@ def test_verify_skips_susy_rows_whose_states_underflow(args, skipped, capsys):
             assert r["detail"].endswith(" underflows to 0.0 at every grid point")
 
 
-def test_sample_weight_beyond_the_float_range(capsys):
-    # a finite pair whose normalization exp(...) overflows: OverflowError
-    # and exit 1 before, a domain error now
-    assert run(["sample", "weight", "--alpha", "1000000", "--beta", "1000000"]) == 2
+@pytest.mark.parametrize(
+    "args, reason",
+    [
+        # exp(...) overflows: OverflowError and exit 1 before
+        (
+            ["--alpha", "1000000", "--beta", "1000000"],
+            "the weight's normalization lies beyond the float range",
+        ),
+        # lgamma(0.0): "math domain error" before
+        ([f"--beta={NEAR_MINUS_ONE}"], "alpha or beta lies within float rounding of -1"),
+    ],
+    ids=["normalization_1e6", "beta_near_-1"],
+)
+def test_sample_weight_beyond_the_float_range(args, reason, capsys):
+    # a finite pair the float weight cannot hold is a domain error
+    assert run(["sample", "weight", *args]) == 2
     captured = capsys.readouterr()
-    assert "the weight's normalization lies beyond the float range" in captured.err
+    assert reason in captured.err
+    assert captured.out == ""
+
+
+def test_sample_eigenfunction_at_alpha_near_minus_one(capsys):
+    # (alpha+1)/2 > 0 rounds to 0.0; the pair is admissible, so the refusal
+    # names the float limit and not the domain
+    assert run(["sample", "eigenfunction", f"--alpha={NEAR_MINUS_ONE}"]) == 2
+    captured = capsys.readouterr()
+    assert "alpha lies within float rounding of -1" in captured.err
+    assert "out of domain" not in captured.err
     assert captured.out == ""
 
 
@@ -586,7 +625,8 @@ def test_sample_output_is_pinned(args, digest, capsys):
 
 
 #: sha256 of `verify --format json`: the default run, and each suite of
-#: transforms sweeps and the aw suite at --n 40 for (7/10,5/3)
+#: transforms sweeps, the aw suite and the orthogonality suite at --n 40
+#: for (7/10,5/3)
 VERIFY_DIGESTS = [
     ((), "0e544b7b22bb94754a24053625e7bf05bf416d2e984e74a9efbeeaddc6207dc2"),
     (("--suite", "dunkl"), "821b908ff23323fd9b1331532c59f2984f97b55be3bddd64e7f28a06d5b7d877"),
@@ -594,6 +634,10 @@ VERIFY_DIGESTS = [
     (("--suite", "transforms"), "7ed520e7c1c51e1e4d27469356adc295a7161aa9f9b033135b7ae348ecac2979"),
     (("--suite", "prop2"), "e7961165055e0492e8303b1ce76f7cad9c4802a5fabc2487cbbd04ffd15ad651"),
     (("--suite", "aw"), "4c60c6dc6628729858d3e11427a8a3c8147e7c53ac5d1ca8d8099ed832d36ea3"),
+    (
+        ("--suite", "orthogonality"),
+        "c6681191334658a7e566e7639a199db1fd700240d52604ff6ac184b6d1f596a9",
+    ),
 ]
 
 

@@ -206,7 +206,7 @@ def test_moments_match_pochhammer_closed_form(alpha, beta):
     params = ParamPair(alpha, beta)
     top, bottom = (params.alpha + 1) / 2, (params.alpha + params.beta + 2) / 2
     mf = moments(params, 120)
-    assert len(mf) == 121
+    assert len(mf.moments) == 121
     for k in range(121):
         m = (k + 1) // 2
         assert mf.c(k) == pochhammer(top, m) / pochhammer(bottom, m)
@@ -230,60 +230,101 @@ def test_orthogonality_and_norms():
     assert norm_square(PAIRS[0], 0) == 1
 
 
-def test_gram_of_monomials_is_the_hankel_matrix():
+def test_mixed_moments_of_monomials_are_hankel_rows():
+    # L[x^j x^n] = c_{n+j}
     for params in PAIRS:
         mf = moments(params, 16)
-        gram = mf.gram([monomial(k) for k in range(9)])
-        assert gram == [[mf.c(i + j) for j in range(i + 1)] for i in range(9)]
+        rows = mf.mixed_moments([monomial(k) for k in range(9)])
+        assert [row.coeffs for row in rows] == [
+            tuple(mf.c(n + j) for j in range(n + 1)) for n in range(9)
+        ]
 
 
-small_polys = st.lists(
-    st.lists(
-        st.fractions(min_value=-5, max_value=5, max_denominator=12), max_size=7
-    ).map(Poly),
-    max_size=5,
+# monic polynomials of degrees 0..k, one per degree, in order
+monic_ladders = st.integers(min_value=0, max_value=5).flatmap(
+    lambda k: st.tuples(
+        *(
+            st.lists(
+                st.fractions(min_value=-5, max_value=5, max_denominator=12),
+                min_size=n,
+                max_size=n,
+            ).map(lambda low: Poly([*low, 1]))
+            for n in range(k + 1)
+        )
+    )
 )
 
 
-@given(admissible, admissible, small_polys)
+@given(admissible, admissible, monic_ladders)
 @settings(max_examples=60, deadline=None)
-def test_gram_matches_inner_product(alpha, beta, polys):
-    mf = moments(ParamPair(alpha, beta), 12)
-    gram = mf.gram(polys)
-    assert gram == [
-        [mf.inner_product(polys[n], polys[m]) for m in range(n + 1)]
-        for n in range(len(polys))
-    ]
+def test_mixed_moments_match_inner_product(alpha, beta, polys):
+    mf = moments(ParamPair(alpha, beta), 10)
+    rows = mf.mixed_moments(polys)
+    assert len(rows) == len(polys)
+    for n, (p, row) in enumerate(zip(polys, rows)):
+        assert len(row.nums) <= n + 1
+        for j in range(n + 1):
+            assert row.coefficient(j) == mf.inner_product(p, monomial(j))
+        for m in range(n + 1):
+            pairing = sum(c * row.coefficient(i) for i, c in enumerate(polys[m].coeffs))
+            assert pairing == mf.inner_product(polys[m], p)
 
 
-def test_gram_needs_enough_moments():
+def test_mixed_moments_need_enough_moments():
     mf = moments(PAIRS[0], 4)
     with pytest.raises(ValueError, match="inner product needs moment 6"):
-        mf.gram([generate_monic(PAIRS[0], 1), generate_monic(PAIRS[0], 3)])
+        mf.mixed_moments([generate_monic(PAIRS[0], k) for k in range(4)])
 
 
-def test_orthogonality_witness_matches_pairwise_scan(monkeypatch):
+@pytest.mark.parametrize(
+    "degrees",
+    [(), (1, 3), (0, 2), (1, 0), (0, 1, 1), (None,)],
+    ids=["empty", "gaps", "skips_1", "out_of_order", "repeated", "zero_polynomial"],
+)
+def test_mixed_moments_need_one_member_per_degree(degrees):
+    # rows 0..n-1 must span degree < n for a vanishing row to mean orthogonality
+    polys = [Poly.ZERO if d is None else generate_monic(PAIRS[0], d) for d in degrees]
+    with pytest.raises(ValueError, match="one polynomial of each degree 0..N"):
+        moments(PAIRS[0], 16).mixed_moments(polys)
+
+
+def _bump(k):
+    """Add 1/7 to the coefficient of x^k."""
+    return lambda p: p + Poly([0] * k + [Fraction(1, 7)])
+
+
+@pytest.mark.parametrize(
+    "n, broken, witness_m",
+    [
+        (5, _bump(2), 0),
+        # orthogonal to P_0, so the scan must not stop at m = 0
+        (5, lambda p: p + Fraction(1, 7) * generate_monic(PAIRS[0], 1), 1),
+        # the top row of the table
+        (12, _bump(3), 0),
+    ],
+    ids=["coefficient", "plus_P1", "top_member"],
+)
+def test_orthogonality_witness_matches_pairwise_scan(monkeypatch, n, broken, witness_m):
     params, n_max = PAIRS[0], 12
     members = [generate_monic(params, k) for k in range(n_max + 1)]
-    coeffs = list(members[5].coeffs)
-    coeffs[2] += Fraction(1, 7)
-    members[5] = Poly(coeffs)
+    members[n] = broken(members[n])
     monkeypatch.setattr(verify, "generate_monic", lambda _, k: members[k])
 
     mf = moments(params, 2 * n_max)
-    expected = next(
-        f"<P_{n}, P_{m}> = {value}"
-        for n in range(1, n_max + 1)
-        for m in range(n)
-        if (value := mf.inner_product(members[n], members[m])) != 0
+    expected, scanned = next(
+        (f"<P_{k}, P_{m}> = {value}", (k, m))
+        for k in range(1, n_max + 1)
+        for m in range(k)
+        if (value := mf.inner_product(members[k], members[m])) != 0
     )
+    assert scanned == (n, witness_m)
     options = verify.SuiteOptions(pairs=(params,), max_degree=n_max)
     results = {r.name.split(" n<=")[0]: r for r in verify.run_suites(["orthogonality"], options)}
     vanishing, norms = results["pair vanishing"], results["norm product rule"]
     assert not vanishing.passed
     assert vanishing.detail == expected
     assert not norms.passed
-    assert norms.detail == "mismatch at n=5"
+    assert norms.detail == f"mismatch at n={n}"
 
 
 def test_orthogonality_suite_at_degree_80():
