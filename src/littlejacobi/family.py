@@ -23,6 +23,8 @@ __all__ = [
     "FloatRangeError",
     "MomentFunctional",
     "ParamPair",
+    "WEIGHT_TOLERANCE",
+    "WeightQuadrature",
     "eigenvalue",
     "explicit_poly",
     "generate_monic",
@@ -34,6 +36,7 @@ __all__ = [
     "table_rows",
     "weight_eval",
     "weight_moment",
+    "weight_moments",
     "weight_normalization",
     "weight_values",
 ]
@@ -306,6 +309,11 @@ class FloatRangeError(ValueError):
     """
 
 
+#: Absolute error allowed in a moment of the weight: the orthogonality
+#: suite's quadrature gate, and the accuracy weight_normalization promises.
+WEIGHT_TOLERANCE = 1e-8
+
+
 def _float_params(params: ParamPair) -> tuple[float, float]:
     """(alpha, beta) as floats, or FloatRangeError for a value that float()
     cannot hold."""
@@ -316,18 +324,32 @@ def _float_params(params: ParamPair) -> tuple[float, float]:
 
 
 def weight_normalization(params: ParamPair) -> float:
-    """Normalization constant making the weight integrate to 1."""
+    """Normalization constant making the weight integrate to 1,
+    kappa = exp(lgamma(A) - lgamma(B) - lgamma(C)) with A = (alpha+beta)/2
+    + 1, B = (beta+1)/2 and C = (alpha+1)/2.
+
+    A, B and C are formed exactly and rounded once, so B and C keep their
+    relative precision as beta or alpha nears -1.  The difference of the
+    lgammas cancels: each is rounded relative to its own size, so kappa's
+    relative error is about 2^-53 (|lgamma A| + |lgamma B| + |lgamma C|).
+    That estimate under-reads by up to a quarter at alpha = 5 10^6, so
+    where twice it exceeds WEIGHT_TOLERANCE (alpha or beta from about
+    3.3 10^6), FloatRangeError says so, as it does where alpha or beta
+    rounds to -1.0 and the float weight's exponent with it.
+    """
     a, b = _float_params(params)
+    if a == -1.0 or b == -1.0:
+        raise FloatRangeError("alpha or beta lies within float rounding of -1")
+    alpha, beta = params.alpha, params.beta
     try:
-        return math.exp(
-            math.lgamma(a / 2 + b / 2 + 1)
-            - math.lgamma(b / 2 + 0.5)
-            - math.lgamma(a / 2 + 0.5)
-        )
+        args = ((alpha + beta) / 2 + 1, (beta + 1) / 2, (alpha + 1) / 2)
+        logs = [math.lgamma(float(v)) for v in args]
+        kappa = math.exp(logs[0] - logs[1] - logs[2])
     except OverflowError:
         raise FloatRangeError("the weight's normalization lies beyond the float range") from None
-    except ValueError:  # lgamma(0.0): an admissible alpha or beta that rounds to -1.0
-        raise FloatRangeError("alpha or beta lies within float rounding of -1") from None
+    if sum(map(abs, logs)) * 2.0**-52 > WEIGHT_TOLERANCE:
+        raise FloatRangeError("the weight's normalization loses digits to cancellation")
+    return kappa
 
 
 def weight_eval(params: ParamPair, x: float) -> float:
@@ -352,40 +374,138 @@ def weight_values(params: ParamPair, xs: Sequence[float]) -> list[float]:
     return out
 
 
-def weight_moment(params: ParamPair, k: int) -> float:
-    """Numeric integral of x**k against the weight over (-1, 1).
+@dataclass(frozen=True)
+class WeightQuadrature:
+    """Moments of the weight by the tanh-sinh rule of `weight_moments`.
 
-    The interval is split at 0 and each half is mapped by x = 1 - t**2,
-    which absorbs the endpoint singularity of (1-x^2)^((beta-1)/2); the
-    |x|^alpha singularity at 0 lands at t = 1 where it is integrable.
-    The factors 1 - x = t**2 and 1 + x = 2 - t**2 are folded in
-    analytically, so 1 - x^2 is never formed in floating point (it
-    rounds to 0.0 near t = 0).
-
-    Raises FloatRangeError when the normalization, the integrand or the
-    result leaves the float range.
+    ``values[k]`` is the integral of x**k against the weight over (-1, 1);
+    ``nodes`` counts the weight evaluations; ``level_difference`` is the
+    largest relative change of a moment over the last step halving.  That
+    difference is an estimate of the error, not a bound: it under-reads
+    where the rule has not resolved the weight.
     """
-    from scipy.integrate import quad  # deferred: the exact routes never need scipy
 
-    if k < 0:
+    values: tuple[float, ...]
+    nodes: int
+    level_difference: float
+
+
+#: Tanh-sinh rule on (0, 1): the step of level L is _TS_STEP / 2**L and
+#: the nodes stop at |s| = _TS_SPAN, where the weights are below 1e-20.
+_TS_STEP = 0.5
+_TS_SPAN = 3.5
+#: Levels agreeing to _TS_AGREE (relative) stop the halving, once at least
+#: _TS_MIN_LEVELS have run; after _TS_MAX_LEVELS a difference above
+#: _TS_ACCEPT means the rule did not converge.
+_TS_MIN_LEVELS = 3
+_TS_MAX_LEVELS = 8
+_TS_AGREE = 1e-15
+_TS_ACCEPT = 1e-12
+
+
+@lru_cache(maxsize=None)
+def _tanh_sinh_level(level: int) -> tuple[tuple[float, float], ...]:
+    """(log v, weight) of the nodes v = (1 + tanh(pi/2 sinh s)) / 2 that
+    level `level` adds: every s = j h with |s| <= _TS_SPAN at level 0,
+    the odd multiples of h after.  log v comes from the distance to the
+    nearer end, so neither v nor 1 - v is rounded away."""
+    h = _TS_STEP / 2**level
+    count = int(_TS_SPAN / h)
+    steps = range(-count, count + 1) if level == 0 else range(1 - count - count % 2, count + 1, 2)
+    out = []
+    for s in (j * h for j in steps):
+        u = math.pi * abs(math.sinh(s))
+        q = math.exp(-u)  # min(v, 1 - v) = q / (1 + q)
+        log_v = -u - math.log1p(q) if s < 0 else -math.log1p(q)
+        out.append((log_v, h * math.pi * math.cosh(s) * q / (1 + q) ** 2))
+    return tuple(out)
+
+
+def weight_moments(params: ParamPair, top: int) -> WeightQuadrature:
+    """The integrals of x**k against the weight over (-1, 1), k = 0..top,
+    by one tanh-sinh rule (Takahasi and Mori, Publ. RIMS 9, 1974).
+
+    The two halves of (-1, 1) fold onto (0, 1), where x^k (1+x) + (-x)^k
+    (1-x) is 2 x^k for even k and 2 x^(k+1) for odd k, so each node
+    weighs the even powers once.  (0, 1) splits at the mode
+    sqrt(alpha/(alpha+2e)) of x^alpha (1-x^2)^e, e = (beta-1)/2, when it
+    is interior, else at 1/2.  The singular part of each endpoint factor
+    goes into the variable: x = m v^(1/(alpha+1)) near 0 when alpha < 0
+    and 1 - x = (1-m) w^(1/(e+1)) near 1 when e < 0, so the rule sees a
+    bounded integrand, at most about 4 / min(alpha+1, (beta+1)/2).  Each
+    node's value is formed in logs, from x and t = 1 - x both computed
+    without cancellation and each log taken from the nearer end: x^alpha
+    is exp(alpha log1p(-t)) near 1, so the layer t ~ 1/alpha where large
+    alpha puts the mass is not rounded away.
+
+    The step halves until two levels agree to _TS_AGREE.  Raises
+    FloatRangeError where `weight_normalization` does, and when the rule
+    has not converged after _TS_MAX_LEVELS levels.
+    """
+    if top < 0:
         raise ValueError("moment order must be nonnegative")
-    kappa = weight_normalization(params)
-    a, b = _float_params(params)
+    kappa = weight_normalization(params)  # raises where the pair leaves the float range
+    a, e = float(params.alpha), float((params.beta - 1) / 2)
+    if a > 0 and e > 0:
+        mode2 = params.alpha / (params.alpha + params.beta - 1)
+        m = math.sqrt(mode2)
+        tm = float(1 - mode2) / (1 + m)  # 1 - m without cancellation
+    else:
+        m = tm = 0.5
+    # exponents absorbed into v and w, and the factors left in the integrand
+    pa = float(params.alpha + 1) if a < 0 else 1.0
+    pe = float((params.beta + 1) / 2) if e < 0 else 1.0
+    a_left, e_left = max(a, 0.0), max(e, 0.0)
+    scale_a = pa * math.log(m) - math.log(pa)  # x^(pa-1) dx = m^pa / pa dv on (0, m)
+    scale_b = pe * math.log(tm) - math.log(pe)  # t^(pe-1) dt = (1-m)^pe / pe dw on (m, 1)
 
-    def integrand(t):
-        x = 1.0 - t * t
-        s = 2.0 - t * t
-        # 2t (1-x^2)^((b-1)/2) = 2 t^b s^((b-1)/2); the halves carry 1+x = s and 1-x = t^2
-        return 2.0 * t**b * s ** ((b - 1.0) / 2.0) * x**a * (x**k * s + (-x) ** k * t * t)
+    def log_value(x, t, scale, x_power, t_power):
+        # log of scale x^x_power t^t_power (1+x)^e, with x and t = 1 - x both
+        # accurate and each log taken from the nearer end
+        out = scale + e * math.log1p(x)
+        if x_power:
+            out += x_power * (math.log(x) if x < 0.5 else math.log1p(-t))
+        if t_power:
+            out += t_power * (math.log(t) if t < 0.5 else math.log1p(-x))
+        return out
 
-    try:
-        out = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-12, limit=200, full_output=1)
-    except OverflowError:  # float ** raises where * would give inf
-        raise FloatRangeError("the weight integrand overflows the float range") from None
-    value = kappa * out[0]
-    if not math.isfinite(value):
-        raise FloatRangeError("the weight integral overflows the float range")
-    return value
+    powers = (top + 1) // 2 + 1  # x^0, x^2, .., up to the even power of moment top
+    sums: list[float] = []
+    nodes = 0
+    difference = math.inf
+    for level in range(_TS_MAX_LEVELS):
+        acc = [0.0] * powers
+        table = _tanh_sinh_level(level)
+        for log_v, weight in table:
+            r = log_v / pa  # x = m v^(1/pa) on (0, m)
+            x, t = m * math.exp(r), tm - m * math.expm1(r)
+            near = (x, log_value(x, t, scale_a, a_left, e))
+            r = log_v / pe  # 1 - x = (1-m) w^(1/pe) on (m, 1)
+            x, t = m - tm * math.expm1(r), tm * math.exp(r)
+            far = (x, log_value(x, t, scale_b, a, e_left))
+            for x, log_f in (near, far):
+                f = weight * math.exp(log_f)
+                x2 = x * x
+                for j in range(powers):
+                    acc[j] += f
+                    f *= x2
+        nodes += 2 * len(table)
+        new = acc if not sums else [s / 2 + c for s, c in zip(sums, acc)]
+        if sums:
+            difference = max(abs(n - o) / n for n, o in zip(new, sums))
+        sums = new
+        if level + 1 >= _TS_MIN_LEVELS and difference <= _TS_AGREE:
+            break
+    if difference > _TS_ACCEPT:
+        raise FloatRangeError("the weight quadrature did not converge")
+    values = tuple(2 * kappa * sums[(k + 1) // 2] for k in range(top + 1))
+    return WeightQuadrature(values, nodes, difference)
+
+
+def weight_moment(params: ParamPair, k: int) -> float:
+    """Integral of x**k against the weight over (-1, 1): one entry of
+    `weight_moments`."""
+    return weight_moments(params, k).values[k]
 
 
 # -- deformation limit -------------------------------------------------------

@@ -22,6 +22,7 @@ from littlejacobi.family import (
     table_rows,
     weight_eval,
     weight_moment,
+    weight_moments,
 )
 from littlejacobi.polys import Poly, monomial, pochhammer
 
@@ -415,13 +416,24 @@ def test_weight_singular_at_origin_for_negative_alpha():
 
 @pytest.mark.parametrize(
     "alpha, beta",
-    [("1/2", "3/2"), ("-9/10", "-9/10"), ("-2/3", "-1/4")],
+    [
+        ("1/2", "3/2"), ("-2/3", "-1/4"),
+        # near the corner (-1,-1), and large beta, where the mass sits near an end
+        ("-9/10", "-9/10"), ("-99/100", "-99/100"), ("-999/1000", "-999/1000"),
+        ("0", "200"), ("-1/2", "30"), ("0", "2100"),
+        # kappa's lgamma arguments are rounded once, from the exact (beta+1)/2
+        ("1/2", "-999999999/1000000000"),
+    ],
 )
 def test_weight_moments_match_exact(alpha, beta):
+    # far inside the orthogonality suite's 1e-8 gate
     params = ParamPair(Fraction(alpha), Fraction(beta))
     mf = moments(params, 8)
-    for k in range(9):
-        assert abs(weight_moment(params, k) - float(mf.c(k))) < 1e-8
+    quad = weight_moments(params, 8)
+    assert len(quad.values) == 9
+    for k, value in enumerate(quad.values):
+        assert abs(value - float(mf.c(k))) < 1e-12
+    assert 0.0 <= quad.level_difference <= 1e-12
 
 
 def test_weight_normalizes_to_one():
