@@ -17,7 +17,6 @@ import csv
 import functools
 import io
 import json
-import os
 import re
 import sys
 from fractions import Fraction
@@ -47,9 +46,9 @@ def _rational(text: str) -> Fraction:
 class _Parser(argparse.ArgumentParser):
     """ArgumentParser that reads every token starting "-<digit>" or
     "-.<digit>" as a value, never as a flag.  argparse by itself does so
-    only for negative integers and decimals, so "--alpha -9/10" and the
-    second value of "--eps 1e-3 -1e-4" would read as unknown flags.  No
-    option of this CLI starts with a digit.  Subparsers inherit the class."""
+    only for negative integers and decimals, so "--alpha -9/10" and
+    "--eps -1e-4" would read as unknown flags.  No option of this CLI
+    starts with a digit.  Subparsers inherit the class."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -111,11 +110,9 @@ def _cmd_verify(args, out) -> int:
         a=args.a,
         levels=args.levels,
         points=args.points,
-        epsilons=tuple(args.eps),
+        epsilon=args.eps,
     )
-    seed_text = os.environ.get("MINUSONE_SEED")
-    seed = int(seed_text) if seed_text else None
-    results = run_suites([args.suite], options, seed=seed)
+    results = run_suites([args.suite], options)
     failed = sum(1 for r in results if not r.passed)
     skipped = sum(1 for r in results if r.skipped)
     passed = len(results) - failed - skipped
@@ -209,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--a", type=_rational, default=Fraction(3, 2), help="well parameter for the susy suite")
     verify.add_argument("--levels", type=int, default=5)
     verify.add_argument("--points", type=int, default=200)
-    verify.add_argument("--eps", type=float, nargs="+", default=[1e-3, 1e-4], help="two deformation parameters a factor 10 apart, coarse to fine")
+    verify.add_argument("--eps", type=float, default=1e-3, help="qlimit's deformation parameter; it also runs at eps/10")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--output", default="-")
     verify.set_defaults(func=_cmd_verify)

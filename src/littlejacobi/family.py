@@ -535,7 +535,10 @@ def qjacobi_recurrence(epsilon: float, alpha, beta, n: int) -> tuple[Optional[fl
 
     def checked(den: float, name: str) -> float:
         if abs(den) < 1e-12:
-            raise ValueError(f"near-singular denominator in {name} at eps={epsilon}")
+            raise FloatRangeError(
+                f"the deformation's denominator in {name} at eps={epsilon} lies below "
+                "1e-12, within float rounding of 0"
+            )
         return den
 
     def big_a(k: int) -> float:

@@ -228,18 +228,11 @@ class Poly:
             return NotImplemented
         if divisor.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        dcoeffs = divisor.coeffs
-        dlen = len(dcoeffs)
-        lead = dcoeffs[-1]
-        quot = [Fraction(0)] * max(len(rem) - dlen + 1, 0)
-        for i in range(len(rem) - dlen, -1, -1):
-            factor = rem[i + dlen - 1] / lead
-            if factor:
-                quot[i] = factor
-                for j, d in enumerate(dcoeffs):
-                    rem[i + j] -= factor * d
-        return Poly(quot), Poly(rem)
+        quot, rem, lead = Poly.ZERO, self, divisor.leading_coefficient
+        while rem.degree >= divisor.degree:
+            term = monomial(rem.degree - divisor.degree, rem.leading_coefficient / lead)
+            quot, rem = quot + term, rem - term * divisor
+        return quot, rem
 
     # -- calculus and evaluation -----------------------------------------
 
@@ -247,29 +240,11 @@ class Poly:
         return Poly.from_ints([k * c for k, c in enumerate(self.nums)][1:], self.den)
 
     def compose(self, inner: "Poly") -> "Poly":
-        """self(inner(x)), exact, by one Horner pass over integers.
-
-        With self = sum_k P_k x^k / d and inner = Q(x) / s over integer
-        numerators, self(inner) = sum_k P_k s^(n-k) Q^k / (d s^n), n the
-        degree of self.  Horner accumulates that integer polynomial with
-        plain int multiply-adds, one pass per coefficient of self, each
-        costing len(acc) products per nonzero coefficient of Q: O(n^2)
-        for the linear and monomial inner polynomials the package uses.
-        """
-        if not self.nums:
-            return Poly.ZERO
-        outer, q, s = self.nums, inner.nums, inner.den
-        taps = [(j, c) for j, c in enumerate(q) if c]
-        acc, scale = [outer[-1]], 1
-        for p in reversed(outer[:-1]):
-            scale *= s
-            nxt = [0] * max(len(acc) + len(q) - 1, 1)
-            for j, c in taps:
-                end = j + len(acc)
-                nxt[j:end] = [x + c * a for x, a in zip(nxt[j:end], acc)]
-            nxt[0] += p * scale
-            acc = nxt
-        return Poly.from_ints(acc, self.den * scale)
+        """self(inner(x)), exact, by Horner's rule in the polynomial ring."""
+        out = Poly.ZERO
+        for c in reversed(self.coeffs):
+            out = out * inner + Poly([c])
+        return out
 
     def __call__(self, x):
         """Horner evaluation over the Fraction coefficients; exact for

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import operator
-import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import accumulate
@@ -89,7 +88,7 @@ class SuiteOptions:
     a: Fraction = Fraction(3, 2)
     levels: int = 5
     points: int = 200
-    epsilons: tuple[float, ...] = (1e-3, 1e-4)
+    epsilon: float = 1e-3
 
     def __post_init__(self):
         # a negative bound would leave an empty sweep
@@ -102,21 +101,9 @@ class SuiteOptions:
         susyqm.SchrodingerParams(self.a)
         if self.points < 2:
             raise ValueError("need at least two grid points")
-        # qlimit compares the error at the coarse epsilon with the error at
-        # the fine one; linear convergence puts their ratio in its window
-        # [8, 12] only when the two are a factor 10 apart
-        eps = self.epsilons
-        if len(eps) < 2:
-            raise ValueError("epsilon list needs at least two values, coarse to fine")
-        if not all(math.isfinite(e) and e > 0 for e in eps):
-            raise ValueError(f"epsilons must be finite and positive, got {list(eps)}")
-        if eps[0] <= eps[-1]:
-            raise ValueError("epsilon list must go from coarse to fine")
-        if len(eps) > 2 or not math.isclose(eps[0], 10.0 * eps[1], rel_tol=1e-9):
-            raise ValueError(
-                "epsilons must be two values a factor 10 apart, coarse to fine "
-                f"(qlimit's error ratios must lie in [8, 12]), got {list(eps)}"
-            )
+        # qlimit compares the error at epsilon with the error at epsilon/10
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
 
     def degree(self, default: int) -> int:
         return self.max_degree if self.max_degree is not None else default
@@ -439,7 +426,7 @@ def _qlimit_ratios(params: ParamPair, n_max: int, eps_hi: float, eps_lo: float):
 def _suite_qlimit(opts: SuiteOptions) -> list[CheckResult]:
     results = []
     n_max = opts.degree(10)
-    eps_hi, eps_lo = opts.epsilons[0], opts.epsilons[-1]
+    eps_hi, eps_lo = opts.epsilon, opts.epsilon / 10
     for params in opts.pairs:
         name = f"linear convergence n<={n_max} {_tag(params)}"
         try:
@@ -621,15 +608,10 @@ SUITES: dict[str, Callable[[SuiteOptions], list[CheckResult]]] = {
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 
-def run_suites(
-    names: Sequence[str],
-    options: SuiteOptions,
-    seed: Optional[int] = None,
-) -> list[CheckResult]:
-    """Run the named suites; "all" expands to every registered suite.
-
-    Execution order is shuffled when a seed is given (ordering must never
-    matter); the returned list is always sorted for stable output.
+def run_suites(names: Sequence[str], options: SuiteOptions) -> list[CheckResult]:
+    """Run the named suites in the order given, each once; "all" expands
+    to every registered suite.  The returned list is sorted for stable
+    output.
     """
     expanded: list[str] = []
     for name in names:
@@ -639,11 +621,8 @@ def run_suites(
             expanded.append(name)
         else:
             raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
-    order = list(dict.fromkeys(expanded))
-    if seed is not None:
-        random.Random(seed).shuffle(order)
     results: list[CheckResult] = []
-    for name in order:
+    for name in dict.fromkeys(expanded):
         results.extend(SUITES[name](options))
     results.sort(key=lambda r: (r.suite, r.name))
     return results

@@ -29,6 +29,18 @@ def test_version_matches_the_project_metadata():
     assert littlejacobi.__version__ == declared.group(1)
 
 
+def test_no_module_reads_the_environment():
+    # what a command does is set by its options alone; an environment
+    # variable would change it without any option saying so
+    src = Path(littlejacobi.__file__).parent
+    readers = [
+        path.name
+        for path in sorted(src.glob("*.py"))
+        if re.search(r"\benviron\b|\bgetenv\b", path.read_text())
+    ]
+    assert readers == []
+
+
 def _bindings(tracing):
     """(owner, key) -> value for every binding the tracer may replace: the
     package modules' attributes, the traced classes' attributes and the

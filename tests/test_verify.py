@@ -70,6 +70,18 @@ def test_every_suite_passes_or_skips_at_large_alpha(pair):
         assert quad.detail == f"not applicable: {reason}"
 
 
+def test_suite_order_does_not_change_the_results():
+    # the suites share the generate_monic and moments caches: from cold
+    # caches, running them in another order must give the same records
+    options = SuiteOptions(pairs=(ParamPair(Fraction(7, 10), Fraction(5, 3)),))
+    runs = []
+    for order in (list(verify.SUITES), list(reversed(verify.SUITES))):
+        family.generate_monic.cache_clear()
+        family.moments.cache_clear()
+        runs.append(run_suites(order, options))
+    assert runs[0] == runs[1]
+
+
 # -- sweeps keep the per-n scan's first failure -------------------------------
 
 PAIR = ParamPair(Fraction(1, 2), Fraction(3, 2))
