@@ -7,8 +7,13 @@ omega3 = -alpha.  This is the q = -1 degeneration of the three-generator
 Askey-Wilson algebra, and Y^2 + Z^2 is its Casimir element, equal to the
 identity in this realization.
 
-The structure constants are extracted from the exact operator tables
-rather than assumed; callers compare them with (0, beta, -alpha).
+The structure constants are extracted from exact operators rather than
+assumed; callers compare them with (0, beta, -alpha).  `band_relations`
+works on the generators' bands (`operators.Band`), so the three
+closures, the Casimir and its commutators are identities of polynomials
+in n and hold at every degree.  `verify_relations` and `verify_casimir`
+run the same checks on the truncated tables of `generators`, on the
+degrees below their truncation.
 """
 
 from __future__ import annotations
@@ -18,33 +23,50 @@ from fractions import Fraction
 
 from .family import ParamPair, eigenvalue
 from .operators import (
+    IDENTITY_BAND,
+    MULT_X_BAND,
+    Band,
     BandedOp,
     anticommutator,
     commutator,
     identity,
     identity_scalar,
-    little_jacobi_operator,
-    mult_x,
+    little_jacobi_band,
     op_equal,
 )
 
-__all__ = ["AWStructure", "generators", "verify_casimir", "verify_relations", "x_eigenvalue"]
+__all__ = [
+    "AWStructure",
+    "band_relations",
+    "generator_bands",
+    "generators",
+    "verify_casimir",
+    "verify_relations",
+    "x_eigenvalue",
+]
+
+#: Z = (x-1)R: x**n -> (-1)**n (x**(n+1) - x**n)
+TWISTED_REFLECTION = Band({1: [1], 0: [-1]}, {1: [-1], 0: [1]})
 
 
-def generators(params: ParamPair, trunc_degree: int) -> tuple[BandedOp, BandedOp, BandedOp]:
-    """The triple (X, Y, Z) on polynomials up to trunc_degree.
+def generator_bands(params: ParamPair) -> tuple[Band, Band, Band]:
+    """The triple (X, Y, Z) as bands, at every degree.
 
     X = L/2 - (1+alpha+beta)/2 with L the family's eigenvalue operator,
     Y = multiplication by x, Z = (x-1)R.
     """
     alpha, beta = params.alpha, params.beta
-    ell = little_jacobi_operator(alpha, beta, trunc_degree)
-    x_op = Fraction(1, 2) * ell + Fraction(-(1 + alpha + beta), 2) * identity(trunc_degree)
-    y_op = mult_x(trunc_degree)
-    z_op = BandedOp.from_monomial(
-        trunc_degree, lambda n: {n + 1: (-1) ** n, n: -((-1) ** n)}
+    x_band = (
+        Fraction(1, 2) * little_jacobi_band(alpha, beta)
+        + Fraction(-(1 + alpha + beta), 2) * IDENTITY_BAND
     )
-    return x_op, y_op, z_op
+    return x_band, MULT_X_BAND, TWISTED_REFLECTION
+
+
+def generators(params: ParamPair, trunc_degree: int) -> tuple[BandedOp, BandedOp, BandedOp]:
+    """The triple (X, Y, Z) on polynomials up to trunc_degree: the
+    tables of `generator_bands`."""
+    return tuple([band.table(trunc_degree) for band in generator_bands(params)])
 
 
 def x_eigenvalue(params: ParamPair, n: int) -> Fraction:
@@ -69,6 +91,38 @@ class AWStructure:
         if self.omega3 < 0:
             return -1
         return 0
+
+
+def band_relations(x_band: Band, y_band: Band, z_band: Band) -> AWStructure:
+    """omega_1, omega_2, omega_3 and the Casimir status of the triple
+    (X, Y, Z), read from band algebra, so each holds at every degree.
+
+    Each residual (anticommutator minus its linear part) must be a
+    scalar multiple of the identity band; a non-scalar residual means
+    the algebra does not close and raises.  The Casimir Y^2 + Z^2 must
+    equal the identity band and commute with all three generators.
+    """
+    residuals = {
+        "YZ+ZY": anticommutator(y_band, z_band),
+        "ZX+XZ-Y": anticommutator(z_band, x_band) - y_band,
+        "XY+YX-Z": anticommutator(x_band, y_band) - z_band,
+    }
+    scalars = {}
+    for name, band in residuals.items():
+        scalar = band.scalar()
+        if scalar is None:
+            raise RuntimeError(
+                f"residual of {name} is not a scalar multiple of the identity"
+            )
+        scalars[name] = scalar
+    casimir = y_band @ y_band + z_band @ z_band
+    central = all(commutator(casimir, gen).scalar() == 0 for gen in (x_band, y_band, z_band))
+    return AWStructure(
+        omega1=scalars["YZ+ZY"],
+        omega2=scalars["ZX+XZ-Y"],
+        omega3=scalars["XY+YX-Z"],
+        casimir_is_identity=casimir == IDENTITY_BAND and central,
+    )
 
 
 def verify_relations(params: ParamPair, trunc_degree: int = 24) -> AWStructure:

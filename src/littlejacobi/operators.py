@@ -1,15 +1,27 @@
-"""Banded linear operators on polynomials, stored by exact monomial action.
+"""Linear operators on polynomials, known by their exact monomial action.
 
-An operator is a table: for every n up to a truncation degree it records
-op(x**n) as a sparse {output power: coefficient} map with Fraction entries.
-All reflection/differential operators used in this package have band
-half-width <= 2, so sums, compositions, commutators and identity checks
-reduce to exact rational bookkeeping.
+Two forms hold an operator.  A `Band` knows it at every degree: for each
+parity p of n and each offset d it keeps one `Poly` in n, and sends
+x**n to sum_d rows[n % 2][d](n) x**(n+d).  Sums, scalar multiples and
+compositions of bands are bands again (composition shifts n -> n + d
+with `Poly.compose`), and two bands are the same operator exactly when
+their polynomials are equal.  So an identity between bands is an
+identity of polynomials in n, and it holds at every degree.  Every
+stock operator whose coefficients are polynomial in n is defined once,
+as a band.
 
-Truncation is conservative.  Composing operators shrinks the degree range
-on which the product is trusted (an inner operator that raises degree eats
-into the outer table), so an identity reported as holding on its safe
-range can never be a truncation artifact.
+A `BandedOp` is a table: for every n up to a truncation degree it
+records op(x**n) as a sparse {output power: coefficient} map with
+Fraction entries.  It is what `apply` runs on.  The stock table
+functions (`little_jacobi_operator(alpha, beta, N)` and the like) return
+their band's table at N; the Dunkl intertwiner, whose diagonal is a
+product and not a polynomial in n, exists only as a table.
+
+Tables also add, compose and compare, with conservative truncation.
+Composing operators shrinks the degree range on which the product is
+trusted (an inner operator that raises degree eats into the outer
+table), so an identity reported as holding on its safe range can never
+be a truncation artifact.
 """
 
 from __future__ import annotations
@@ -17,26 +29,34 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
-from .polys import Poly, as_fraction
+from .polys import Poly, as_fraction, horner
 
 __all__ = [
+    "Band",
     "BandedOp",
+    "DERIVATIVE_BAND",
+    "IDENTITY_BAND",
+    "MULT_X_BAND",
     "OpIdentityReport",
     "TruncationError",
     "anticommutator",
     "commutator",
     "derivative",
+    "dunkl_band",
     "dunkl_derivative",
     "dunkl_intertwiner",
     "identity",
     "identity_scalar",
     "jacobi_sturm_liouville",
+    "little_jacobi_band",
     "little_jacobi_operator",
     "mult_x",
     "op_equal",
+    "raising_band",
     "raising_operator",
+    "sturm_liouville_band",
 ]
 
 
@@ -71,6 +91,13 @@ class BandedOp:
         #: Largest degree increase over the table; >= 0 so composition
         #: bounds stay conservative even for pure lowering operators.
         self.max_raise = raise_by
+
+    @classmethod
+    def _from_clean(cls, actions: list[dict[int, Fraction]], max_raise: int) -> "BandedOp":
+        """A table from rows already in `_clean` form and their max_raise."""
+        op = object.__new__(cls)
+        op.actions, op.max_raise = tuple(actions), max_raise
+        return op
 
     @classmethod
     def from_monomial(cls, trunc_degree: int, action: Callable[[int], dict]) -> "BandedOp":
@@ -155,10 +182,12 @@ class BandedOp:
         return f"BandedOp(trunc_degree={self.trunc_degree}, max_raise={self.max_raise})"
 
 
-def commutator(a: BandedOp, b: BandedOp) -> BandedOp:
+def commutator(a, b):
+    """ab - ba, for two tables or two bands."""
     return a @ b - b @ a
 
-def anticommutator(a: BandedOp, b: BandedOp) -> BandedOp:
+def anticommutator(a, b):
+    """ab + ba, for two tables or two bands."""
     return a @ b + b @ a
 
 
@@ -199,24 +228,123 @@ def identity_scalar(op: BandedOp) -> Optional[Fraction]:
     return value if value is not None else Fraction(0)
 
 
+class Band:
+    """Linear operator on polynomials at every degree: for each parity p
+    of n and offset d, one Poly rows[p][d] in n, with
+
+        x**n -> sum_d rows[n % 2][d](n) x**(n+d).
+
+    ``even`` and ``odd`` map offsets to a Poly or to its coefficients in
+    n, constant first; zero entries are dropped, so the form is unique
+    and ``==`` compares operators.  A polynomial is fixed by its values
+    at the infinitely many n of its parity, so equal operators have
+    equal rows.  At the bottom of the band a row with offset d < 0 must
+    vanish at each n of its parity with n + d < 0, where x**(n+d) does
+    not exist; the constructor checks it.  Sums and compositions of
+    bands that pass the check pass it too.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, even: Mapping[int, object], odd: Mapping[int, object]):
+        rows = []
+        for parity, entries in enumerate((even, odd)):
+            row = {}
+            for d, entry in entries.items():
+                poly = entry if isinstance(entry, Poly) else Poly(entry)
+                if poly.is_zero():
+                    continue
+                bad = next((n for n in range(parity, -d, 2) if horner(poly.nums, n)), None)
+                if bad is not None:
+                    raise ValueError(
+                        f"band row at offset {d} is {poly(bad)} at n={bad}, "
+                        f"where x**{bad + d} does not exist"
+                    )
+                row[d] = poly
+            rows.append(row)
+        self.rows: tuple[dict[int, Poly], dict[int, Poly]] = tuple(rows)
+
+    def __add__(self, other: "Band") -> "Band":
+        if not isinstance(other, Band):
+            return NotImplemented
+        rows = []
+        for mine, theirs in zip(self.rows, other.rows):
+            row = dict(mine)
+            for d, p in theirs.items():
+                row[d] = row[d] + p if d in row else p
+            rows.append(row)
+        return Band(*rows)
+
+    def __sub__(self, other: "Band") -> "Band":
+        return self + (-1) * other
+
+    def __rmul__(self, scalar) -> "Band":
+        return Band(*({d: p * scalar for d, p in row.items()} for row in self.rows))
+
+    def __matmul__(self, inner: "Band") -> "Band":
+        """self after inner (operator composition, matrix-product order).
+
+        inner sends x**n to c(n) x**(n+d), and self's row of parity
+        n + d, read at n + d, carries that on: the product's entry at
+        offset d + e gains c(n) a(n + d).
+        """
+        if not isinstance(inner, Band):
+            return NotImplemented
+        rows = []
+        for parity, entries in enumerate(inner.rows):
+            row = {}
+            for d, c in entries.items():
+                shift = Poly.from_ints((d, 1), 1)  # n -> n + d
+                for e, a in self.rows[(parity + d) % 2].items():
+                    term = c * (a.compose(shift) if d else a)
+                    row[d + e] = row[d + e] + term if d + e in row else term
+            rows.append(row)
+        return Band(*rows)
+
+    def __eq__(self, other):
+        return isinstance(other, Band) and self.rows == other.rows
+
+    def scalar(self) -> Optional[Fraction]:
+        """The c with self = c * identity at every degree, or None."""
+        values = set()
+        for row in self.rows:
+            diagonal = row.get(0, Poly.ZERO)
+            if row.keys() - {0} or diagonal.degree > 0:
+                return None
+            values.add(diagonal.coefficient(0))
+        return values.pop() if len(values) == 1 else None
+
+    def table(self, trunc_degree: int) -> BandedOp:
+        """The rows n = 0..trunc_degree as a table, each entry one int
+        Horner pass over its Poly's numerators and one Fraction."""
+        if trunc_degree < 0:
+            raise ValueError("truncation degree must be nonnegative")
+        entries = [[(d, p.nums, p.den) for d, p in row.items()] for row in self.rows]
+        actions = []
+        raise_by = 0
+        for n in range(trunc_degree + 1):
+            action = {}
+            for d, nums, den in entries[n % 2]:
+                value = horner(nums, n)
+                if value:
+                    action[n + d] = Fraction(value, den)
+                    raise_by = max(raise_by, d)
+            actions.append(action)
+        return BandedOp._from_clean(actions, raise_by)
+
+    def __repr__(self):
+        return f"Band(even={self.rows[0]!r}, odd={self.rows[1]!r})"
+
+
 # -- stock operators --------------------------------------------------------
 
-
-def identity(trunc_degree: int) -> BandedOp:
-    return BandedOp.from_monomial(trunc_degree, lambda n: {n: 1})
-
-
-def derivative(trunc_degree: int) -> BandedOp:
-    return BandedOp.from_monomial(
-        trunc_degree, lambda n: {n - 1: n} if n else {}
-    )
+IDENTITY_BAND = Band({0: [1]}, {0: [1]})
+MULT_X_BAND = Band({1: [1]}, {1: [1]})
+#: x**n -> n x**(n-1)
+DERIVATIVE_BAND = Band({-1: [0, 1]}, {-1: [0, 1]})
 
 
-def mult_x(trunc_degree: int) -> BandedOp:
-    return BandedOp.from_monomial(trunc_degree, lambda n: {n + 1: 1})
-
-
-def dunkl_derivative(mu, trunc_degree: int) -> BandedOp:
+def dunkl_band(mu) -> Band:
     """Dunkl operator f -> f' + mu (f(x) - f(-x))/x.
 
     Sends x**n to [n]_mu x**(n-1) with the mu-deformed integer
@@ -225,13 +353,71 @@ def dunkl_derivative(mu, trunc_degree: int) -> BandedOp:
     mu = as_fraction(mu)
     if mu <= Fraction(-1, 2):
         raise ValueError("Dunkl parameter mu must exceed -1/2")
+    return Band({-1: [0, 1]}, {-1: [2 * mu, 1]})
 
-    def action(n):
-        if n == 0:
-            return {}
-        return {n - 1: n + mu * (1 - (-1) ** n)}
 
-    return BandedOp.from_monomial(trunc_degree, action)
+def little_jacobi_band(alpha, beta) -> Band:
+    """First-order reflection-differential operator diagonalized by the
+    little -1 Jacobi family.
+
+    Acting on x**n it gives xi_n x**n + eta_n x**(n-1) with
+      xi_n  = 2 (-1)**(n+1) n + (1 - (-1)**n)(alpha + beta + 1)
+      eta_n = 2 (-1)**n n - (1 - (-1)**n) alpha
+    The would-be x**(-1) term cancels identically (eta_0 = 0), so the
+    operator is polynomial-stable and degree-preserving.
+    """
+    alpha = as_fraction(alpha)
+    beta = as_fraction(beta)
+    return Band(
+        {0: [0, -2], -1: [0, 2]},
+        {0: [2 * (alpha + beta + 1), 2], -1: [-2 * alpha, -2]},
+    )
+
+
+def raising_band(alpha, beta) -> Band:
+    """Degree-raising reflection operator that lowers the second family
+    parameter by two.
+
+    Acting on x**n:
+      x**(n+1) coefficient: n + beta + alpha (1 + (-1)**n) / 2
+      x**n     coefficient: -1 - (-1)**n alpha
+      x**(n-1) coefficient: -n - alpha (1 - (-1)**n) / 2
+    The x**(-1) piece at n = 0 cancels identically.
+    """
+    alpha = as_fraction(alpha)
+    beta = as_fraction(beta)
+    return Band(
+        {1: [beta + alpha, 1], 0: [-1 - alpha], -1: [0, -1]},
+        {1: [beta, 1], 0: [-1 + alpha], -1: [-alpha, -1]},
+    )
+
+
+def sturm_liouville_band(a) -> Band:
+    """Second-order Sturm-Liouville operator for the Jacobi weight pair
+    (a, a+1): (1 - x**2) d^2/dx^2 + (1 - (2a+3) x) d/dx.
+
+    On x**n: -n (n + 2a + 2) x**n + n x**(n-1) + n (n-1) x**(n-2).
+    """
+    a = as_fraction(a)
+    row = {0: [0, -2 * a - 2, -1], -1: [0, 1], -2: [0, -1, 1]}
+    return Band(row, row)
+
+
+def identity(trunc_degree: int) -> BandedOp:
+    return IDENTITY_BAND.table(trunc_degree)
+
+
+def derivative(trunc_degree: int) -> BandedOp:
+    return DERIVATIVE_BAND.table(trunc_degree)
+
+
+def mult_x(trunc_degree: int) -> BandedOp:
+    return MULT_X_BAND.table(trunc_degree)
+
+
+def dunkl_derivative(mu, trunc_degree: int) -> BandedOp:
+    """The table of `dunkl_band`."""
+    return dunkl_band(mu).table(trunc_degree)
 
 
 def dunkl_intertwiner(mu, trunc_degree: int) -> BandedOp:
@@ -241,7 +427,8 @@ def dunkl_intertwiner(mu, trunc_degree: int) -> BandedOp:
     multiplies by (1/2 + k)/(mu + 1/2 + k) and the even step repeats the
     previous entry, so sigma_{2m-1} = sigma_{2m}; it maps the plain
     derivative's eigenstructure onto the Dunkl operator's.  The whole
-    table costs O(trunc_degree) Fraction products.
+    table costs O(trunc_degree) Fraction products.  sigma_n is a product
+    over n, not a polynomial in n, so V has no band.
     """
     mu = as_fraction(mu)
     if mu <= Fraction(-1, 2):
@@ -257,70 +444,15 @@ def dunkl_intertwiner(mu, trunc_degree: int) -> BandedOp:
 
 
 def little_jacobi_operator(alpha, beta, trunc_degree: int) -> BandedOp:
-    """First-order reflection-differential operator diagonalized by the
-    little -1 Jacobi family.
-
-    Acting on x**n it gives xi_n x**n + eta_n x**(n-1) with
-      xi_n  = 2 (-1)**(n+1) n + (1 - (-1)**n)(alpha + beta + 1)
-      eta_n = 2 (-1)**n n - (1 - (-1)**n) alpha
-    The would-be x**(-1) term cancels identically, so the operator is
-    polynomial-stable and degree-preserving.
-    """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
-
-    def action(n):
-        sign = (-1) ** n
-        xi = -2 * sign * n + (1 - sign) * (alpha + beta + 1)
-        eta = 2 * sign * n - (1 - sign) * alpha
-        out = {n: xi}
-        if n >= 1:
-            out[n - 1] = eta
-        return out
-
-    return BandedOp.from_monomial(trunc_degree, action)
+    """The table of `little_jacobi_band`."""
+    return little_jacobi_band(alpha, beta).table(trunc_degree)
 
 
 def raising_operator(alpha, beta, trunc_degree: int) -> BandedOp:
-    """Degree-raising reflection operator that lowers the second family
-    parameter by two.
-
-    Acting on x**n:
-      x**(n+1) coefficient: n + beta + alpha (1 + (-1)**n) / 2
-      x**n     coefficient: -1 - (-1)**n alpha
-      x**(n-1) coefficient: -n - alpha (1 - (-1)**n) / 2
-    The x**(-1) piece at n = 0 cancels identically.
-    """
-    alpha = as_fraction(alpha)
-    beta = as_fraction(beta)
-
-    def action(n):
-        sign = (-1) ** n
-        up = n + beta + alpha * (1 + sign) / 2
-        mid = -1 - sign * alpha
-        down = -n - alpha * (1 - sign) / 2
-        out = {n + 1: up, n: mid}
-        if n >= 1:
-            out[n - 1] = down
-        return out
-
-    return BandedOp.from_monomial(trunc_degree, action)
+    """The table of `raising_band`."""
+    return raising_band(alpha, beta).table(trunc_degree)
 
 
 def jacobi_sturm_liouville(a, trunc_degree: int) -> BandedOp:
-    """Second-order Sturm-Liouville operator for the Jacobi weight pair
-    (a, a+1): (1 - x**2) d^2/dx^2 + (1 - (2a+3) x) d/dx.
-
-    On x**n: -n (n + 2a + 2) x**n + n x**(n-1) + n (n-1) x**(n-2).
-    """
-    a = as_fraction(a)
-
-    def action(n):
-        out = {n: -n * (n + 2 * a + 2)}
-        if n >= 1:
-            out[n - 1] = Fraction(n)
-        if n >= 2:
-            out[n - 2] = Fraction(n * (n - 1))
-        return out
-
-    return BandedOp.from_monomial(trunc_degree, action)
+    """The table of `sturm_liouville_band`."""
+    return sturm_liouville_band(a).table(trunc_degree)

@@ -115,6 +115,11 @@ class Poly:
     ``coeffs`` is a read-only view, ``coeffs[k]`` the Fraction that
     multiplies x**k; it is built on each read, for printing and for
     callers that want Fractions.  Instances are immutable and hashable.
+
+    Tuples are built from lists, not generators: ``tuple()`` of a
+    generator takes a ten-slot tuple and resizes it, so each one moves a
+    block between CPython's per-size tuple free lists, which only a full
+    garbage collection empties; a list gives the exact size at once.
     """
 
     __slots__ = ("nums", "den")
@@ -124,7 +129,7 @@ class Poly:
         while cs and not cs[-1]:
             cs.pop()
         den = math.lcm(*(c.denominator for c in cs))
-        self.nums: tuple[int, ...] = tuple(c.numerator * (den // c.denominator) for c in cs)
+        self.nums: tuple[int, ...] = tuple([c.numerator * (den // c.denominator) for c in cs])
         self.den: int = den
 
     @classmethod
@@ -157,7 +162,7 @@ class Poly:
     def coeffs(self) -> tuple[Fraction, ...]:
         """The coefficients as Fractions, constant term first."""
         den = self.den
-        return tuple(Fraction(c, den) for c in self.nums)
+        return tuple([Fraction(c, den) for c in self.nums])
 
     @property
     def degree(self):
@@ -194,7 +199,7 @@ class Poly:
         return self + (-other)
 
     def __neg__(self) -> "Poly":
-        return Poly._canonical(tuple(-c for c in self.nums), self.den)
+        return Poly._canonical(tuple([-c for c in self.nums]), self.den)
 
     def __mul__(self, other):
         if isinstance(other, Poly):
@@ -242,8 +247,8 @@ class Poly:
     def compose(self, inner: "Poly") -> "Poly":
         """self(inner(x)), exact, by Horner's rule in the polynomial ring."""
         out = Poly.ZERO
-        for c in reversed(self.coeffs):
-            out = out * inner + Poly([c])
+        for c in reversed(self.nums):
+            out = out * inner + Poly.from_ints((c,), self.den)
         return out
 
     def __call__(self, x):
@@ -286,7 +291,7 @@ def monomial(power: int, coeff=1) -> Poly:
 
 def reflect(p: Poly) -> Poly:
     """p(-x): flips the sign of every odd coefficient."""
-    return Poly._canonical(tuple(-c if k % 2 else c for k, c in enumerate(p.nums)), p.den)
+    return Poly._canonical(tuple([-c if k % 2 else c for k, c in enumerate(p.nums)]), p.den)
 
 
 def recurrence_step(p: Poly, p_prev: Poly, b: Fraction, u: Fraction) -> Poly:

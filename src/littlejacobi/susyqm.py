@@ -15,9 +15,11 @@ finite difference scheme.
 
 Every evaluation goes through a WellGrid: it takes the per-point
 pieces sin y, cos y, Phi(y) and the log-derivative of Phi (a sin, a cos,
-a sqrt and a pow) once per grid point, and shares them across every
-state, every derivative and both signs of y, so a check over many
-states on one grid pays for the trigonometry once.  A state then costs
+a sqrt and a pow) at most once per grid point, and shares them across
+every state, every derivative and both signs of y, so a check over many
+states on one grid pays for the trigonometry once.  Phi's pieces wait
+for the first state, so a grid that reads only U takes sin and cos
+alone.  A state then costs
 its Horner passes over p, p' and p'' (one fused pass for the full jet,
 see PhiPoly).  The per-point functions (potential, apply_L1, apply_H1,
 node_count) are views of a grid on their one point or on the node grid;
@@ -99,13 +101,21 @@ def energy(a, n: int) -> float:
     return (float(a) + n + 1.0) ** 2
 
 
-def _pieces(a: float, y: float) -> tuple[float, float, float, float]:
-    """(s, c, Phi, ell) at y: the only place the states take sin, cos,
-    sqrt and pow."""
-    s = math.sin(y)
-    c = math.cos(y)
+def _trig(y: float) -> tuple[float, float]:
+    """(sin y, cos y): the only place the well takes sin and cos."""
+    return math.sin(y), math.cos(y)
+
+
+def _state_pieces(a: float, s: float, c: float) -> tuple[float, float, float, float]:
+    """(s, c, Phi, ell) at the point with sin s and cos c: the only place
+    the states take sqrt and pow."""
     phi = math.sqrt(1.0 + s) * c ** (a + 0.5)
     return s, c, phi, (1.0 - 2.0 * (a + 1.0) * s) / (2.0 * c)
+
+
+def _pieces(a: float, y: float) -> tuple[float, float, float, float]:
+    """(s, c, Phi, ell) at y."""
+    return _state_pieces(a, *_trig(y))
 
 
 class PhiPoly:
@@ -133,9 +143,9 @@ class PhiPoly:
         self.a = _check_a(a)
         self.poly = poly
         dp = poly.derivative()
-        self._p = tuple(float(c) for c in poly.coeffs)
-        self._dp = tuple(float(c) for c in dp.coeffs)
-        self._ddp = tuple(float(c) for c in dp.derivative().coeffs)
+        self._p = tuple([float(c) for c in poly.coeffs])
+        self._dp = tuple([float(c) for c in dp.coeffs])
+        self._ddp = tuple([float(c) for c in dp.derivative().coeffs])
         # below degree 2 p'' is empty, which the fused pass would read as
         # +0.0 where horner gives -0.0 at s < 0: such p keep three passes
         self._rows = horner_rows(self._p, self._dp, self._ddp) if self._ddp else None
@@ -200,7 +210,7 @@ def default_grid(points: int) -> tuple[float, ...]:
     lo = -HALF_PI + DEFAULT_MARGIN
     hi = HALF_PI - DEFAULT_MARGIN
     step = (hi - lo) / (points - 1)
-    return tuple(lo + i * step for i in range(points))
+    return tuple([lo + i * step for i in range(points)])
 
 
 def sign_changes(values) -> int:
@@ -221,21 +231,30 @@ class WellGrid:
     """The per-point pieces of the well on a fixed grid of y, taken once
     and shared by every state evaluated on it.
 
-    The pieces at y and U(y) are taken when the grid is made, the pieces
-    at -y when a mirrored image is first asked for.  A state then costs
-    one jet per point (and one more at -y for the L1 image): Horner
-    passes and a few products, with no sin, cos, sqrt or pow.
+    sin y, cos y and U(y) are taken when the grid is made.  Phi and its
+    log-derivative at y (a sqrt and a pow) are taken when a state is
+    first evaluated, and the pieces at -y when a mirrored image or U(-y)
+    is first asked for, so a grid that only reads U pays for no more.
+    A state then costs one jet per point (and one more at -y for the L1
+    image): Horner passes and a few products, with no sin, cos, sqrt or
+    pow.
     """
 
-    __slots__ = ("a", "ys", "potential", "_here", "_mirror")
+    __slots__ = ("a", "ys", "potential", "_sin_cos", "_here", "_mirror")
 
     def __init__(self, a, ys: Sequence[float]):
         self.a = _check_a(a)
-        self.ys = tuple(_check_y(y) for y in ys)
-        self._here = [_pieces(self.a, y) for y in self.ys]
+        self.ys = tuple([_check_y(y) for y in ys])
+        self._sin_cos = [_trig(y) for y in self.ys]
+        self._here = None
         self._mirror = None
         #: U(y) at each grid point
-        self.potential = tuple(_potential(self.a, s, c) for s, c, _, _ in self._here)
+        self.potential = tuple([_potential(self.a, s, c) for s, c in self._sin_cos])
+
+    def _pieces_here(self) -> list:
+        if self._here is None:
+            self._here = [_state_pieces(self.a, s, c) for s, c in self._sin_cos]
+        return self._here
 
     def _mirrored(self) -> list:
         if self._mirror is None:
@@ -249,14 +268,14 @@ class WellGrid:
     def values(self, f: PhiPoly) -> list[float]:
         """f(y) at each grid point."""
         self._check(f)
-        return [f._jet(here, 0)[0] for here in self._here]
+        return [f._jet(here, 0)[0] for here in self._pieces_here()]
 
     def eigen_images(self, f: PhiPoly) -> list[tuple[float, float, float]]:
         """(f(y), (L1 f)(y), (H1 f)(y)) at each grid point."""
         self._check(f)
         k = self.a + 0.5
         out = []
-        for here, mirror, u in zip(self._here, self._mirrored(), self.potential):
+        for here, mirror, u in zip(self._pieces_here(), self._mirrored(), self.potential):
             f0, _, f2 = f._jet(here)
             g0, g1 = f._jet(mirror, 1)
             out.append((f0, _l1(k, g1, g0, here[1]), _h1(f2, u, f0)))
@@ -270,8 +289,8 @@ class WellGrid:
         k = a + 0.5
         return [
             (u, _potential(a, s_mirror, c_mirror), -k / c, -k * s / (c * c))
-            for (s, c, _, _), (s_mirror, c_mirror, _, _), u in zip(
-                self._here, self._mirrored(), self.potential
+            for (s, c), (s_mirror, c_mirror, _, _), u in zip(
+                self._sin_cos, self._mirrored(), self.potential
             )
         ]
 
@@ -285,7 +304,7 @@ class WellGrid:
         self._check(f)
         k = self.a + 0.5
         out = []
-        for here, mirror, u in zip(self._here, self._mirrored(), self.potential):
+        for here, mirror, u in zip(self._pieces_here(), self._mirrored(), self.potential):
             f0, f1, f2 = f._jet(here)
             s_mirror, c_mirror, _, _ = mirror
             image = _l1(k, f1, f0, c_mirror)

@@ -4,14 +4,27 @@ from fractions import Fraction
 
 import pytest
 
+from littlejacobi import verify
 from littlejacobi.awalgebra import (
+    AWStructure,
+    band_relations,
+    generator_bands,
     generators,
     verify_casimir,
     verify_relations,
     x_eigenvalue,
 )
 from littlejacobi.family import ParamPair, generate_monic
-from littlejacobi.operators import anticommutator, identity, identity_scalar, op_equal
+from littlejacobi.operators import (
+    IDENTITY_BAND,
+    Band,
+    BandedOp,
+    anticommutator,
+    identity,
+    identity_scalar,
+    little_jacobi_operator,
+    op_equal,
+)
 from littlejacobi.polys import Poly
 
 PAIRS = [
@@ -76,3 +89,78 @@ def test_x_eigenvalue_values():
     assert x_eigenvalue(params, 0) == Fraction(-1, 2)
     # odd n: (2(alpha+beta+n+1) - (1+alpha+beta))/2
     assert x_eigenvalue(params, 1) == Fraction(3, 2)
+
+
+# -- the relations on bands, at every degree ---------------------------------
+
+BAND_PAIRS = [
+    ParamPair(Fraction(1, 2), Fraction(3, 2)),
+    ParamPair(Fraction(7, 10), Fraction(5, 3)),
+    ParamPair(Fraction(-9, 10), Fraction(-9, 10)),
+    ParamPair(Fraction(0), Fraction(0)),
+]
+
+
+@pytest.mark.parametrize("params", BAND_PAIRS, ids=str)
+def test_band_relations_hold_at_every_degree(params):
+    structure = band_relations(*generator_bands(params))
+    assert structure == AWStructure(0, params.beta, -params.alpha, True)
+    # the truncated tables read the same constants on their degrees
+    assert verify_relations(params, 24) == structure
+
+
+@pytest.mark.parametrize("n", [0, 1, 24, 257])
+@pytest.mark.parametrize("params", BAND_PAIRS, ids=str)
+def test_generator_tables_match_the_monomial_references(params, n):
+    # X = L/2 - (1+alpha+beta)/2 I through the table algebra, Y = x, and
+    # Z = (x-1)R from its monomial action
+    alpha, beta = params.alpha, params.beta
+    x_ref = Fraction(1, 2) * little_jacobi_operator(alpha, beta, n) + Fraction(
+        -(1 + alpha + beta), 2
+    ) * identity(n)
+    y_ref = BandedOp.from_monomial(n, lambda k: {k + 1: 1})
+    z_ref = BandedOp.from_monomial(n, lambda k: {k + 1: (-1) ** k, k: -((-1) ** k)})
+    for table, reference in zip(generators(params, n), (x_ref, y_ref, z_ref)):
+        assert table.actions == reference.actions
+        assert table.max_raise == reference.max_raise
+
+
+def test_perturbed_z_breaks_every_closure():
+    # adding n/1000 to Z's odd-degree diagonal leaves no residual scalar
+    params = BAND_PAIRS[1]
+    x_band, y_band, z_band = generator_bands(params)
+    z_bad = z_band + Band({}, {0: [0, Fraction(1, 1000)]})
+    residuals = [
+        anticommutator(y_band, z_bad),
+        anticommutator(z_bad, x_band) - y_band,
+        anticommutator(x_band, y_band) - z_bad,
+    ]
+    assert [r.scalar() for r in residuals] == [None, None, None]
+    with pytest.raises(RuntimeError, match="not a scalar multiple"):
+        band_relations(x_band, y_band, z_bad)
+
+
+def test_wrong_omega2_is_detected(monkeypatch):
+    params = BAND_PAIRS[1]
+    x_band, y_band, z_band = generator_bands(params)
+    residual = anticommutator(z_band, x_band) - y_band
+    assert residual - params.beta * IDENTITY_BAND == Band({}, {})
+    assert residual - (params.beta + Fraction(1, 1000)) * IDENTITY_BAND != Band({}, {})
+    # the suite's closure row compares the constants with (0, beta, -alpha)
+    right = band_relations(x_band, y_band, z_band)
+    wrong = AWStructure(right.omega1, right.omega2 + Fraction(1, 1000), right.omega3, True)
+    monkeypatch.setattr(verify, "band_relations", lambda *bands: wrong)
+    [closure] = [
+        r
+        for r in verify.run_suites(["aw"], verify.SuiteOptions(pairs=(params,)))
+        if r.name.startswith("anticommutator closure")
+    ]
+    assert not closure.passed
+
+
+def test_casimir_band_is_an_exact_equality():
+    # Y^2 + Z^2 is the identity band; a Y off by I/2 moves it off
+    _, y_band, z_band = generator_bands(BAND_PAIRS[0])
+    assert y_band @ y_band + z_band @ z_band == IDENTITY_BAND
+    y_shifted = y_band + Fraction(1, 2) * IDENTITY_BAND
+    assert y_shifted @ y_shifted + z_band @ z_band != IDENTITY_BAND

@@ -697,12 +697,12 @@ def test_sample_output_is_pinned(args, digest, capsys):
 #: transforms sweeps, the aw suite and the orthogonality suite at --n 40
 #: for (7/10,5/3)
 VERIFY_DIGESTS = [
-    ((), "fdc1f1c03451b3de24543ce2aaa4dd6a1502437332f94240e4f52055bd985d22"),
-    (("--suite", "dunkl"), "821b908ff23323fd9b1331532c59f2984f97b55be3bddd64e7f28a06d5b7d877"),
+    ((), "d70129e46e6a505adb73e12f6b4efdc1d1cfff576a10608d9df036afc7218999"),
+    (("--suite", "dunkl"), "d4859b57b17926d3bc2da2cf5b9bfa7c64f610db5f994fc03386c91920d3f25b"),
     (("--suite", "raising"), "4c5be1324e75c4d32c0cd3f3af9d1e050c36e45c72a1a9ab85a0a887fbb5fe18"),
     (("--suite", "transforms"), "7ed520e7c1c51e1e4d27469356adc295a7161aa9f9b033135b7ae348ecac2979"),
     (("--suite", "prop2"), "e7961165055e0492e8303b1ce76f7cad9c4802a5fabc2487cbbd04ffd15ad651"),
-    (("--suite", "aw"), "4c60c6dc6628729858d3e11427a8a3c8147e7c53ac5d1ca8d8099ed832d36ea3"),
+    (("--suite", "aw"), "c336ec0515f48ee4cc9436acd293306496ce681d3f60514f5c43796d798e795e"),
     (
         ("--suite", "orthogonality"),
         "8bf2780f4dcf1278b3da24d1a82bb4a87fd9abec6052aac78f736a0367152ebf",

@@ -1,4 +1,5 @@
-"""Banded operator tables on the monomial basis."""
+"""Banded operators on the monomial basis: bands at every degree, and
+their truncated tables."""
 
 from fractions import Fraction
 
@@ -7,19 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from littlejacobi.operators import (
+    DERIVATIVE_BAND,
+    IDENTITY_BAND,
+    MULT_X_BAND,
+    Band,
     BandedOp,
     TruncationError,
     anticommutator,
     commutator,
     derivative,
+    dunkl_band,
     dunkl_derivative,
     dunkl_intertwiner,
     identity,
     identity_scalar,
     jacobi_sturm_liouville,
+    little_jacobi_band,
     little_jacobi_operator,
     mult_x,
     op_equal,
+    raising_band,
     raising_operator,
 )
 from littlejacobi.polys import Poly, monomial, pochhammer, reflect
@@ -276,3 +284,180 @@ def test_scalar_and_sum_arithmetic():
     assert doubled.apply(monomial(3)) == 6 * monomial(2)
     assert op_equal(d + d, doubled).holds
     assert op_equal(d - d, Fraction(0) * identity(8)).holds
+
+
+# -- bands --------------------------------------------------------------------
+
+# The monomial actions the stock tables were built from before they were
+# bands, kept here as independent references for the band tables.
+
+
+def _ref_identity(n):
+    return {n: 1}
+
+
+def _ref_derivative(n):
+    return {n - 1: n} if n else {}
+
+
+def _ref_mult_x(n):
+    return {n + 1: 1}
+
+
+def _ref_dunkl(mu):
+    def action(n):
+        if n == 0:
+            return {}
+        return {n - 1: n + mu * (1 - (-1) ** n)}
+
+    return action
+
+
+def _ref_little_jacobi(alpha, beta):
+    def action(n):
+        sign = (-1) ** n
+        xi = -2 * sign * n + (1 - sign) * (alpha + beta + 1)
+        eta = 2 * sign * n - (1 - sign) * alpha
+        out = {n: xi}
+        if n >= 1:
+            out[n - 1] = eta
+        return out
+
+    return action
+
+
+def _ref_raising(alpha, beta):
+    def action(n):
+        sign = (-1) ** n
+        up = n + beta + alpha * (1 + sign) / 2
+        mid = -1 - sign * alpha
+        down = -n - alpha * (1 - sign) / 2
+        out = {n + 1: up, n: mid}
+        if n >= 1:
+            out[n - 1] = down
+        return out
+
+    return action
+
+
+def _ref_sturm_liouville(a):
+    def action(n):
+        out = {n: -n * (n + 2 * a + 2)}
+        if n >= 1:
+            out[n - 1] = Fraction(n)
+        if n >= 2:
+            out[n - 2] = Fraction(n * (n - 1))
+        return out
+
+    return action
+
+
+BAND_PAIRS = [
+    (Fraction(1, 2), Fraction(3, 2)),
+    (Fraction(7, 10), Fraction(5, 3)),
+    (Fraction(-9, 10), Fraction(-9, 10)),
+    (Fraction(0), Fraction(0)),
+]
+
+
+@pytest.mark.parametrize("n", [0, 1, 24, 257])
+@pytest.mark.parametrize("alpha, beta", BAND_PAIRS, ids=str)
+def test_stock_tables_match_the_monomial_references(alpha, beta, n):
+    cases = [
+        (identity(n), _ref_identity),
+        (derivative(n), _ref_derivative),
+        (mult_x(n), _ref_mult_x),
+        (little_jacobi_operator(alpha, beta, n), _ref_little_jacobi(alpha, beta)),
+        (raising_operator(alpha, beta, n), _ref_raising(alpha, beta)),
+    ]
+    for value in (alpha, beta):
+        cases += [
+            (dunkl_derivative(value / 2, n), _ref_dunkl(value / 2)),
+            (jacobi_sturm_liouville(value, n), _ref_sturm_liouville(value)),
+        ]
+    for table, action in cases:
+        reference = BandedOp.from_monomial(n, action)
+        assert table.actions == reference.actions
+        assert table.max_raise == reference.max_raise
+
+
+def test_band_table_domain():
+    with pytest.raises(ValueError, match="nonnegative"):
+        IDENTITY_BAND.table(-1)
+    assert MULT_X_BAND.table(0).actions == ({1: 1},)
+
+
+def test_band_rejects_a_row_below_x0():
+    # x**n -> c x**(n+d) with n + d < 0 names no monomial, so the entry
+    # must vanish there
+    with pytest.raises(ValueError, match="offset -1 is 1 at n=0"):
+        Band({-1: [1]}, {})
+    with pytest.raises(ValueError, match="offset -2 is 1 at n=1"):
+        Band({}, {-2: [0, 1]})
+    with pytest.raises(ValueError, match="offset -2 is 2 at n=0"):
+        Band({-2: [2, 1]}, {})
+    # the odd rows never reach x**(-1); zero entries are dropped
+    band = Band({-1: [0, 1], 1: []}, {-1: [5]})
+    assert band.rows == ({-1: Poly.X}, {-1: Poly([5])})
+
+
+def test_band_equality_and_scalar():
+    assert dunkl_band(0) == DERIVATIVE_BAND
+    assert dunkl_band(Fraction(1, 1000)) != DERIVATIVE_BAND
+    assert (Fraction(-3, 2) * IDENTITY_BAND).scalar() == Fraction(-3, 2)
+    assert (DERIVATIVE_BAND - DERIVATIVE_BAND).scalar() == 0
+    # [d/dx, x] = I at every degree
+    assert commutator(DERIVATIVE_BAND, MULT_X_BAND).scalar() == 1
+    assert MULT_X_BAND.scalar() is None
+    # diagonal but not constant in n, or not the same on both parities
+    assert Band({0: [0, 1]}, {0: [0, 1]}).scalar() is None
+    assert Band({0: [1]}, {0: [2]}).scalar() is None
+
+
+def test_band_identities_of_the_stock_operators():
+    # the reflection anticommutes with T_mu, and T_mu V = V d/dx on the
+    # tables, where V (a product in n) has no band
+    reflection = Band({0: [1]}, {0: [-1]})
+    mu = Fraction(3, 2)
+    assert anticommutator(reflection, dunkl_band(mu)).scalar() == 0
+    assert (reflection @ reflection) == IDENTITY_BAND
+    # the raising operator raises by one, and L is degree-preserving
+    assert max(raising_band(Fraction(1, 2), Fraction(5, 2)).rows[0]) == 1
+    assert max(max(row) for row in little_jacobi_band(Fraction(1, 2), Fraction(3, 2)).rows) == 0
+    # x d/dx has the eigenvalue n on x**n
+    euler = MULT_X_BAND @ DERIVATIVE_BAND
+    assert euler == Band({0: [0, 1]}, {0: [0, 1]})
+
+
+def _bottom(parity, d):
+    """The Poly in n that vanishes at each n of the parity with n + d < 0."""
+    out = Poly.ONE
+    for n in range(parity, -d, 2):
+        out = out * Poly([-n, 1])
+    return out
+
+
+polys_in_n = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), max_size=3).map(Poly)
+# bands of half-width <= 2, each row with offset d < 0 made to vanish
+# below x**0
+bands = st.tuples(
+    *[st.dictionaries(st.integers(-2, 2), polys_in_n, max_size=5) for _ in (0, 1)]
+).map(
+    lambda rows: Band(
+        *({d: p * _bottom(parity, d) for d, p in row.items()} for parity, row in enumerate(rows))
+    )
+)
+
+
+@given(bands, bands, rationals, st.integers(min_value=2, max_value=12))
+@settings(max_examples=80, deadline=None)
+def test_band_algebra_matches_the_truncated_tables(a, b, scalar, n):
+    # on the range where the truncated composition is trusted, the band's
+    # table is the composition of the tables; sums and multiples agree on
+    # every row
+    report = op_equal((a @ b).table(n), a.table(n) @ b.table(n))
+    assert report.holds
+    assert report.safe_degree == n - b.table(n).max_raise
+    assert (a + b).table(n).actions == (a.table(n) + b.table(n)).actions
+    assert (a - b).table(n).actions == (a.table(n) - b.table(n)).actions
+    assert (scalar * a).table(n).actions == (scalar * a.table(n)).actions

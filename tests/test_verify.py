@@ -175,10 +175,10 @@ EXACT_SUITES = ("orthogonality", "eigen", "explicit", "dunkl", "raising", "trans
 FLOAT_CHECKS = ("weight quadrature",)
 GOLDEN_N40 = {
     ("1/2", "3/2"): [
-        ("aw", "Casimir Y^2+Z^2 = I (1/2,3/2)", True, "central and equal to identity at N=24"),
+        ("aw", "Casimir Y^2+Z^2 = I (1/2,3/2)", True, "central and equal to identity at every degree"),
         ("aw", "X diagonal on the family n<=12 (1/2,3/2)", True, "eigen-relation exact"),
         ("aw", "anticommutator closure (1/2,3/2)", True, "omega = (0, beta, -1/2); omega3 sign -"),
-        ("dunkl", "alpha=0 degeneration T_0 = d/dx", True, "tables agree through degree 30"),
+        ("dunkl", "alpha=0 degeneration T_0 = d/dx", True, "bands agree at every degree"),
         ("dunkl", "lowering n<=40 (1/2,3/2)", True, "exact"),
         ("eigen", "L P_n = lambda_n P_n n<=40 (1/2,3/2)", True, "coefficient-exact"),
         ("eigen", "eigenvalue simplicity n<=50 (1/2,3/2)", True, "pairwise distinct"),
@@ -198,10 +198,10 @@ GOLDEN_N40 = {
         ("transforms", "recurrence extraction n<=10 (1/2,3/2)", True, "recovered coefficients match"),
     ],
     ("7/10", "5/3"): [
-        ("aw", "Casimir Y^2+Z^2 = I (7/10,5/3)", True, "central and equal to identity at N=24"),
+        ("aw", "Casimir Y^2+Z^2 = I (7/10,5/3)", True, "central and equal to identity at every degree"),
         ("aw", "X diagonal on the family n<=12 (7/10,5/3)", True, "eigen-relation exact"),
         ("aw", "anticommutator closure (7/10,5/3)", True, "omega = (0, beta, -7/10); omega3 sign -"),
-        ("dunkl", "alpha=0 degeneration T_0 = d/dx", True, "tables agree through degree 30"),
+        ("dunkl", "alpha=0 degeneration T_0 = d/dx", True, "bands agree at every degree"),
         ("dunkl", "lowering n<=40 (7/10,5/3)", True, "exact"),
         ("eigen", "L P_n = lambda_n P_n n<=40 (7/10,5/3)", True, "coefficient-exact"),
         ("eigen", "eigenvalue simplicity n<=50 (7/10,5/3)", True, "pairwise distinct"),
