@@ -8,12 +8,12 @@ Askey-Wilson algebra, and Y^2 + Z^2 is its Casimir element, equal to the
 identity in this realization.
 
 The structure constants are extracted from exact operators rather than
-assumed; callers compare them with (0, beta, -alpha).  `band_relations`
-works on the generators' bands (`operators.Band`), so the three
-closures, the Casimir and its commutators are identities of polynomials
-in n and hold at every degree.  `verify_relations` and `verify_casimir`
-run the same checks on the truncated tables of `generators`, on the
-degrees below their truncation.
+assumed; callers compare them with (0, beta, -alpha).  One function,
+`band_relations`, reads the three closures, the Casimir and its
+commutators from either form of the triple.  On the generators' bands
+(`operators.Band`) they are identities of polynomials in n and hold at
+every degree; `verify_relations` and `verify_casimir` run it on the
+truncated tables of `generators`, on the degrees below their truncation.
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ from .operators import (
     BandedOp,
     anticommutator,
     commutator,
-    identity,
-    identity_scalar,
     little_jacobi_band,
-    op_equal,
 )
 
 __all__ = [
@@ -84,56 +81,19 @@ class AWStructure:
     omega3: Fraction
     casimir_is_identity: bool
 
-    @property
-    def omega3_sign(self) -> int:
-        if self.omega3 > 0:
-            return 1
-        if self.omega3 < 0:
-            return -1
-        return 0
 
-
-def band_relations(x_band: Band, y_band: Band, z_band: Band) -> AWStructure:
+def band_relations(
+    x_op: Band | BandedOp, y_op: Band | BandedOp, z_op: Band | BandedOp
+) -> AWStructure:
     """omega_1, omega_2, omega_3 and the Casimir status of the triple
-    (X, Y, Z), read from band algebra, so each holds at every degree.
+    (X, Y, Z), given as three bands or as three tables.
 
     Each residual (anticommutator minus its linear part) must be a
-    scalar multiple of the identity band; a non-scalar residual means
-    the algebra does not close and raises.  The Casimir Y^2 + Z^2 must
-    equal the identity band and commute with all three generators.
+    scalar multiple of the identity; a non-scalar residual means the
+    algebra does not close and raises.  The Casimir Y^2 + Z^2 must be
+    the identity and commute with all three generators.  On bands each
+    holds at every degree, on tables on their trusted degrees.
     """
-    residuals = {
-        "YZ+ZY": anticommutator(y_band, z_band),
-        "ZX+XZ-Y": anticommutator(z_band, x_band) - y_band,
-        "XY+YX-Z": anticommutator(x_band, y_band) - z_band,
-    }
-    scalars = {}
-    for name, band in residuals.items():
-        scalar = band.scalar()
-        if scalar is None:
-            raise RuntimeError(
-                f"residual of {name} is not a scalar multiple of the identity"
-            )
-        scalars[name] = scalar
-    casimir = y_band @ y_band + z_band @ z_band
-    central = all(commutator(casimir, gen).scalar() == 0 for gen in (x_band, y_band, z_band))
-    return AWStructure(
-        omega1=scalars["YZ+ZY"],
-        omega2=scalars["ZX+XZ-Y"],
-        omega3=scalars["XY+YX-Z"],
-        casimir_is_identity=casimir == IDENTITY_BAND and central,
-    )
-
-
-def verify_relations(params: ParamPair, trunc_degree: int = 24) -> AWStructure:
-    """Extract omega_1, omega_2, omega_3 from the three anticommutators.
-
-    Each residual (anticommutator minus its linear part) must be an exact
-    scalar multiple of the identity on its table, which `identity_scalar`
-    reads row by row; a non-scalar residual means the algebra does not
-    close and raises.
-    """
-    x_op, y_op, z_op = generators(params, trunc_degree)
     residuals = {
         "YZ+ZY": anticommutator(y_op, z_op),
         "ZX+XZ-Y": anticommutator(z_op, x_op) - y_op,
@@ -141,31 +101,28 @@ def verify_relations(params: ParamPair, trunc_degree: int = 24) -> AWStructure:
     }
     scalars = {}
     for name, op in residuals.items():
-        scalar = identity_scalar(op)
+        scalar = op.scalar()
         if scalar is None:
             raise RuntimeError(
                 f"residual of {name} is not a scalar multiple of the identity"
             )
         scalars[name] = scalar
+    casimir = y_op @ y_op + z_op @ z_op
+    central = all(commutator(casimir, gen).scalar() == 0 for gen in (x_op, y_op, z_op))
     return AWStructure(
         omega1=scalars["YZ+ZY"],
         omega2=scalars["ZX+XZ-Y"],
         omega3=scalars["XY+YX-Z"],
-        casimir_is_identity=_casimir_holds(x_op, y_op, z_op),
+        casimir_is_identity=casimir.scalar() == 1 and central,
     )
 
 
+def verify_relations(params: ParamPair, trunc_degree: int = 24) -> AWStructure:
+    """`band_relations` on the tables of `generators` at trunc_degree."""
+    return band_relations(*generators(params, trunc_degree))
+
+
 def verify_casimir(params: ParamPair, trunc_degree: int = 24) -> bool:
-    """Y^2 + Z^2 equals the identity and commutes with all generators."""
-    return _casimir_holds(*generators(params, trunc_degree))
-
-
-def _casimir_holds(x_op: BandedOp, y_op: BandedOp, z_op: BandedOp) -> bool:
-    casimir = y_op @ y_op + z_op @ z_op
-    if not op_equal(casimir, identity(casimir.trunc_degree)).holds:
-        return False
-    for gen in (x_op, y_op, z_op):
-        residual = commutator(casimir, gen)
-        if identity_scalar(residual) != 0:
-            return False
-    return True
+    """Y^2 + Z^2 equals the identity and commutes with all generators,
+    on the tables of `generators` at trunc_degree."""
+    return band_relations(*generators(params, trunc_degree)).casimir_is_identity

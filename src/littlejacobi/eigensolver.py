@@ -31,6 +31,11 @@ from .polys import horner, horner3, horner_rows
 __all__ = ["EigenSolution", "build_solution", "ode_residual", "sample_rows"]
 
 _TRUNC_CAP = 400
+#: Largest residual of the even part's equation, relative to the summed
+#: magnitudes of its three terms, that `sample_rows` accepts at a point.
+#: It stays below 4e-11 for |lambda| <= 30 at (alpha, beta) in [-9/10, 3]^2,
+#: and is near 1 where the float series has lost every digit.
+_RESIDUAL_LIMIT = 1e-8
 #: Truncation reference point: terms are compared at z = 0.95**2, the
 #: worst |x| the residual checks are allowed to visit.
 _Z_REF = 0.95**2
@@ -140,13 +145,14 @@ def _elementary_derivatives(beta: float, x: float) -> tuple[float, float, float]
     return f, fp, fpp
 
 
-def _ode_residual_from(
+def _ode_terms(
     alpha: float, beta: float, lam: float, f: float, fp: float, fpp: float, x: float
-) -> float:
-    return abs(
-        4.0 * x * (x * x - 1.0) * fpp
-        + 4.0 * ((alpha + beta + 3.0) * x * x - alpha) * fp
-        + lam * x * (2.0 * (alpha + beta) + 4.0 - lam) * f
+) -> tuple[float, float, float]:
+    """The three terms of the even part's equation; they sum to 0."""
+    return (
+        4.0 * x * (x * x - 1.0) * fpp,
+        4.0 * ((alpha + beta + 3.0) * x * x - alpha) * fp,
+        lam * x * (2.0 * (alpha + beta) + 4.0 - lam) * f,
     )
 
 
@@ -167,7 +173,8 @@ def ode_residual(params: ParamPair, lam: float, x: float) -> float:
         f, fp, fpp = _elementary_derivatives(beta, x)
     else:
         f, fp, fpp = build_solution(params, lam)._f_jet(x)
-    return _ode_residual_from(alpha, beta, lam, f, fp, fpp, x)
+    t1, t2, t3 = _ode_terms(alpha, beta, lam, f, fp, fpp, x)
+    return abs(t1 + t2 + t3)
 
 
 def sample_rows(params: ParamPair, lam: float, points: int) -> list[dict]:
@@ -178,7 +185,11 @@ def sample_rows(params: ParamPair, lam: float, points: int) -> list[dict]:
     then costs one `horner3` pass over the f series (f, f' and f'') and
     one Horner pass over the g series.  A value beyond the float range
     (the elementary closed form at large beta, or a series sum) raises
-    ValueError rather than printing inf or nan.
+    ValueError rather than printing inf or nan.  So does a grid whose
+    residual exceeds `_RESIDUAL_LIMIT` of the summed magnitudes of the
+    equation's three terms at some point: the float sums there have
+    cancelled away the digits of f and g (large |lambda|, or a series
+    stopped at its term cap).
     """
     if points < 2:
         raise ValueError("need at least two sample points")
@@ -189,6 +200,7 @@ def sample_rows(params: ParamPair, lam: float, points: int) -> list[dict]:
     sol = build_solution(params, lam)
     x_max = 0.9  # inside the residual's |x| < 0.95
     rows = []
+    worst, worst_x = 0.0, 0.0
     for i in range(points):
         x = -x_max + 2.0 * x_max * i / (points - 1)
         if elementary:
@@ -200,10 +212,20 @@ def sample_rows(params: ParamPair, lam: float, points: int) -> list[dict]:
             f, fp, fpp = sol._f_jet(x)
         g = sol.g(x)
         value = f + g
-        residual = _ode_residual_from(alpha, beta, lam, f, fp, fpp, x)
+        t1, t2, t3 = _ode_terms(alpha, beta, lam, f, fp, fpp, x)
+        residual = abs(t1 + t2 + t3)
         if not (math.isfinite(value) and math.isfinite(residual)):
             raise ValueError(
                 f"eigenfunction at lambda={lam} overflows the float range at x={x}"
             )
+        size = abs(t1) + abs(t2) + abs(t3)
+        ratio = residual / size if size else 0.0
+        if ratio > worst:
+            worst, worst_x = ratio, x
         rows.append({"x": x, "F": value, "f": f, "g": g, "residual": residual})
+    if worst > _RESIDUAL_LIMIT:
+        raise ValueError(
+            f"eigenfunction at lambda={lam} has lost its accuracy: the residual is "
+            f"{worst:.1e} of the equation's terms at x={worst_x} (limit {_RESIDUAL_LIMIT:g})"
+        )
     return rows

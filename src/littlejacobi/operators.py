@@ -12,10 +12,9 @@ as a band.
 
 A `BandedOp` is a table: for every n up to a truncation degree it
 records op(x**n) as a sparse {output power: coefficient} map with
-Fraction entries.  It is what `apply` runs on.  The stock table
-functions (`little_jacobi_operator(alpha, beta, N)` and the like) return
-their band's table at N; the Dunkl intertwiner, whose diagonal is a
-product and not a polynomial in n, exists only as a table.
+Fraction entries.  It is what `apply` runs on: a stock operator's table
+at N is its band's `table(N)`.  The Dunkl intertwiner, whose diagonal is
+a product and not a polynomial in n, exists only as a table.
 
 Tables also add, compose and compare, with conservative truncation.
 Composing operators shrinks the degree range on which the product is
@@ -47,15 +46,10 @@ __all__ = [
     "dunkl_band",
     "dunkl_derivative",
     "dunkl_intertwiner",
-    "identity",
     "identity_scalar",
-    "jacobi_sturm_liouville",
     "little_jacobi_band",
-    "little_jacobi_operator",
-    "mult_x",
     "op_equal",
     "raising_band",
-    "raising_operator",
     "sturm_liouville_band",
 ]
 
@@ -176,6 +170,19 @@ class BandedOp:
             out.append(action)
         return BandedOp(out)
 
+    def scalar(self) -> Optional[Fraction]:
+        """The c with self = c * identity on its table, or None."""
+        value = None
+        for n, action in enumerate(self.actions):
+            if action.keys() - {n}:
+                return None
+            c = action.get(n, Fraction(0))
+            if value is None:
+                value = c
+            elif c != value:
+                return None
+        return value if value is not None else Fraction(0)
+
     # -- serialization ------------------------------------------------------
 
     def __repr__(self):
@@ -214,18 +221,8 @@ def op_equal(lhs: BandedOp, rhs: BandedOp) -> OpIdentityReport:
 
 
 def identity_scalar(op: BandedOp) -> Optional[Fraction]:
-    """The scalar c with op = c * identity on its table, or None if not scalar."""
-    value = None
-    for n, action in enumerate(op.actions):
-        extra = {k: c for k, c in action.items() if k != n}
-        if extra:
-            return None
-        c = action.get(n, Fraction(0))
-        if value is None:
-            value = c
-        elif c != value:
-            return None
-    return value if value is not None else Fraction(0)
+    """`op.scalar()`; kept for the benchmark's tracer."""
+    return op.scalar()
 
 
 class Band:
@@ -403,20 +400,15 @@ def sturm_liouville_band(a) -> Band:
     return Band(row, row)
 
 
-def identity(trunc_degree: int) -> BandedOp:
-    return IDENTITY_BAND.table(trunc_degree)
-
-
 def derivative(trunc_degree: int) -> BandedOp:
+    """The table of `DERIVATIVE_BAND`; the benchmark's operator-algebra
+    workload calls it."""
     return DERIVATIVE_BAND.table(trunc_degree)
 
 
-def mult_x(trunc_degree: int) -> BandedOp:
-    return MULT_X_BAND.table(trunc_degree)
-
-
 def dunkl_derivative(mu, trunc_degree: int) -> BandedOp:
-    """The table of `dunkl_band`."""
+    """The table of `dunkl_band`; the benchmark's operator-algebra
+    workload calls it."""
     return dunkl_band(mu).table(trunc_degree)
 
 
@@ -441,18 +433,3 @@ def dunkl_intertwiner(mu, trunc_degree: int) -> BandedOp:
         else:
             sigmas.append(sigmas[-1])
     return BandedOp.from_monomial(trunc_degree, lambda n: {n: sigmas[n]})
-
-
-def little_jacobi_operator(alpha, beta, trunc_degree: int) -> BandedOp:
-    """The table of `little_jacobi_band`."""
-    return little_jacobi_band(alpha, beta).table(trunc_degree)
-
-
-def raising_operator(alpha, beta, trunc_degree: int) -> BandedOp:
-    """The table of `raising_band`."""
-    return raising_band(alpha, beta).table(trunc_degree)
-
-
-def jacobi_sturm_liouville(a, trunc_degree: int) -> BandedOp:
-    """The table of `sturm_liouville_band`."""
-    return sturm_liouville_band(a).table(trunc_degree)

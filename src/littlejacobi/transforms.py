@@ -34,7 +34,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .family import ParamPair, generate_monic
-from .operators import dunkl_derivative, dunkl_intertwiner, raising_operator
+from .operators import dunkl_band, dunkl_intertwiner, raising_band
 from .polys import Poly, as_fraction, recurrence_step
 
 __all__ = [
@@ -251,7 +251,7 @@ def identify_little(params: ParamPair, n: int) -> bool:
 def lowering_sides(params: ParamPair, top: int) -> _Sides:
     """n -> (T_{alpha/2} P_n, [n] P_{n-1} at (alpha, beta+2)), n >= 1."""
     mu = params.alpha / 2
-    op = dunkl_derivative(mu, top)
+    op = dunkl_band(mu).table(top)
     shifted = ParamPair(params.alpha, params.beta + 2)
 
     def sides(n: int) -> tuple[Poly, Poly]:
@@ -274,7 +274,7 @@ def raising_sides(params: ParamPair, top: int) -> _Sides:
     target parameters stay admissible."""
     if params.beta <= 1:
         raise ValueError("raising lands at beta-2, so beta must exceed 1")
-    op = raising_operator(params.alpha, params.beta, top)
+    op = raising_band(params.alpha, params.beta).table(top)
     lowered = ParamPair(params.alpha, params.beta - 2)
 
     def sides(n: int) -> tuple[Poly, Poly]:
@@ -313,7 +313,7 @@ def intertwiner_check(params: ParamPair, n: int) -> bool:
 def gegenbauer_lowering_sides(jp: JacobiParams, top: int) -> _Sides:
     """n -> (T_{xi+1/2} S_n^(xi,eta), [n] S_{n-1}^(xi,eta+1)), n >= 1."""
     mu = jp.xi + Fraction(1, 2)
-    op = dunkl_derivative(mu, top)
+    op = dunkl_band(mu).table(top)
     base = gegenbauer_sequence(jp, top)
     shifted = gegenbauer_sequence(JacobiParams(jp.xi, jp.eta + 1), top)
     return lambda n: (op.apply(base[n]), (n + mu * (1 - (-1) ** n)) * shifted[n - 1])

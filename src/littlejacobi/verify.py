@@ -34,8 +34,8 @@ from .family import (
 from .operators import (
     DERIVATIVE_BAND,
     dunkl_band,
-    jacobi_sturm_liouville,
-    little_jacobi_operator,
+    little_jacobi_band,
+    sturm_liouville_band,
 )
 from .polys import Poly, reflect
 from .transforms import (
@@ -217,7 +217,7 @@ def _suite_eigen(opts: SuiteOptions) -> list[CheckResult]:
     results = []
     n_max = opts.degree(20)
     for params in opts.pairs:
-        op = little_jacobi_operator(params.alpha, params.beta, n_max)
+        op = little_jacobi_band(params.alpha, params.beta).table(n_max)
         results.append(
             _sweep(
                 "eigen",
@@ -356,7 +356,7 @@ def _suite_aw(opts: SuiteOptions) -> list[CheckResult]:
             and structure.omega2 == params.beta
             and structure.omega3 == -params.alpha
         )
-        sign = {1: "+", -1: "-", 0: "0"}[structure.omega3_sign]
+        sign = "+" if structure.omega3 > 0 else "-" if structure.omega3 < 0 else "0"
         x_op = x_band.table(12)
         results += [
             CheckResult(
@@ -566,8 +566,9 @@ def _suite_susy(opts: SuiteOptions) -> list[CheckResult]:
     # Sturm-Liouville operator of the alpha = 0 family
     sub = susyqm.WellGrid(a, grid[:: max(1, len(grid) // 20)])
     pairs = []
+    sturm_liouville = sturm_liouville_band(a)
     for p, phi in zip(test_polys[:3], phis):
-        q = (a + 1) ** 2 * p - jacobi_sturm_liouville(a, p.degree).apply(p)
+        q = (a + 1) ** 2 * p - sturm_liouville.table(p.degree).apply(p)
         pairs += zip((h1 for _, _, h1 in sub.eigen_images(phi)), sub.values(susyqm.PhiPoly(a, q)))
     results.append(
         _scaled_row(f"Sturm-Liouville conjugation a={a}", pairs, lambda worst: worst <= 1e-8)

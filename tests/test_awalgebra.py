@@ -19,11 +19,9 @@ from littlejacobi.operators import (
     IDENTITY_BAND,
     Band,
     BandedOp,
+    TruncationError,
     anticommutator,
-    identity,
-    identity_scalar,
-    little_jacobi_operator,
-    op_equal,
+    little_jacobi_band,
 )
 from littlejacobi.polys import Poly
 
@@ -56,16 +54,9 @@ def test_structure_constants(params):
     assert structure.casimir_is_identity
 
 
-def test_omega3_sign_property():
-    structure = verify_relations(ParamPair(Fraction(1), Fraction(1)), 12)
-    assert structure.omega3_sign == -1
-    flat = verify_relations(ParamPair(Fraction(0), Fraction(2)), 12)
-    assert flat.omega3_sign == 0
-
-
 def test_yz_anticommutator_vanishes_directly():
     _, y_op, z_op = generators(PAIRS[0], 16)
-    assert identity_scalar(anticommutator(y_op, z_op)) == 0
+    assert anticommutator(y_op, z_op).scalar() == 0
 
 
 def test_casimir_is_identity():
@@ -73,7 +64,7 @@ def test_casimir_is_identity():
         assert verify_casimir(params, 20)
         _, y_op, z_op = generators(params, 20)
         casimir = y_op @ y_op + z_op @ z_op
-        assert op_equal(casimir, identity(casimir.trunc_degree)).holds
+        assert casimir.actions == IDENTITY_BAND.table(casimir.trunc_degree).actions
 
 
 def test_x_diagonal_on_family():
@@ -105,8 +96,21 @@ BAND_PAIRS = [
 def test_band_relations_hold_at_every_degree(params):
     structure = band_relations(*generator_bands(params))
     assert structure == AWStructure(0, params.beta, -params.alpha, True)
-    # the truncated tables read the same constants on their degrees
-    assert verify_relations(params, 24) == structure
+
+
+@pytest.mark.parametrize("n", [2, 12, 24])
+@pytest.mark.parametrize("params", BAND_PAIRS, ids=str)
+def test_bands_and_tables_give_the_same_structure(params, n):
+    # one function reads both forms; the tables' degrees give the same
+    # constants and Casimir status as every degree
+    assert band_relations(*generators(params, n)) == band_relations(*generator_bands(params))
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_relations_need_tables_of_degree_two(n):
+    # Y @ Z on tables of degree 0 or 1 keeps no trusted degree
+    with pytest.raises(TruncationError):
+        verify_relations(BAND_PAIRS[0], n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 24, 257])
@@ -115,9 +119,9 @@ def test_generator_tables_match_the_monomial_references(params, n):
     # X = L/2 - (1+alpha+beta)/2 I through the table algebra, Y = x, and
     # Z = (x-1)R from its monomial action
     alpha, beta = params.alpha, params.beta
-    x_ref = Fraction(1, 2) * little_jacobi_operator(alpha, beta, n) + Fraction(
+    x_ref = Fraction(1, 2) * little_jacobi_band(alpha, beta).table(n) + Fraction(
         -(1 + alpha + beta), 2
-    ) * identity(n)
+    ) * IDENTITY_BAND.table(n)
     y_ref = BandedOp.from_monomial(n, lambda k: {k + 1: 1})
     z_ref = BandedOp.from_monomial(n, lambda k: {k + 1: (-1) ** k, k: -((-1) ** k)})
     for table, reference in zip(generators(params, n), (x_ref, y_ref, z_ref)):
@@ -125,19 +129,28 @@ def test_generator_tables_match_the_monomial_references(params, n):
         assert table.max_raise == reference.max_raise
 
 
-def test_perturbed_z_breaks_every_closure():
+#: the two forms of an operator: its band, and its table at degree 24
+FORMS = [
+    pytest.param(lambda band: band, id="band"),
+    pytest.param(lambda band: band.table(24), id="table"),
+]
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_perturbed_z_breaks_every_closure(form):
     # adding n/1000 to Z's odd-degree diagonal leaves no residual scalar
     params = BAND_PAIRS[1]
     x_band, y_band, z_band = generator_bands(params)
-    z_bad = z_band + Band({}, {0: [0, Fraction(1, 1000)]})
+    x_op, y_op = form(x_band), form(y_band)
+    z_bad = form(z_band + Band({}, {0: [0, Fraction(1, 1000)]}))
     residuals = [
-        anticommutator(y_band, z_bad),
-        anticommutator(z_bad, x_band) - y_band,
-        anticommutator(x_band, y_band) - z_bad,
+        anticommutator(y_op, z_bad),
+        anticommutator(z_bad, x_op) - y_op,
+        anticommutator(x_op, y_op) - z_bad,
     ]
     assert [r.scalar() for r in residuals] == [None, None, None]
     with pytest.raises(RuntimeError, match="not a scalar multiple"):
-        band_relations(x_band, y_band, z_bad)
+        band_relations(x_op, y_op, z_bad)
 
 
 def test_wrong_omega2_is_detected(monkeypatch):
@@ -158,9 +171,16 @@ def test_wrong_omega2_is_detected(monkeypatch):
     assert not closure.passed
 
 
-def test_casimir_band_is_an_exact_equality():
-    # Y^2 + Z^2 is the identity band; a Y off by I/2 moves it off
-    _, y_band, z_band = generator_bands(BAND_PAIRS[0])
-    assert y_band @ y_band + z_band @ z_band == IDENTITY_BAND
-    y_shifted = y_band + Fraction(1, 2) * IDENTITY_BAND
-    assert y_shifted @ y_shifted + z_band @ z_band != IDENTITY_BAND
+@pytest.mark.parametrize("form", FORMS)
+def test_casimir_band_is_an_exact_equality(form):
+    # Y^2 + Z^2 is the identity; a Y off by I/2 moves it off
+    params = BAND_PAIRS[0]
+    x_band, y_band, z_band = generator_bands(params)
+    x_op, y_op, z_op = form(x_band), form(y_band), form(z_band)
+    assert (y_op @ y_op + z_op @ z_op).scalar() == 1
+    y_shifted = form(y_band + Fraction(1, 2) * IDENTITY_BAND)
+    assert (y_shifted @ y_shifted + z_op @ z_op).scalar() != 1
+    # 2Y and 2Z still close, with omega_2 and omega_3 doubled, but their
+    # Casimir is 4 I
+    doubled = band_relations(x_op, 2 * y_op, 2 * z_op)
+    assert doubled == AWStructure(0, 2 * params.beta, -2 * params.alpha, False)

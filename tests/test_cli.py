@@ -130,6 +130,13 @@ def test_verify_off_the_default_pairs(suite, alpha, beta, capsys):
     assert "FAIL" not in capsys.readouterr().out
 
 
+def test_verify_aw_reports_a_positive_omega3(capsys):
+    # omega3 = -alpha is positive for alpha < 0; the pinned digests cover
+    # the signs - and 0
+    assert run(["verify", "--suite", "aw", "--alpha=-1/2", "--beta=1/2"]) == 0
+    assert "omega = (0, beta, 1/2); omega3 sign +" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "alpha, beta, may_fail",
     # qlimit's error ratio leaves [8, 12] near the parameter boundary
@@ -642,6 +649,40 @@ def test_sample_eigenfunction_rejects_overflowing_values(args, capsys):
     captured = capsys.readouterr()
     assert "overflows the float range" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["--alpha", "1/2", "--beta", "3/2", "--lambda", "2003/10"],
+        ["--alpha", "1/2", "--beta", "3/2", "--lambda", "10003/10"],
+        # the series stops at its term cap before it converges
+        ["--alpha", "0", "--beta", "1000", "--lambda", "3/2"],
+    ],
+    ids=["200.3", "1000.3", "beta1000"],
+)
+def test_sample_eigenfunction_refuses_a_grid_that_lost_its_digits(args, capsys):
+    # the float sums cancel to a finite, wrong f (8.6e16 where f is -1.03
+    # at lambda = 200.3); the residual, relative to the equation's terms,
+    # shows it
+    assert run(["sample", "eigenfunction", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "has lost its accuracy" in captured.err
+    assert "out of domain" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [("1/2", "3/2"), ("0", "0"), ("-9/10", "-9/10"), ("3", "3"), ("-1/2", "3")],
+    ids=str,
+)
+def test_sample_eigenfunction_answers_at_moderate_lambda(alpha, beta, capsys):
+    options = [f"--alpha={alpha}", f"--beta={beta}"]
+    for lam in ("1.3", "-13.5", "30", "-30", "45"):
+        assert run(["sample", "eigenfunction", *options, f"--lambda={lam}"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 202
 
 
 #: sha256 of `sample` output at the defaults and two other argument sets

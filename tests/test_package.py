@@ -1,5 +1,6 @@
-"""The package's surface: what each module exports, and the names the
-benchmark's tracer (`perfbench/tracing.py`) wraps."""
+"""The package's surface: what each module exports, the names the
+benchmark's tracer (`perfbench/tracing.py`) wraps, and the calls its
+workloads (`perfbench/workloads.py`) make."""
 
 import importlib
 import pkgutil
@@ -72,3 +73,20 @@ def test_tracer_wraps_and_restores_the_package(monkeypatch):
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
     assert tracing.transforms.identify_little is original
+
+
+@pytest.mark.parametrize(
+    "workload, count",
+    [("exact-deep", 6), ("cli-interactive", 70), ("operator-algebra", 8)],
+)
+def test_one_block_of_each_workload_passes_its_oracles(workload, count, monkeypatch):
+    # every call a workload makes must still exist and answer as its
+    # oracles expect; one seeded block of tasks, untimed
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    oracles = importlib.import_module("oracles")
+    workloads = importlib.import_module("workloads")
+    phase = workloads.run_phase(workload, inputs.task_stream(workload, 1), count=count)
+    tally = workloads.evaluate(workload, phase.records, oracles.load_mpmath())
+    assert tally.attempted > 0
+    assert tally.failures == []

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from littlejacobi import susyqm
 from littlejacobi.family import ParamPair, generate_monic
-from littlejacobi.operators import jacobi_sturm_liouville
+from littlejacobi.operators import sturm_liouville_band
 from littlejacobi.polys import Poly, horner, terminating_2f1
 from littlejacobi.susyqm import (
     NODE_POINTS,
@@ -191,7 +191,7 @@ def test_conjugation_holds_on_the_grid():
     # H1 (Phi p) = Phi q with q = (a+1)^2 p - S p, exact in Fraction
     well = WellGrid(A, GRID[::10])
     for p in (Poly.ONE, Poly.X, Poly([Fraction(-1, 2), 0, 1])):
-        q = (A + 1) ** 2 * p - jacobi_sturm_liouville(A, p.degree).apply(p)
+        q = (A + 1) ** 2 * p - sturm_liouville_band(A).table(p.degree).apply(p)
         images = well.eigen_images(PhiPoly(A, p))
         for (_, _, lhs), rhs in zip(images, well.values(PhiPoly(A, q))):
             assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-8

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from littlejacobi import cli, family, transforms, verify
 from littlejacobi.family import ParamPair, eigenvalue
-from littlejacobi.operators import little_jacobi_operator
+from littlejacobi.operators import little_jacobi_band
 from littlejacobi.polys import Poly
 from littlejacobi.verify import SuiteOptions, run_suites
 
@@ -111,7 +111,7 @@ def test_sweeps_report_the_first_failure_of_the_per_n_scan(monkeypatch):
     monkeypatch.setattr(verify, "generate_monic", member)
     monkeypatch.setattr(transforms, "generate_monic", member)
 
-    op_of = lambda n: little_jacobi_operator(PAIR.alpha, PAIR.beta, n)  # noqa: E731
+    op_of = lambda n: little_jacobi_band(PAIR.alpha, PAIR.beta).table(n)  # noqa: E731
     per_n = {
         "lowering": _first_failing(
             range(1, N_MAX + 1), lambda n: not transforms.dunkl_classical_check(PAIR, n)
