@@ -205,7 +205,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--n", type=int, default=None, help="max degree for swept checks")
     verify.add_argument("--a", type=_rational, default=Fraction(3, 2), help="well parameter for the susy suite")
     verify.add_argument("--levels", type=int, default=5)
-    verify.add_argument("--points", type=int, default=200)
+    verify.add_argument("--points", type=int, default=200, help="grid of the susy suite's one float row, which reads every (points // 20)-th point")
     verify.add_argument("--eps", type=float, default=1e-3, help="qlimit's deformation parameter; it also runs at eps/10")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--output", default="-")

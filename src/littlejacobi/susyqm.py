@@ -8,22 +8,49 @@ alpha = 0, beta = 2a + 1 (`family.generate_monic`, built by the
 three-term recurrence), scaled to equal 1 at sin y = 1; it is the
 terminating 2F1(-n, n+2a+2; a+1; (1 - sin y)/2).  A first-order
 reflection operator L1 squares to the Hamiltonian; composing it with
-the parity flip exchanges the well with its mirror image.  All
-derivatives here are analytic, so the susy suite of `verify`, which
-holds every residual check, measures the identities themselves, not a
-finite difference scheme.
+the parity flip exchanges the well with its mirror image.
 
-Every evaluation goes through a WellGrid: it takes the per-point
-pieces sin y, cos y, Phi(y) and the log-derivative of Phi (a sin, a cos,
-a sqrt and a pow) at most once per grid point, and shares them across
-every state, every derivative and both signs of y, so a check over many
-states on one grid pays for the trigonometry once.  Phi's pieces wait
-for the first state, so a grid that reads only U takes sin and cos
-alone.  A state then costs
+The well is that family conjugated by Phi.  With s = sin y, c = cos y,
+k = a + 1/2 and Phi = sqrt(1+s) c^(a+1/2), the log-derivative of Phi is
+ell = (1 - 2(a+1)s)/(2c), and Phi(-y)/Phi(y) = sqrt(1-s)/sqrt(1+s) =
+(1-s)/c is rational.  Dividing the well's operators by Phi(y) leaves
+polynomial operators in s (Post, Vinet and Zhedanov, J. Phys. A 44
+(2011) 435301):
+
+- L1 f(y) = -f'(-y) - k f(-y)/c.  At -y, ell is (1 + 2(a+1)s)/(2c), so
+  ell(-y) + k/c = (a+1)(1+s)/c, and for f = Phi p
+      (L1 Phi p)/Phi = -(1-s)/c [(ell(-y) + k/c) p(-s) + c p'(-s)]
+                     = -(a+1) p(-s) - (1-s) p'(-s),
+  which is B = (1-s) d/ds - (a+1) (`darboux_band`) after the parity
+  flip p(s) -> p(-s) (`PARITY_BAND`), and on s**n it is
+  1/2 little_jacobi_band(0, 2a+1) - (a+1) (`l1_band`).
+- H1 f = -f'' + U f.  F'' is as in PhiPoly, and U - ell^2 - ell' =
+  (a+1)^2, so
+      (H1 Phi p)/Phi = (a+1)^2 p - (1 - (2a+3)s) p' - (1-s^2) p''
+                     = ((a+1)^2 - sturm_liouville_band(a)) p   (`h1_band`).
+- The superpotential chi = -k/c has chi^2 = k^2/c^2 and chi' = -k s/c^2,
+  so chi^2 +- chi' = k(k -+ s)/c^2 = U(+-y): an identity of numerators
+  over c^2 = 1 - s^2 (`potential_numerator`).
+
+So L1^2 = H1 is the family's quadratic relation
+L^2 - 4(a+1) L + 4 S = 0 conjugated, the L1 eigen-relation
+L1 p_n = (-1)^(n+1) (a+n+1) p_n is the family's eigen-relation, and the
+Darboux flip is L1 = B after the flip.  The susy suite of `verify`
+proves all of them as exact band and Poly identities.  Phi > 0 inside
+the well, so the nodes of psi_n are the zeros of p_n in (-1, 1), which
+`node_count` counts exactly.
+
+Floats are left to the evaluation boundary.  Every evaluation goes
+through a WellGrid: it takes the per-point pieces sin y, cos y, Phi(y)
+and the log-derivative of Phi (a sin, a cos, a sqrt and a pow) at most
+once per grid point, and shares them across every state, every
+derivative and both signs of y, so a check over many states on one grid
+pays for the trigonometry once.  Phi's pieces wait for the first state,
+so a grid that reads only U takes sin and cos alone.  A state then costs
 its Horner passes over p, p' and p'' (one fused pass for the full jet,
-see PhiPoly).  The per-point functions (potential, apply_L1, apply_H1,
-node_count) are views of a grid on their one point or on the node grid;
-only PhiPoly's value/d1/d2 take a point's pieces themselves.
+see PhiPoly).  The per-point functions (potential, apply_L1, apply_H1)
+are views of a grid on their one point; only PhiPoly's value/d1/d2 take
+a point's pieces themselves.
 """
 
 from __future__ import annotations
@@ -33,30 +60,42 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .family import ParamPair, generate_monic
+from .family import ParamPair, generate_monic, recurrence_coeffs
+from .operators import (
+    DERIVATIVE_BAND,
+    IDENTITY_BAND,
+    MULT_X_BAND,
+    Band,
+    little_jacobi_band,
+    sturm_liouville_band,
+)
 from .polys import Poly, as_fraction, horner, horner3, horner_rows
 
 __all__ = [
     "DEFAULT_MARGIN",
-    "NODE_POINTS",
+    "PARITY_BAND",
     "PhiPoly",
     "SchrodingerParams",
     "WellGrid",
     "apply_H1",
     "apply_L1",
+    "darboux_band",
     "default_grid",
     "eigenstate",
     "energy",
+    "h1_band",
+    "l1_band",
     "node_count",
     "potential",
+    "potential_numerator",
     "sign_changes",
 ]
 
 HALF_PI = math.pi / 2.0
 #: cos^(a+1/2) underflows and 1/cos blows up at the walls; grids stop short.
 DEFAULT_MARGIN = 1e-3
-#: Grid size on which node_count looks for sign changes.
-NODE_POINTS = 400
+#: s**n -> (-1)**n s**n: p(s) -> p(-s), the parity flip y -> -y in s = sin y.
+PARITY_BAND = Band({0: [1]}, {0: [-1]})
 
 
 def _check_a(a) -> float:
@@ -91,6 +130,31 @@ class SchrodingerParams:
 
 def _potential(a: float, s: float, c: float) -> float:
     return (a + 0.5) * (a + 0.5 - s) / (c * c)
+
+
+def potential_numerator(a) -> Poly:
+    """k (k - s), k = a + 1/2: U(y) times cos^2 y as a Poly in s = sin y.
+    U(-y)'s numerator is its reflection."""
+    k = as_fraction(a) + Fraction(1, 2)
+    return Poly([k * k, -k])
+
+
+def l1_band(a) -> Band:
+    """(L1 Phi p)/Phi on p(s): 1/2 little_jacobi_band(0, 2a+1) - (a+1)."""
+    a = as_fraction(a)
+    return Fraction(1, 2) * little_jacobi_band(0, 2 * a + 1) - (a + 1) * IDENTITY_BAND
+
+
+def h1_band(a) -> Band:
+    """(H1 Phi p)/Phi on p(s): (a+1)^2 - sturm_liouville_band(a)."""
+    a = as_fraction(a)
+    return (a + 1) ** 2 * IDENTITY_BAND - sturm_liouville_band(a)
+
+
+def darboux_band(a) -> Band:
+    """B = (1-s) d/ds - (a+1); L1 is B after the parity flip."""
+    a = as_fraction(a)
+    return DERIVATIVE_BAND - MULT_X_BAND @ DERIVATIVE_BAND - (a + 1) * IDENTITY_BAND
 
 
 def energy(a, n: int) -> float:
@@ -193,16 +257,6 @@ def eigenstate(a, n: int) -> PhiPoly:
     return PhiPoly(a, _state_poly(a, n))
 
 
-def _l1(k: float, d1_mirror: float, value_mirror: float, c: float) -> float:
-    """(L1 f)(y) from f'(-y), f(-y) and c = cos y, with k = a + 1/2."""
-    return -d1_mirror - k * value_mirror / c
-
-
-def _h1(d2: float, u: float, value: float) -> float:
-    """(H1 f)(y) from f''(y), U(y) and f(y)."""
-    return -d2 + u * value
-
-
 def default_grid(points: int) -> tuple[float, ...]:
     """Uniform grid on [-pi/2 + DEFAULT_MARGIN, pi/2 - DEFAULT_MARGIN]."""
     if points < 2:
@@ -233,8 +287,8 @@ class WellGrid:
 
     sin y, cos y and U(y) are taken when the grid is made.  Phi and its
     log-derivative at y (a sqrt and a pow) are taken when a state is
-    first evaluated, and the pieces at -y when a mirrored image or U(-y)
-    is first asked for, so a grid that only reads U pays for no more.
+    first evaluated, and the pieces at -y when an L1 image is first asked
+    for, so a grid that only reads U pays for no more.
     A state then costs one jet per point (and one more at -y for the L1
     image): Horner passes and a few products, with no sin, cos, sqrt or
     pow.
@@ -271,45 +325,16 @@ class WellGrid:
         return [f._jet(here, 0)[0] for here in self._pieces_here()]
 
     def eigen_images(self, f: PhiPoly) -> list[tuple[float, float, float]]:
-        """(f(y), (L1 f)(y), (H1 f)(y)) at each grid point."""
+        """(f(y), (L1 f)(y), (H1 f)(y)) at each grid point, with
+        (L1 f)(y) = -f'(-y) - k f(-y)/cos y, k = a + 1/2, and
+        (H1 f)(y) = -f''(y) + U(y) f(y)."""
         self._check(f)
         k = self.a + 0.5
         out = []
         for here, mirror, u in zip(self._pieces_here(), self._mirrored(), self.potential):
             f0, _, f2 = f._jet(here)
             g0, g1 = f._jet(mirror, 1)
-            out.append((f0, _l1(k, g1, g0, here[1]), _h1(f2, u, f0)))
-        return out
-
-    def superpotential_terms(self) -> list[tuple[float, float, float, float]]:
-        """(U(y), U(-y), chi(y), chi'(y)) at each grid point, with the
-        superpotential chi(y) = -(a+1/2)/cos y: even, and
-        H1 = (d+chi)(-d+chi) splits off it."""
-        a = self.a
-        k = a + 0.5
-        return [
-            (u, _potential(a, s_mirror, c_mirror), -k / c, -k * s / (c * c))
-            for (s, c), (s_mirror, c_mirror, _, _), u in zip(
-                self._sin_cos, self._mirrored(), self.potential
-            )
-        ]
-
-    def square_images(self, f: PhiPoly) -> list[tuple[float, float]]:
-        """((L1 L1 f)(y), (H1 f)(y)) at each grid point.  L1 L1 f goes
-        through the image v = L1 f at -y and its derivative there: with
-        k = a + 1/2, v(y) = -f'(-y) - k f(-y)/cos y and
-
-            v'(y) = f''(-y) + k f'(-y)/cos y - k f(-y) sin y / cos^2 y.
-        """
-        self._check(f)
-        k = self.a + 0.5
-        out = []
-        for here, mirror, u in zip(self._pieces_here(), self._mirrored(), self.potential):
-            f0, f1, f2 = f._jet(here)
-            s_mirror, c_mirror, _, _ = mirror
-            image = _l1(k, f1, f0, c_mirror)
-            image_d1 = f2 + k * f1 / c_mirror - k * f0 * s_mirror / (c_mirror * c_mirror)
-            out.append((_l1(k, image_d1, image, here[1]), _h1(f2, u, f0)))
+            out.append((f0, -g1 - k * g0 / here[1], -f2 + u * f0))
         return out
 
 
@@ -331,7 +356,30 @@ def apply_H1(a, f: PhiPoly, y) -> float:
     return WellGrid(a, (y,)).eigen_images(f)[0][2]
 
 
-def node_count(a, n: int, points: int = NODE_POINTS) -> int:
-    """Sign changes of psi_n across the default grid; should equal n."""
-    state = eigenstate(a, n)
-    return sign_changes(WellGrid(a, default_grid(points)).values(state))
+def node_count(a, n: int) -> int:
+    """The nodes of psi_n inside the well, counted exactly; equals n.
+
+    Phi > 0 inside the well, so they are the zeros of p_n in (-1, 1).
+    With u_1..u_{n-1} > 0, the monic members P_n, ..., P_0 form a Sturm
+    sequence: P_0 = 1, at a zero of P_k its neighbours
+    P_{k+1} = -u_k P_{k-1} have opposite signs, and P_n' P_{n-1} > 0 at
+    the zeros of P_n (Christoffel-Darboux).  So when P_n(+-1) != 0, the
+    zeros in (-1, 1) number the sign changes of the chain at -1 minus
+    those at +1.  The chain is the recurrence, evaluated in Fraction at
+    +-1, one step per degree.
+    """
+    if n < 0:
+        raise ValueError("level index must be nonnegative")
+    family = ParamPair(0, SchrodingerParams(a).beta)
+    coeffs = [recurrence_coeffs(family, k) for k in range(n)]
+    if any(u <= 0 for u, _ in coeffs[1:]):
+        raise ValueError("a Sturm sequence needs u_k > 0 for 1 <= k < n")
+    changes = []
+    for x in (-1, 1):
+        chain = [Fraction(0), Fraction(1)]  # P_{-1}, P_0
+        for u, b in coeffs:
+            chain.append((x - b) * chain[-1] - (u or 0) * chain[-2])
+        if not chain[-1]:
+            raise ValueError(f"P_{n} vanishes at {x}, where the count needs a sign")
+        changes.append(sign_changes(chain[1:]))
+    return changes[0] - changes[1]

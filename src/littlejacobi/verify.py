@@ -31,12 +31,7 @@ from .family import (
     recurrence_coeffs,
     weight_moments,
 )
-from .operators import (
-    DERIVATIVE_BAND,
-    dunkl_band,
-    little_jacobi_band,
-    sturm_liouville_band,
-)
+from .operators import DERIVATIVE_BAND, dunkl_band, little_jacobi_band
 from .polys import Poly, reflect
 from .transforms import (
     JacobiParams,
@@ -445,151 +440,91 @@ def _suite_qlimit(opts: SuiteOptions) -> list[CheckResult]:
     return results
 
 
-def _skip_underflow(name, what) -> CheckResult:
-    """A well so deep that cos^(a+1/2) y underflows at every point of a
-    row's grid leaves the row only zeros to compare, so it reports a skip
-    with the reason."""
-    return _skip("susy", name, f"{what} underflows to 0.0 at every grid point")
-
-
-def _scaled_row(name, pairs, passes, note="") -> CheckResult:
-    """A susy row judged by ``passes(worst)``, worst the largest
-    |lhs - rhs| / max(1, |rhs|) over the (lhs, rhs) pairs; a skip when
-    every value is 0.0."""
-    if not any(lhs or rhs for lhs, rhs in pairs):
-        return _skip_underflow(name, "every test function")
-    worst = 0.0
-    for lhs, rhs in pairs:
-        worst = max(worst, abs(lhs - rhs) / max(1.0, abs(rhs)))
-    return CheckResult("susy", name, passes(worst), f"worst scaled residual {worst:.3e}{note}")
-
-
-def _first_flip_miss(flip, states, af: float) -> Optional[tuple[int, float]]:
-    """(n, |miss|) at the first point of the flip grid where psi_n's L1
-    image misses (-1)^(n+1) (a+n+1) psi_n by more than
-    1e-8 (a+n+1) max(1, |psi_n|); None if every image holds."""
-    for n, state in enumerate(states):
-        root = af + n + 1.0
-        for value, flipped, _ in flip.eigen_images(state):
-            miss = abs(flipped - (-1.0) ** (n + 1) * root * value)
-            if miss > 1e-8 * (root * max(1.0, abs(value))):
-                return n, miss
-    return None
-
-
 def _suite_susy(opts: SuiteOptions) -> list[CheckResult]:
-    results = []
-    a = opts.a
-    af = float(a)
-    grid = susyqm.default_grid(opts.points)
-    well = susyqm.WellGrid(a, grid)
-    states = [susyqm.eigenstate(a, n) for n in range(opts.levels + 1)]
+    a = susyqm.SchrodingerParams(opts.a).a
+    family = ParamPair(Fraction(0), 2 * a + 1)
+    levels = range(opts.levels + 1)
+    l1, h1 = susyqm.l1_band(a), susyqm.h1_band(a)
+    l1_op, h1_op = l1.table(opts.levels), h1.table(opts.levels)
+    square = l1 @ l1 == h1
+    flip = l1 == susyqm.darboux_band(a) @ susyqm.PARITY_BAND
 
-    l1_name = f"L1 eigen-relation n<={opts.levels} a={a}"
-    h1_name = f"H1 eigen-relation n<={opts.levels} a={a}"
-    worst_l1 = 0.0
-    worst_h1 = 0.0
-    dead = None
-    for n, state in enumerate(states):
-        images = well.eigen_images(state)
-        peak = max(abs(value) for value, _, _ in images)
-        if peak == 0.0:
-            dead = n
-            break
-        root = (-1.0) ** (n + 1) * (af + n + 1.0)
-        e_n = susyqm.energy(a, n)
-        for value, l1, h1 in images:
-            worst_l1 = max(worst_l1, abs(l1 - root * value) / peak)
-            worst_h1 = max(worst_h1, abs(h1 - e_n * value) / peak)
-    if dead is not None:
-        results += [_skip_underflow(name, f"psi_{dead}") for name in (l1_name, h1_name)]
-    else:
-        results += [
-            CheckResult("susy", l1_name, worst_l1 < 1e-8, f"worst scaled residual {worst_l1:.3e}"),
-            CheckResult("susy", h1_name, worst_h1 < 1e-8, f"worst scaled residual {worst_h1:.3e}"),
-        ]
+    # chi = -k/cos y, k = a + 1/2: chi^2, chi' and U(+-y) as numerators
+    # over cos^2 y = 1 - s^2, in s = sin y
+    k = a + Fraction(1, 2)
+    chi_squared, chi_prime = Poly([k * k]), Poly([0, -k])
+    u = susyqm.potential_numerator(a)
+    misses = []
+    if chi_squared + chi_prime != u:
+        misses.append("chi^2 + chi' != U(y)")
+    if chi_squared - chi_prime != reflect(u):
+        misses.append("chi^2 - chi' != U(-y)")
 
-    test_polys = [
-        Poly.ONE,
-        Poly.X,
-        Poly([Fraction(-1, 2), 0, 1]),
-        Poly([0, Fraction(1, 3), 0, 0, 0, 0, 1]),
-        Poly([0, 1, 0, 2]),
-    ]
-    phis = [susyqm.PhiPoly(a, p) for p in test_polys]
-    results.append(
-        _scaled_row(
+    results = [
+        _sweep(
+            "susy",
+            f"L1 eigen-relation n<={opts.levels} a={a}",
+            levels,
+            lambda n: l1_op.apply(generate_monic(family, n))
+            != (-1) ** (n + 1) * (a + n + 1) * generate_monic(family, n),
+            "coefficient-exact",
+        ),
+        _sweep(
+            "susy",
+            f"H1 eigen-relation n<={opts.levels} a={a}",
+            levels,
+            lambda n: h1_op.apply(generate_monic(family, n))
+            != (a + n + 1) ** 2 * generate_monic(family, n),
+            "coefficient-exact",
+        ),
+        CheckResult(
+            "susy",
             f"square root L1^2 = H1 a={a}",
-            [pair for phi in phis for pair in well.square_images(phi)],
-            lambda worst: worst < 1e-8,
-            " on degree<=6 tests",
-        )
-    )
-
-    # chi = -(a+1/2)/cos y with no additive constant: the odd and even
-    # parts of U, and U(y), U(-y) as chi^2 +- chi', each relative to the
-    # local size of the terms, since U grows like 1/cos^2 toward the walls
-    worst = dict.fromkeys(("odd_difference", "even_sum", "refactor_plus", "refactor_minus"), 0.0)
-    for u_plus, u_minus, x, xp in well.superpotential_terms():
-        scale = max(1.0, abs(u_plus), abs(u_minus), x * x)
-        for key, residual in (
-            ("odd_difference", 2.0 * xp - (u_plus - u_minus)),
-            ("even_sum", 2.0 * x * x - (u_plus + u_minus)),
-            ("refactor_plus", x * x + xp - u_plus),
-            ("refactor_minus", x * x - xp - u_minus),
-        ):
-            worst[key] = max(worst[key], abs(residual) / scale)
-    results.append(
+            square,
+            "bands agree at every degree" if square else "bands differ",
+        ),
         CheckResult(
             "susy",
             f"superpotential factorization a={a}",
-            all(value <= 1e-10 for value in worst.values()),
-            "worst residuals " + ", ".join(f"{k}={v:.2e}" for k, v in sorted(worst.items())),
-        )
-    )
-
-    # the L1 image at -y is the parity flip after the square root
-    flip = susyqm.WellGrid(a, [-y for y in (0.0, 0.4, -0.7, 1.1)])
-    miss = _first_flip_miss(flip, states[: min(opts.levels, 3) + 1], af)
-    results.append(
+            not misses,
+            "; ".join(misses) or "chi^2 +- chi' = U(+-y) exactly, over cos^2 y",
+        ),
         CheckResult(
             "susy",
             f"Darboux flip a={a}",
-            miss is None,
-            "parity flip matches the eigen-relation"
-            if miss is None
-            else "parity-flipped image of level {} missed its eigen-relation by {:.3e}".format(*miss),
-        )
-    )
-
-    # H1 (Phi p) = Phi q with q = (a+1)^2 p - S p exact, S the
-    # Sturm-Liouville operator of the alpha = 0 family
-    sub = susyqm.WellGrid(a, grid[:: max(1, len(grid) // 20)])
-    pairs = []
-    sturm_liouville = sturm_liouville_band(a)
-    for p, phi in zip(test_polys[:3], phis):
-        q = (a + 1) ** 2 * p - sturm_liouville.table(p.degree).apply(p)
-        pairs += zip((h1 for _, _, h1 in sub.eigen_images(phi)), sub.values(susyqm.PhiPoly(a, q)))
-    results.append(
-        _scaled_row(f"Sturm-Liouville conjugation a={a}", pairs, lambda worst: worst <= 1e-8)
-    )
-
-    nodes = susyqm.WellGrid(a, susyqm.default_grid(susyqm.NODE_POINTS))
-    node_values = [nodes.values(state) for state in states]
-    name = f"node counts n<={opts.levels} a={a}"
-    dead = next((n for n, values in enumerate(node_values) if not any(values)), None)
-    results.append(
-        _skip_underflow(name, f"psi_{dead}")
-        if dead is not None
-        else _sweep(
+            flip,
+            "L1 = ((1-s) d/ds - (a+1)) after the parity flip, at every degree"
+            if flip
+            else "L1 differs from ((1-s) d/ds - (a+1)) after the parity flip",
+        ),
+        _sweep(
             "susy",
-            name,
-            range(opts.levels + 1),
-            lambda n: susyqm.sign_changes(node_values[n]) != n,
+            f"node counts n<={opts.levels} a={a}",
+            levels,
+            lambda n: susyqm.node_count(a, n) != n,
             "psi_n crosses zero exactly n times",
             "wrong count at n={}",
+        ),
+    ]
+
+    # the float boundary: the H1 column of the grid evaluator against Phi
+    # times h1's exact image, on every (points // 20)-th grid point
+    grid = susyqm.default_grid(opts.points)
+    sub = susyqm.WellGrid(a, grid[:: max(1, len(grid) // 20)])
+    pairs = []
+    for p in (Poly.ONE, Poly.X, Poly([Fraction(-1, 2), 0, 1])):
+        images = sub.eigen_images(susyqm.PhiPoly(a, p))
+        q = h1.table(p.degree).apply(p)
+        pairs += zip((image for _, _, image in images), sub.values(susyqm.PhiPoly(a, q)))
+    name = f"Sturm-Liouville conjugation a={a}"
+    if not any(lhs or rhs for lhs, rhs in pairs):
+        # cos^(a+1/2) y underflows at every point: only zeros to compare
+        results.append(_skip("susy", name, "every test function underflows to 0.0 at every grid point"))
+    else:
+        worst = max(abs(lhs - rhs) / max(1.0, abs(rhs)) for lhs, rhs in pairs)
+        results.append(
+            CheckResult("susy", name, worst <= 1e-8, f"worst scaled residual {worst:.3e}")
         )
-    )
     return results
 
 

@@ -59,7 +59,7 @@ CRITERIA = [
     (13, "susy", ("L1 eigen-relation", "H1 eigen-relation", "square root L1^2 = H1",
                   "superpotential factorization"), 3.0,
      "square-root operator and Hamiltonian eigen-relations, operator square, "
-     "and superpotential factorization all hold", None),
+     "and superpotential factorization all hold exactly", None),
 ]
 
 

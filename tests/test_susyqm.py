@@ -1,6 +1,7 @@
 """Trigonometric well: states, square-root operator, factorization."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,10 +10,16 @@ from hypothesis import strategies as st
 
 from littlejacobi import susyqm
 from littlejacobi.family import ParamPair, generate_monic
-from littlejacobi.operators import sturm_liouville_band
-from littlejacobi.polys import Poly, horner, terminating_2f1
+from littlejacobi.operators import (
+    DERIVATIVE_BAND,
+    IDENTITY_BAND,
+    MULT_X_BAND,
+    Band,
+    sturm_liouville_band,
+)
+from littlejacobi.polys import Poly, horner, reflect, terminating_2f1
 from littlejacobi.susyqm import (
-    NODE_POINTS,
+    PARITY_BAND,
     PhiPoly,
     SchrodingerParams,
     WellGrid,
@@ -21,6 +28,8 @@ from littlejacobi.susyqm import (
     default_grid,
     eigenstate,
     energy,
+    h1_band,
+    l1_band,
     node_count,
     potential,
     sign_changes,
@@ -130,47 +139,88 @@ def test_H1_eigen_relation():
         assert worst < 1e-8
 
 
-def test_L1_squared_is_H1():
-    polys = [Poly.ONE, Poly.X, Poly([Fraction(-1, 2), 0, 1]), Poly([0, 0, 0, 1, 0, 0, 2])]
-    well = WellGrid(A, GRID[::4])
-    for p in polys:
-        for twice, direct in well.square_images(PhiPoly(A, p)):
-            assert abs(twice - direct) / max(1.0, abs(direct)) < 1e-8
+@pytest.mark.parametrize("a", [A, Fraction(5, 7), Fraction(100)], ids=str)
+def test_grid_images_equal_phi_times_band_images(a):
+    # verify proves L1 and H1 on bands; this ties the float evaluator to
+    # them: Phi times the band image of p is the grid's L1 and H1 image
+    rng = random.Random(6)
+    well = WellGrid(a, (-1.2, -0.5, 0.0, 0.4, 1.1))
+    for _ in range(20):
+        p = Poly([Fraction(rng.randint(-30, 30), rng.randint(1, 10)) for _ in range(7)])
+        images = well.eigen_images(PhiPoly(a, p))
+        for band, column in ((l1_band(a), 1), (h1_band(a), 2)):
+            expected = well.values(PhiPoly(a, band.table(p.degree).apply(p)))
+            for image, value in zip(images, expected):
+                assert abs(image[column] - value) <= 1e-12 * max(1.0, abs(image[column]))
 
 
 def test_factorization_conditions_hold():
     # chi^2 + chi' = U(y) and chi^2 - chi' = U(-y); their sum and
     # difference are the even and odd parts of U
-    for u_plus, u_minus, chi, chi_prime in WellGrid(A, GRID).superpotential_terms():
+    for y in GRID:
+        chi, chi_prime = _chi_ref(A, y)
+        u_plus, u_minus = potential(A, y), potential(A, -y)
         scale = max(1.0, u_plus, u_minus, chi * chi)
         assert abs(chi * chi + chi_prime - u_plus) / scale <= 1e-10
         assert abs(chi * chi - chi_prime - u_minus) / scale <= 1e-10
 
 
-def _susy_row(name: str):
-    [row] = [r for r in run_suites(["susy"], SuiteOptions()) if r.name.startswith(name)]
-    return row
+def _susy_rows():
+    return {r.name.split(" a=")[0]: r for r in run_suites(["susy"], SuiteOptions())}
+
+
+def test_bands_are_the_conjugated_operators():
+    # (L1 Phi p)/Phi = -(a+1) p(-s) - (1-s) p'(-s) and
+    # (H1 Phi p)/Phi = (a+1)^2 p - (1 - (2a+3)s) p' - (1-s^2) p'', exactly
+    rng = random.Random(7)
+    for a in (Fraction(51, 100), A, Fraction(100000)):
+        for _ in range(10):
+            p = Poly([Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(9)])
+            dp = p.derivative()
+            l1 = -(a + 1) * reflect(p) - Poly([1, -1]) * reflect(dp)
+            h1 = (a + 1) ** 2 * p - Poly([1, -(2 * a + 3)]) * dp - Poly([1, 0, -1]) * dp.derivative()
+            assert l1_band(a).table(p.degree).apply(p) == l1
+            assert h1_band(a).table(p.degree).apply(p) == h1
+            assert PARITY_BAND.table(p.degree).apply(p) == reflect(p)
+        assert l1_band(a) @ l1_band(a) == h1_band(a)
 
 
 def test_factorization_row_detects_parity_violation(monkeypatch):
-    # an odd perturbation of U breaks the odd-difference condition and
-    # leaves the even sum alone
-    exact = susyqm._potential
-    monkeypatch.setattr(susyqm, "_potential", lambda a, s, c: exact(a, s, c) + 1e-3 * s)
-    row = _susy_row("superpotential factorization")
+    # an odd term in U's numerator breaks both refactorizations: U(y)
+    # gains it and U(-y) loses it
+    exact = susyqm.potential_numerator
+    monkeypatch.setattr(
+        susyqm, "potential_numerator", lambda a: exact(a) + Poly([0, Fraction(1, 1000)])
+    )
+    row = _susy_rows()["superpotential factorization"]
     assert not row.passed
-    worst = row.detail.removeprefix("worst residuals ").split(", ")
-    worst = {key: float(value) for key, value in (pair.split("=") for pair in worst)}
-    assert worst["odd_difference"] > 1e-10
-    assert worst["even_sum"] <= 1e-10
+    assert row.detail == "chi^2 + chi' != U(y); chi^2 - chi' != U(-y)"
 
 
 def test_darboux_row_detects_a_sign_error(monkeypatch):
-    # L1 with the sign of the mirrored derivative flipped
-    monkeypatch.setattr(susyqm, "_l1", lambda k, d1, value, c: d1 - k * value / c)
-    row = _susy_row("Darboux flip")
+    # B with the sign of its derivative term flipped
+    monkeypatch.setattr(
+        susyqm,
+        "darboux_band",
+        lambda a: MULT_X_BAND @ DERIVATIVE_BAND - DERIVATIVE_BAND - (a + 1) * IDENTITY_BAND,
+    )
+    row = _susy_rows()["Darboux flip"]
     assert not row.passed
-    assert row.detail.startswith("parity-flipped image of level 0 missed its eigen-relation by ")
+    assert row.detail == "L1 differs from ((1-s) d/ds - (a+1)) after the parity flip"
+
+
+def test_perturbed_l1_band_fails_its_rows(monkeypatch):
+    # one more n^2/1000 on the diagonal at even n: zero at n = 0, so the
+    # eigen-relation first breaks at n = 2
+    exact = susyqm.l1_band
+    monkeypatch.setattr(
+        susyqm, "l1_band", lambda a: exact(a) + Band({0: [0, 0, Fraction(1, 1000)]}, {})
+    )
+    rows = _susy_rows()
+    for name in ("L1 eigen-relation n<=5", "square root L1^2 = H1", "Darboux flip"):
+        assert not rows[name].passed, name
+    assert rows["L1 eigen-relation n<=5"].detail == "mismatch at n=2"
+    assert rows["H1 eigen-relation n<=5"].passed
 
 
 def test_darboux_flip_at_origin():
@@ -200,15 +250,27 @@ def test_conjugation_holds_on_the_grid():
 def test_node_counts():
     for n in range(6):
         assert node_count(A, n) == n
+    # exact at any depth: a 400-point grid missed a node at a = 100000
+    for a in (Fraction(51, 100), Fraction(100000), Fraction(10**20)):
+        assert [node_count(a, n) for n in range(41)] == list(range(41))
+    with pytest.raises(ValueError, match="nonnegative"):
+        node_count(A, -1)
+    with pytest.raises(ValueError, match="exceed 1/2"):
+        node_count(Fraction(1, 2), 1)
 
 
-def test_superpotential_prime_consistency():
-    h = 1e-4
-    ys = (-1.0, -0.2, 0.5, 1.3)
-    terms = WellGrid(A, [p for y in ys for p in (y - h, y, y + h)]).superpotential_terms()
-    for k in range(len(ys)):
-        (_, _, chi_minus, _), (_, _, _, chi_prime), (_, _, chi_plus, _) = terms[3 * k : 3 * k + 3]
-        assert abs(chi_prime - (chi_plus - chi_minus) / (2 * h)) < 1e-5
+def test_node_count_refuses_a_chain_that_is_not_sturm(monkeypatch):
+    exact = susyqm.recurrence_coeffs
+
+    def negated_u(params, k):
+        u, b = exact(params, k)
+        return (-u if k else u), b
+
+    monkeypatch.setattr(susyqm, "recurrence_coeffs", negated_u)
+    with pytest.raises(ValueError, match="u_k > 0"):
+        node_count(A, 3)
+    # below n = 2 no u_k enters the chain
+    assert node_count(A, 1) == 1
 
 
 def test_default_grid_properties():
@@ -243,15 +305,6 @@ def _h1_ref(a, f, y):
     return -f.d2(y) + _u_ref(a, y) * f.value(y)
 
 
-def _l1_squared_ref(a, f, y):
-    # L1 of v = L1 f, from v(-y) = -f'(y) - k f(y)/cos(-y) and
-    # v'(-y) = f''(y) + k f'(y)/cos(-y) - k f(y) sin(-y)/cos^2(-y)
-    k, s, c = float(a) + 0.5, math.sin(-y), math.cos(-y)
-    image = -f.d1(y) - k * f.value(y) / c
-    image_d1 = f.d2(y) + k * f.d1(y) / c - k * f.value(y) * s / (c * c)
-    return -image_d1 - k * image / math.cos(y)
-
-
 def _chi_ref(a, y):
     # chi(y) = -(a+1/2)/cos y and chi'(y) = -(a+1/2) sin y/cos^2 y
     k, c = float(a) + 0.5, math.cos(y)
@@ -278,12 +331,6 @@ def test_grid_equals_per_point_evaluation(a, n, points):
         assert state._jet(mirror) == (state.value(-y), state.d1(-y), state.d2(-y))
     assert well.eigen_images(state) == [
         (state.value(y), _l1_ref(a, state, y), _h1_ref(a, state, y)) for y in ys
-    ]
-    assert well.square_images(state) == [
-        (_l1_squared_ref(a, state, y), _h1_ref(a, state, y)) for y in ys
-    ]
-    assert well.superpotential_terms() == [
-        (_u_ref(a, y), _u_ref(a, -y), *_chi_ref(a, y)) for y in ys
     ]
     # the per-point functions are views of a one-point grid
     y = ys[len(ys) // 2]
@@ -360,7 +407,8 @@ def test_potential_values_equal_per_point_potential():
 @given(wells, st.integers(min_value=0, max_value=9))
 @settings(max_examples=15, deadline=None)
 def test_grid_node_counts_equal_node_count(a, n):
-    well = WellGrid(a, default_grid(NODE_POINTS))
+    # a shallow well's nodes are wide enough for a 400-point grid to see
+    well = WellGrid(a, default_grid(400))
     assert sign_changes(well.values(eigenstate(a, n))) == node_count(a, n)
 
 

@@ -240,41 +240,39 @@ def test_exact_suites_golden_record(pair, capsys):
 
 # -- golden record of the susy suite ------------------------------------------
 
-# (name, passed, detail) of `verify --suite susy --format json`, as the
-# per-point evaluation computed them before the grid path shared the pieces
+# (name, passed, detail) of `verify --suite susy --format json`.  Six rows
+# are exact identities; the Sturm-Liouville row is the float boundary, and
+# its residual is the one the per-point evaluation gave before the grid
+# path shared the pieces
+FLIP = "L1 = ((1-s) d/ds - (a+1)) after the parity flip, at every degree"
+FACTORED = "chi^2 +- chi' = U(+-y) exactly, over cos^2 y"
 GOLDEN_SUSY = {
     (): [
-        ("Darboux flip a=3/2", True, "parity flip matches the eigen-relation"),
-        ("H1 eigen-relation n<=5 a=3/2", True, "worst scaled residual 8.768e-14"),
-        ("L1 eigen-relation n<=5 a=3/2", True, "worst scaled residual 1.160e-14"),
+        ("Darboux flip a=3/2", True, FLIP),
+        ("H1 eigen-relation n<=5 a=3/2", True, "coefficient-exact"),
+        ("L1 eigen-relation n<=5 a=3/2", True, "coefficient-exact"),
         ("Sturm-Liouville conjugation a=3/2", True, "worst scaled residual 2.248e-15"),
         ("node counts n<=5 a=3/2", True, "psi_n crosses zero exactly n times"),
-        ("square root L1^2 = H1 a=3/2", True, "worst scaled residual 2.096e-15 on degree<=6 tests"),
-        ("superpotential factorization a=3/2", True,
-         "worst residuals even_sum=8.62e-16, odd_difference=2.31e-16, "
-         "refactor_minus=3.89e-16, refactor_plus=4.31e-16"),
+        ("square root L1^2 = H1 a=3/2", True, "bands agree at every degree"),
+        ("superpotential factorization a=3/2", True, FACTORED),
     ],
     ("--a", "7/10", "--points", "333", "--levels", "8"): [
-        ("Darboux flip a=7/10", True, "parity flip matches the eigen-relation"),
-        ("H1 eigen-relation n<=8 a=7/10", True, "worst scaled residual 1.627e-12"),
-        ("L1 eigen-relation n<=8 a=7/10", True, "worst scaled residual 2.287e-13"),
+        ("Darboux flip a=7/10", True, FLIP),
+        ("H1 eigen-relation n<=8 a=7/10", True, "coefficient-exact"),
+        ("L1 eigen-relation n<=8 a=7/10", True, "coefficient-exact"),
         ("Sturm-Liouville conjugation a=7/10", True, "worst scaled residual 1.221e-15"),
         ("node counts n<=8 a=7/10", True, "psi_n crosses zero exactly n times"),
-        ("square root L1^2 = H1 a=7/10", True, "worst scaled residual 2.969e-13 on degree<=6 tests"),
-        ("superpotential factorization a=7/10", True,
-         "worst residuals even_sum=5.51e-16, odd_difference=3.53e-16, "
-         "refactor_minus=3.50e-16, refactor_plus=2.98e-16"),
+        ("square root L1^2 = H1 a=7/10", True, "bands agree at every degree"),
+        ("superpotential factorization a=7/10", True, FACTORED),
     ],
     ("--a", "3", "--levels", "9"): [
-        ("Darboux flip a=3", True, "parity flip matches the eigen-relation"),
-        ("H1 eigen-relation n<=9 a=3", True, "worst scaled residual 4.089e-12"),
-        ("L1 eigen-relation n<=9 a=3", True, "worst scaled residual 2.381e-13"),
+        ("Darboux flip a=3", True, FLIP),
+        ("H1 eigen-relation n<=9 a=3", True, "coefficient-exact"),
+        ("L1 eigen-relation n<=9 a=3", True, "coefficient-exact"),
         ("Sturm-Liouville conjugation a=3", True, "worst scaled residual 5.551e-16"),
         ("node counts n<=9 a=3", True, "psi_n crosses zero exactly n times"),
-        ("square root L1^2 = H1 a=3", True, "worst scaled residual 1.268e-15 on degree<=6 tests"),
-        ("superpotential factorization a=3", True,
-         "worst residuals even_sum=6.57e-16, odd_difference=3.01e-16, "
-         "refactor_minus=3.90e-16, refactor_plus=4.06e-16"),
+        ("square root L1^2 = H1 a=3", True, "bands agree at every degree"),
+        ("superpotential factorization a=3", True, FACTORED),
     ],
 }
 
