@@ -40,17 +40,16 @@ proves all of them as exact band and Poly identities.  Phi > 0 inside
 the well, so the nodes of psi_n are the zeros of p_n in (-1, 1), which
 `node_count` counts exactly.
 
-Floats are left to the evaluation boundary.  Every evaluation goes
-through a WellGrid: it takes the per-point pieces sin y, cos y, Phi(y)
-and the log-derivative of Phi (a sin, a cos, a sqrt and a pow) at most
-once per grid point, and shares them across every state, every
-derivative and both signs of y, so a check over many states on one grid
-pays for the trigonometry once.  Phi's pieces wait for the first state,
-so a grid that reads only U takes sin and cos alone.  A state then costs
-its Horner passes over p, p' and p'' (one fused pass for the full jet,
-see PhiPoly).  The per-point functions (potential, apply_L1, apply_H1)
-are views of a grid on their one point; only PhiPoly's value/d1/d2 take
-a point's pieces themselves.
+Floats are left to the evaluation boundary.  A WellGrid takes the
+per-point pieces sin y, cos y, Phi(y) and the log-derivative of Phi (a
+sin, a cos, a sqrt and a pow) at most once per grid point and shares
+them across every state it evaluates, so the values of many states and
+their H1 images on one grid pay for the trigonometry once.  Phi's pieces
+wait for the first state, so a grid that reads only U takes sin and cos
+alone.  A state then costs its Horner passes (one over p for a value,
+one fused pass over p, p' and p'' for the full jet, see PhiPoly).
+potential and apply_H1 are views of a grid on their one point;
+apply_L1 and PhiPoly's value/d1/d2 take a point's pieces themselves.
 """
 
 from __future__ import annotations
@@ -82,7 +81,6 @@ __all__ = [
     "darboux_band",
     "default_grid",
     "eigenstate",
-    "energy",
     "h1_band",
     "l1_band",
     "node_count",
@@ -114,8 +112,7 @@ def _check_y(y) -> float:
 
 @dataclass(frozen=True)
 class SchrodingerParams:
-    """Well parameter a > 1/2; the matching recurrence family sits at
-    alpha = 0, beta = 2a + 1."""
+    """Well parameter a > 1/2 and the recurrence family of its states."""
 
     a: Fraction
 
@@ -124,8 +121,10 @@ class SchrodingerParams:
         _check_a(self.a)
 
     @property
-    def beta(self) -> Fraction:
-        return 2 * self.a + 1
+    def family(self) -> ParamPair:
+        """alpha = 0, beta = 2a + 1: the pair whose members are the
+        states' polynomial factors."""
+        return ParamPair(0, 2 * self.a + 1)
 
 
 def _potential(a: float, s: float, c: float) -> float:
@@ -157,14 +156,6 @@ def darboux_band(a) -> Band:
     return DERIVATIVE_BAND - MULT_X_BAND @ DERIVATIVE_BAND - (a + 1) * IDENTITY_BAND
 
 
-def energy(a, n: int) -> float:
-    """(a + n + 1)^2.  Pure algebra, defined for any a; only the well
-    picture itself (potential, states) insists on a > 1/2."""
-    if n < 0:
-        raise ValueError("level index must be nonnegative")
-    return (float(a) + n + 1.0) ** 2
-
-
 def _trig(y: float) -> tuple[float, float]:
     """(sin y, cos y): the only place the well takes sin and cos."""
     return math.sin(y), math.cos(y)
@@ -192,13 +183,12 @@ class PhiPoly:
         F'  = Phi * (ell p + c p')
         F'' = Phi * ((ell^2 + ell') p + 2 ell c p' - s p' + c^2 p'')
 
-    value, d1 and d2 each read one entry of the jet (F, F', F''), which
-    takes the pieces (s, c, Phi, ell) of one point.  The full jet makes
-    one fused Horner pass (`horner3`) over p, p' and p''; orders 0 and 1
-    make one plain pass each over p and p', since a three-way pass would
-    slow the values that wavefunction grids read.  A WellGrid hands the
-    jet pieces it has already taken, so a grid check pays only for the
-    Horner passes.
+    value takes one plain Horner pass over p, since a three-way pass
+    would slow the values that wavefunction grids read; d1 and d2 read
+    the jet (F, F', F''), one fused Horner pass (`horner3`) over p, p'
+    and p''.  Both take the pieces (s, c, Phi, ell) of one point, and a
+    WellGrid hands the pieces it has already taken, so a grid pays only
+    for the Horner passes.
     """
 
     __slots__ = ("a", "poly", "_p", "_dp", "_ddp", "_rows")
@@ -214,38 +204,38 @@ class PhiPoly:
         # +0.0 where horner gives -0.0 at s < 0: such p keep three passes
         self._rows = horner_rows(self._p, self._dp, self._ddp) if self._ddp else None
 
-    def _jet(self, pieces, order: int = 2) -> tuple[float, ...]:
-        """(F, F', F'')[: order + 1] at the point whose pieces are given."""
+    def _value(self, pieces) -> float:
+        """F at the point whose pieces are given."""
+        return pieces[2] * horner(self._p, pieces[0])
+
+    def _jet(self, pieces) -> tuple[float, float, float]:
+        """(F, F', F'') at the point whose pieces are given."""
         s, c, phi, ell = pieces
-        if order == 2 and self._rows is not None:
+        if self._rows is not None:
             p0, p1, p2 = horner3(self._rows, s)
         else:
-            p0 = horner(self._p, s)
-            if order == 0:
-                return (phi * p0,)
-            p1 = horner(self._dp, s)
-            p2 = horner(self._ddp, s) if order == 2 else None
-        f0 = phi * p0
-        f1 = phi * (ell * p0 + c * p1)
-        if order == 1:
-            return f0, f1
+            p0, p1, p2 = horner(self._p, s), horner(self._dp, s), horner(self._ddp, s)
         ell_prime = (s - 2.0 * (self.a + 1.0)) / (2.0 * c * c)
-        return f0, f1, phi * ((ell * ell + ell_prime) * p0 + (2.0 * ell * c - s) * p1 + c * c * p2)
+        return (
+            phi * p0,
+            phi * (ell * p0 + c * p1),
+            phi * ((ell * ell + ell_prime) * p0 + (2.0 * ell * c - s) * p1 + c * c * p2),
+        )
 
     def value(self, y) -> float:
-        return self._jet(_pieces(self.a, _check_y(y)), 0)[0]
+        return self._value(_pieces(self.a, _check_y(y)))
 
     def d1(self, y) -> float:
-        return self._jet(_pieces(self.a, _check_y(y)), 1)[1]
+        return self._jet(_pieces(self.a, _check_y(y)))[1]
 
     def d2(self, y) -> float:
-        return self._jet(_pieces(self.a, _check_y(y)), 2)[2]
+        return self._jet(_pieces(self.a, _check_y(y)))[2]
 
 
 def _state_poly(a, n: int) -> Poly:
     # 2F1(-n, n+2a+2; a+1; (1-s)/2) as an exact polynomial in s: the
     # (0, 2a+1) family member, scaled to 1 at s = 1 (no zero lies there)
-    p = generate_monic(ParamPair(0, SchrodingerParams(a).beta), n)
+    p = generate_monic(SchrodingerParams(a).family, n)
     return p * Fraction(p.den, sum(p.nums))
 
 
@@ -255,6 +245,11 @@ def eigenstate(a, n: int) -> PhiPoly:
     if n < 0:
         raise ValueError("level index must be nonnegative")
     return PhiPoly(a, _state_poly(a, n))
+
+
+def _check_state(a: float, f: PhiPoly) -> None:
+    if f.a != a:
+        raise ValueError("state and grid must share the well parameter a")
 
 
 def default_grid(points: int) -> tuple[float, ...]:
@@ -287,21 +282,18 @@ class WellGrid:
 
     sin y, cos y and U(y) are taken when the grid is made.  Phi and its
     log-derivative at y (a sqrt and a pow) are taken when a state is
-    first evaluated, and the pieces at -y when an L1 image is first asked
-    for, so a grid that only reads U pays for no more.
-    A state then costs one jet per point (and one more at -y for the L1
-    image): Horner passes and a few products, with no sin, cos, sqrt or
-    pow.
+    first evaluated, so a grid that only reads U pays for no more.  A
+    state's values then cost one Horner pass per point, and its H1 image
+    one jet per point, with no sin, cos, sqrt or pow.
     """
 
-    __slots__ = ("a", "ys", "potential", "_sin_cos", "_here", "_mirror")
+    __slots__ = ("a", "ys", "potential", "_sin_cos", "_here")
 
     def __init__(self, a, ys: Sequence[float]):
         self.a = _check_a(a)
         self.ys = tuple([_check_y(y) for y in ys])
         self._sin_cos = [_trig(y) for y in self.ys]
         self._here = None
-        self._mirror = None
         #: U(y) at each grid point
         self.potential = tuple([_potential(self.a, s, c) for s, c in self._sin_cos])
 
@@ -310,31 +302,18 @@ class WellGrid:
             self._here = [_state_pieces(self.a, s, c) for s, c in self._sin_cos]
         return self._here
 
-    def _mirrored(self) -> list:
-        if self._mirror is None:
-            self._mirror = [_pieces(self.a, -y) for y in self.ys]
-        return self._mirror
-
-    def _check(self, f: PhiPoly) -> None:
-        if f.a != self.a:
-            raise ValueError("state and grid must share the well parameter a")
-
     def values(self, f: PhiPoly) -> list[float]:
         """f(y) at each grid point."""
-        self._check(f)
-        return [f._jet(here, 0)[0] for here in self._pieces_here()]
+        _check_state(self.a, f)
+        return [f._value(here) for here in self._pieces_here()]
 
-    def eigen_images(self, f: PhiPoly) -> list[tuple[float, float, float]]:
-        """(f(y), (L1 f)(y), (H1 f)(y)) at each grid point, with
-        (L1 f)(y) = -f'(-y) - k f(-y)/cos y, k = a + 1/2, and
-        (H1 f)(y) = -f''(y) + U(y) f(y)."""
-        self._check(f)
-        k = self.a + 0.5
+    def h1_images(self, f: PhiPoly) -> list[float]:
+        """(H1 f)(y) = -f''(y) + U(y) f(y) at each grid point."""
+        _check_state(self.a, f)
         out = []
-        for here, mirror, u in zip(self._pieces_here(), self._mirrored(), self.potential):
+        for here, u in zip(self._pieces_here(), self.potential):
             f0, _, f2 = f._jet(here)
-            g0, g1 = f._jet(mirror, 1)
-            out.append((f0, -g1 - k * g0 / here[1], -f2 + u * f0))
+            out.append(-f2 + u * f0)
         return out
 
 
@@ -345,15 +324,18 @@ def potential(a, y) -> float:
 
 def apply_L1(a, f: PhiPoly, y) -> float:
     """(d/dy - (a+1/2)/cos y) applied to the parity flip of f:
-    -f'(-y) - (a+1/2) f(-y)/cos y, the L1 column of
-    `WellGrid.eigen_images` at y.  f is a PhiPoly of the same a; the
-    grid refuses one of another well."""
-    return WellGrid(a, (y,)).eigen_images(f)[0][1]
+    -f'(-y) - (a+1/2) f(-y)/cos y, from the pieces at -y.  f is a
+    PhiPoly of the same a; one of another well is refused."""
+    a = _check_a(a)
+    mirror = _pieces(a, -_check_y(y))
+    _check_state(a, f)
+    g0, g1, _ = f._jet(mirror)
+    return -g1 - (a + 0.5) * g0 / mirror[1]
 
 
 def apply_H1(a, f: PhiPoly, y) -> float:
-    """-f''(y) + U(y) f(y), the H1 column of `WellGrid.eigen_images` at y."""
-    return WellGrid(a, (y,)).eigen_images(f)[0][2]
+    """-f''(y) + U(y) f(y), `WellGrid.h1_images` at y."""
+    return WellGrid(a, (y,)).h1_images(f)[0]
 
 
 def node_count(a, n: int) -> int:
@@ -365,21 +347,21 @@ def node_count(a, n: int) -> int:
     P_{k+1} = -u_k P_{k-1} have opposite signs, and P_n' P_{n-1} > 0 at
     the zeros of P_n (Christoffel-Darboux).  So when P_n(+-1) != 0, the
     zeros in (-1, 1) number the sign changes of the chain at -1 minus
-    those at +1.  The chain is the recurrence, evaluated in Fraction at
-    +-1, one step per degree.
+    those at +1.  The chain is the cached members `generate_monic`
+    returns, each read at +-1 as the integer sum of its numerators, with
+    signs (-1)^i at -1: its denominator is positive, so the signs are
+    exact.
     """
     if n < 0:
         raise ValueError("level index must be nonnegative")
-    family = ParamPair(0, SchrodingerParams(a).beta)
-    coeffs = [recurrence_coeffs(family, k) for k in range(n)]
-    if any(u <= 0 for u, _ in coeffs[1:]):
+    family = SchrodingerParams(a).family
+    if any(recurrence_coeffs(family, k)[0] <= 0 for k in range(1, n)):
         raise ValueError("a Sturm sequence needs u_k > 0 for 1 <= k < n")
+    chain = [generate_monic(family, k).nums for k in range(n + 1)]
     changes = []
     for x in (-1, 1):
-        chain = [Fraction(0), Fraction(1)]  # P_{-1}, P_0
-        for u, b in coeffs:
-            chain.append((x - b) * chain[-1] - (u or 0) * chain[-2])
-        if not chain[-1]:
+        values = [sum(c[::2]) + x * sum(c[1::2]) for c in chain]
+        if not values[-1]:
             raise ValueError(f"P_{n} vanishes at {x}, where the count needs a sign")
-        changes.append(sign_changes(chain[1:]))
+        changes.append(sign_changes(values))
     return changes[0] - changes[1]

@@ -441,8 +441,8 @@ def _suite_qlimit(opts: SuiteOptions) -> list[CheckResult]:
 
 
 def _suite_susy(opts: SuiteOptions) -> list[CheckResult]:
-    a = susyqm.SchrodingerParams(opts.a).a
-    family = ParamPair(Fraction(0), 2 * a + 1)
+    params = susyqm.SchrodingerParams(opts.a)
+    a, family = params.a, params.family
     levels = range(opts.levels + 1)
     l1, h1 = susyqm.l1_band(a), susyqm.h1_band(a)
     l1_op, h1_op = l1.table(opts.levels), h1.table(opts.levels)
@@ -507,15 +507,14 @@ def _suite_susy(opts: SuiteOptions) -> list[CheckResult]:
         ),
     ]
 
-    # the float boundary: the H1 column of the grid evaluator against Phi
+    # the float boundary: the grid's H1 images against Phi
     # times h1's exact image, on every (points // 20)-th grid point
     grid = susyqm.default_grid(opts.points)
     sub = susyqm.WellGrid(a, grid[:: max(1, len(grid) // 20)])
     pairs = []
     for p in (Poly.ONE, Poly.X, Poly([Fraction(-1, 2), 0, 1])):
-        images = sub.eigen_images(susyqm.PhiPoly(a, p))
         q = h1.table(p.degree).apply(p)
-        pairs += zip((image for _, _, image in images), sub.values(susyqm.PhiPoly(a, q)))
+        pairs += zip(sub.h1_images(susyqm.PhiPoly(a, p)), sub.values(susyqm.PhiPoly(a, q)))
     name = f"Sturm-Liouville conjugation a={a}"
     if not any(lhs or rhs for lhs, rhs in pairs):
         # cos^(a+1/2) y underflows at every point: only zeros to compare

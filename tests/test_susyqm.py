@@ -27,7 +27,6 @@ from littlejacobi.susyqm import (
     apply_L1,
     default_grid,
     eigenstate,
-    energy,
     h1_band,
     l1_band,
     node_count,
@@ -59,16 +58,9 @@ def test_domain_validation():
 
 def test_schrodinger_params():
     sp = SchrodingerParams(Fraction(3, 2))
-    assert sp.beta == 4
+    assert sp.family == ParamPair(0, 4)
     with pytest.raises(ValueError):
         SchrodingerParams(Fraction(1, 2))
-
-
-def test_energy_values():
-    assert energy(Fraction(1, 2), 0) == 2.25
-    assert energy(A, 2) == 20.25
-    for n in range(6):
-        assert energy(A, n + 1) > energy(A, n)
 
 
 def test_ground_state_values():
@@ -131,7 +123,7 @@ def test_H1_eigen_relation():
         state = eigenstate(A, n)
         values = [state.value(y) for y in GRID]
         peak = max(abs(v) for v in values)
-        e_n = energy(A, n)
+        e_n = (float(A) + n + 1.0) ** 2
         worst = max(
             abs(apply_H1(A, state, y) - e_n * v) / peak
             for y, v in zip(GRID, values)
@@ -141,17 +133,18 @@ def test_H1_eigen_relation():
 
 @pytest.mark.parametrize("a", [A, Fraction(5, 7), Fraction(100)], ids=str)
 def test_grid_images_equal_phi_times_band_images(a):
-    # verify proves L1 and H1 on bands; this ties the float evaluator to
-    # them: Phi times the band image of p is the grid's L1 and H1 image
+    # verify proves L1 and H1 on bands; this ties the float evaluators to
+    # them: Phi times the band image of p is apply_L1's and the grid's H1 image
     rng = random.Random(6)
     well = WellGrid(a, (-1.2, -0.5, 0.0, 0.4, 1.1))
     for _ in range(20):
         p = Poly([Fraction(rng.randint(-30, 30), rng.randint(1, 10)) for _ in range(7)])
-        images = well.eigen_images(PhiPoly(a, p))
-        for band, column in ((l1_band(a), 1), (h1_band(a), 2)):
+        f = PhiPoly(a, p)
+        l1_images = [apply_L1(a, f, y) for y in well.ys]
+        for band, images in ((l1_band(a), l1_images), (h1_band(a), well.h1_images(f))):
             expected = well.values(PhiPoly(a, band.table(p.degree).apply(p)))
             for image, value in zip(images, expected):
-                assert abs(image[column] - value) <= 1e-12 * max(1.0, abs(image[column]))
+                assert abs(image - value) <= 1e-12 * max(1.0, abs(image))
 
 
 def test_factorization_conditions_hold():
@@ -225,16 +218,15 @@ def test_perturbed_l1_band_fails_its_rows(monkeypatch):
 
 def test_darboux_flip_at_origin():
     # level 0 at the symmetric point: the flip returns -(a+1)
-    [(_, flipped, _)] = WellGrid(A, (-0.0,)).eigen_images(eigenstate(A, 0))
-    assert abs(flipped + (float(A) + 1.0)) < 1e-10
+    assert abs(apply_L1(A, eigenstate(A, 0), -0.0) + (float(A) + 1.0)) < 1e-10
 
 
 def test_darboux_flip_magnitude():
-    # the L1 image at -y is the parity flip of psi_n: (a+n+1) |psi_n(-y)| in size
-    flip = WellGrid(A, (-0.4, 0.7, -1.1))
+    # L1 psi_n = +-(a+n+1) psi_n, read from psi_n at -y: (a+n+1) |psi_n(y)| in size
     for n in range(4):
-        for value, flipped, _ in flip.eigen_images(eigenstate(A, n)):
-            assert abs(abs(flipped) - (float(A) + n + 1.0) * abs(value)) < 1e-8
+        state = eigenstate(A, n)
+        for y in (-0.4, 0.7, -1.1):
+            assert abs(abs(apply_L1(A, state, y)) - (float(A) + n + 1.0) * abs(state.value(y))) < 1e-8
 
 
 def test_conjugation_holds_on_the_grid():
@@ -242,9 +234,30 @@ def test_conjugation_holds_on_the_grid():
     well = WellGrid(A, GRID[::10])
     for p in (Poly.ONE, Poly.X, Poly([Fraction(-1, 2), 0, 1])):
         q = (A + 1) ** 2 * p - sturm_liouville_band(A).table(p.degree).apply(p)
-        images = well.eigen_images(PhiPoly(A, p))
-        for (_, _, lhs), rhs in zip(images, well.values(PhiPoly(A, q))):
+        images = well.h1_images(PhiPoly(A, p))
+        for lhs, rhs in zip(images, well.values(PhiPoly(A, q))):
             assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-8
+
+
+def _node_count_ref(a, n):
+    # the Sturm chain by the recurrence itself, in Fraction at +-1
+    family = SchrodingerParams(a).family
+    coeffs = [susyqm.recurrence_coeffs(family, k) for k in range(n)]
+    changes = []
+    for x in (-1, 1):
+        chain = [Fraction(0), Fraction(1)]  # P_{-1}, P_0
+        for u, b in coeffs:
+            chain.append((x - b) * chain[-1] - (u or 0) * chain[-2])
+        changes.append(sign_changes(chain[1:]))
+    return changes[0] - changes[1]
+
+
+@pytest.mark.parametrize(
+    "a", [Fraction(51, 100), A, Fraction(10**5), Fraction(10**20)], ids=str
+)
+def test_node_count_equals_the_recurrence_chain(a):
+    # the cached members read at +-1 give the chain the recurrence gives
+    assert [node_count(a, n) for n in range(61)] == [_node_count_ref(a, n) for n in range(61)]
 
 
 def test_node_counts():
@@ -271,6 +284,15 @@ def test_node_count_refuses_a_chain_that_is_not_sturm(monkeypatch):
         node_count(A, 3)
     # below n = 2 no u_k enters the chain
     assert node_count(A, 1) == 1
+
+
+def test_node_count_refuses_a_member_that_vanishes_at_an_end(monkeypatch):
+    exact = susyqm.generate_monic
+    monkeypatch.setattr(
+        susyqm, "generate_monic", lambda params, k: exact(params, k) * Poly([-1, 1])
+    )
+    with pytest.raises(ValueError, match="P_2 vanishes at 1"):
+        node_count(A, 2)
 
 
 def test_default_grid_properties():
@@ -326,32 +348,29 @@ def test_grid_equals_per_point_evaluation(a, n, points):
     state = eigenstate(a, n)
     assert well.ys == ys
     assert well.values(state) == [state.value(y) for y in ys]
-    for y, here, mirror in zip(ys, well._here, well._mirrored()):
+    for y, here in zip(ys, well._here):
         assert state._jet(here) == (state.value(y), state.d1(y), state.d2(y))
-        assert state._jet(mirror) == (state.value(-y), state.d1(-y), state.d2(-y))
-    assert well.eigen_images(state) == [
-        (state.value(y), _l1_ref(a, state, y), _h1_ref(a, state, y)) for y in ys
-    ]
-    # the per-point functions are views of a one-point grid
+    assert well.h1_images(state) == [_h1_ref(a, state, y) for y in ys]
+    # apply_L1 reads the pieces at -y itself
+    assert [apply_L1(a, state, y) for y in ys] == [_l1_ref(a, state, y) for y in ys]
+    # the per-point potential and H1 are views of a one-point grid
     y = ys[len(ys) // 2]
     assert potential(a, y) == _u_ref(a, y)
-    assert apply_L1(a, state, y) == _l1_ref(a, state, y)
     assert apply_H1(a, state, y) == _h1_ref(a, state, y)
 
 
-def _separate_jet(state, pieces, order):
+def _separate_jet(state, pieces):
     """The jet of PhiPoly with one plain Horner pass per derivative order."""
     s, c, phi, ell = pieces
     p0 = horner(state._p, s)
     p1 = horner(state._dp, s)
     p2 = horner(state._ddp, s)
     ell_prime = (s - 2.0 * (state.a + 1.0)) / (2.0 * c * c)
-    jet = (
+    return (
         phi * p0,
         phi * (ell * p0 + c * p1),
         phi * ((ell * ell + ell_prime) * p0 + (2.0 * ell * c - s) * p1 + c * c * p2),
     )
-    return jet[: order + 1]
 
 
 def _signed(values):
@@ -365,12 +384,19 @@ phi_polys = st.lists(
 ).map(Poly)
 
 
+def _reads(state, order):
+    # value takes one pass over p; d1 and d2 read the fused jet
+    return (state.value, state.d1, state.d2)[order]
+
+
 @given(wells, phi_polys, st.floats(min_value=-1.57, max_value=1.57), st.integers(0, 2))
 @settings(max_examples=150, deadline=None)
 def test_jets_equal_separate_passes(a, p, y, order):
     state = PhiPoly(a, p)
-    for pieces in (_pieces(state.a, y), _pieces(state.a, -y)):
-        assert _signed(state._jet(pieces, order)) == _signed(_separate_jet(state, pieces, order))
+    for point in (y, -y):
+        pieces = _pieces(state.a, point)
+        assert _signed(state._jet(pieces)) == _signed(_separate_jet(state, pieces))
+        assert _signed([_reads(state, order)(point)]) == _signed([_separate_jet(state, pieces)[order]])
 
 
 @pytest.mark.parametrize("p", [Poly(), Poly.ONE, Poly([2, -3])], ids=["zero", "constant", "linear"])
@@ -380,7 +406,7 @@ def test_short_jets_equal_separate_passes(p, order):
     state = PhiPoly(A, p)
     for y in (-1.2, -0.3, 0.4):
         pieces = _pieces(state.a, y)
-        assert _signed(state._jet(pieces, order)) == _signed(_separate_jet(state, pieces, order))
+        assert _signed([_reads(state, order)(y)]) == _signed([_separate_jet(state, pieces)[order]])
 
 
 @pytest.mark.parametrize(
@@ -394,7 +420,7 @@ def test_empty_derivative_reads_negative_zero(p, pieces, k):
     # is -0.0 only if the empty p' or p'' reads -0.0, as horner does
     state = PhiPoly(A, p)
     jet = state._jet(pieces)
-    assert _signed(jet) == _signed(_separate_jet(state, pieces, 2))
+    assert _signed(jet) == _signed(_separate_jet(state, pieces))
     assert math.copysign(1.0, jet[k]) == -1.0
 
 
