@@ -571,8 +571,8 @@ def test_every_command_answers_or_refuses_at_the_float_boundary(pair, capsys):
 )
 def test_verify_skips_susy_rows_whose_states_underflow(args, skipped, capsys):
     # cos^(a+1/2) underflows at every point of the float boundary row's
-    # grid: the row reports a skip with the reason, and the exact rows,
-    # which never evaluate a state, still answer
+    # grid, so Phi is subnormal at each: the row reports a skip with the
+    # reason, and the exact rows, which never evaluate a state, still answer
     assert run(["verify", *args, "--format", "json"]) == 0
     captured = capsys.readouterr()
     assert "Traceback" not in captured.err
@@ -582,8 +582,9 @@ def test_verify_skips_susy_rows_whose_states_underflow(args, skipped, capsys):
     assert [r["name"].split(" a=")[0] for r in susy if r["skipped"]] == skipped
     for r in susy:
         if r["skipped"]:
-            assert r["detail"].startswith("not applicable: ")
-            assert r["detail"].endswith(" underflows to 0.0 at every grid point")
+            assert r["detail"] == (
+                "not applicable: Phi is subnormal or the terms are 0 at every grid point"
+            )
 
 
 @pytest.mark.parametrize(
@@ -753,7 +754,7 @@ def test_sample_output_is_pinned(args, digest, capsys):
 #: transforms sweeps, the aw suite and the orthogonality suite at --n 40
 #: for (7/10,5/3)
 VERIFY_DIGESTS = [
-    ((), "651adfd61276735eec56438b6cb25ea6a070ed47102ef3d5674f5159567e667e"),
+    ((), "8b6285198c03345238e331c638aa442daf0aa6b8538d58e1976ec4836f660b93"),
     (("--suite", "dunkl"), "d4859b57b17926d3bc2da2cf5b9bfa7c64f610db5f994fc03386c91920d3f25b"),
     (("--suite", "raising"), "4c5be1324e75c4d32c0cd3f3af9d1e050c36e45c72a1a9ab85a0a887fbb5fe18"),
     (("--suite", "transforms"), "7ed520e7c1c51e1e4d27469356adc295a7161aa9f9b033135b7ae348ecac2979"),
@@ -777,16 +778,16 @@ def test_verify_output_is_pinned(args, digest, capsys):
 
 
 #: sha256 of `verify --suite susy --format json`: a shallow well on a
-#: 7-point grid, a deep well, and one so deep that cos^(a+1/2) y underflows
-#: and the float boundary row reports SKIP; its printed residual is pinned
-#: to the bit.
+#: 7-point grid, a deep well where the float boundary row skips the points
+#: at which Phi is subnormal, and one so deep that it skips every point and
+#: the row reports SKIP; its printed residual is pinned to the bit.
 SUSY_DIGESTS = [
     (
         ("--a", "51/100", "--points", "7", "--levels", "3"),
-        "d3d22c3d16c16c7b92dab4e500504ff7f6bab926fbff821410b8da6399217475",
+        "f22104c10b91f2c2acc211740d671ad0751db1f4ab2c5b2ed14bbec7c6640271",
     ),
-    (("--a", "1000"), "035777667fe37ee966db56f810ddb5d7dffcf2b98271b1a12fc0584ed0efbf0f"),
-    (("--a", "1e20"), "1c848f524c7f6e73218073b8e7c6859a36806a3bdc7eae3e7c501d457216b22e"),
+    (("--a", "1000"), "12b899695f670cdd90fbe7d663f292be4b1f41609d2cd5ed47c6573cb23a5e5d"),
+    (("--a", "1e20"), "cb608642fd66dd4906f994d66fdafd84c8083260ca4496b1e9127b1f10433560"),
 ]
 
 

@@ -216,6 +216,23 @@ def test_perturbed_l1_band_fails_its_rows(monkeypatch):
     assert rows["H1 eigen-relation n<=5"].passed
 
 
+@pytest.mark.parametrize(
+    "options",
+    [SuiteOptions(), SuiteOptions(a=Fraction(100), points=2)],
+    ids=["defaults", "a100_points2"],
+)
+def test_boundary_row_detects_a_sign_error_in_the_h1_image(options, monkeypatch):
+    # F'' with its sign flipped: the miss is 2|F''|, as large as the terms
+    # themselves, even where Phi < 1 at every point and the miss is tiny
+    def flipped(self, f):
+        return [f.d2(y) + u * v for y, u, v in zip(self.ys, self.potential, self.values(f))]
+
+    monkeypatch.setattr(WellGrid, "h1_images", flipped)
+    [row] = [r for r in run_suites(["susy"], options) if r.name.startswith("Sturm-Liouville")]
+    assert not row.passed and not row.skipped
+    assert row.detail.startswith("worst residual over its terms 1.000e+00, 0 of ")
+
+
 def test_darboux_flip_at_origin():
     # level 0 at the symmetric point: the flip returns -(a+1)
     assert abs(apply_L1(A, eigenstate(A, 0), -0.0) + (float(A) + 1.0)) < 1e-10
@@ -226,7 +243,8 @@ def test_darboux_flip_magnitude():
     for n in range(4):
         state = eigenstate(A, n)
         for y in (-0.4, 0.7, -1.1):
-            assert abs(abs(apply_L1(A, state, y)) - (float(A) + n + 1.0) * abs(state.value(y))) < 1e-8
+            size = (float(A) + n + 1.0) * abs(state.value(y))
+            assert abs(abs(apply_L1(A, state, y)) - size) < 1e-8
 
 
 def test_conjugation_holds_on_the_grid():
@@ -395,8 +413,9 @@ def test_jets_equal_separate_passes(a, p, y, order):
     state = PhiPoly(a, p)
     for point in (y, -y):
         pieces = _pieces(state.a, point)
-        assert _signed(state._jet(pieces)) == _signed(_separate_jet(state, pieces))
-        assert _signed([_reads(state, order)(point)]) == _signed([_separate_jet(state, pieces)[order]])
+        separate = _separate_jet(state, pieces)
+        assert _signed(state._jet(pieces)) == _signed(separate)
+        assert _signed([_reads(state, order)(point)]) == _signed([separate[order]])
 
 
 @pytest.mark.parametrize("p", [Poly(), Poly.ONE, Poly([2, -3])], ids=["zero", "constant", "linear"])
@@ -405,8 +424,8 @@ def test_short_jets_equal_separate_passes(p, order):
     # below degree 2 a derivative of p is empty, and horner(()) at s < 0 is -0.0
     state = PhiPoly(A, p)
     for y in (-1.2, -0.3, 0.4):
-        pieces = _pieces(state.a, y)
-        assert _signed([_reads(state, order)(y)]) == _signed([_separate_jet(state, pieces)[order]])
+        separate = _separate_jet(state, _pieces(state.a, y))
+        assert _signed([_reads(state, order)(y)]) == _signed([separate[order]])
 
 
 @pytest.mark.parametrize(

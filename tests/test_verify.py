@@ -242,8 +242,8 @@ def test_exact_suites_golden_record(pair, capsys):
 
 # (name, passed, detail) of `verify --suite susy --format json`.  Six rows
 # are exact identities; the Sturm-Liouville row is the float boundary, and
-# its residual is the one the per-point evaluation gave before the grid
-# path shared the pieces
+# its residual is the worst miss of the grid's H1 images, each over the
+# size of its terms
 FLIP = "L1 = ((1-s) d/ds - (a+1)) after the parity flip, at every degree"
 FACTORED = "chi^2 +- chi' = U(+-y) exactly, over cos^2 y"
 GOLDEN_SUSY = {
@@ -251,7 +251,7 @@ GOLDEN_SUSY = {
         ("Darboux flip a=3/2", True, FLIP),
         ("H1 eigen-relation n<=5 a=3/2", True, "coefficient-exact"),
         ("L1 eigen-relation n<=5 a=3/2", True, "coefficient-exact"),
-        ("Sturm-Liouville conjugation a=3/2", True, "worst scaled residual 2.248e-15"),
+        ("Sturm-Liouville conjugation a=3/2", True, "worst residual over its terms 4.466e-16, 0 of 60 points skipped"),
         ("node counts n<=5 a=3/2", True, "psi_n crosses zero exactly n times"),
         ("square root L1^2 = H1 a=3/2", True, "bands agree at every degree"),
         ("superpotential factorization a=3/2", True, FACTORED),
@@ -260,7 +260,7 @@ GOLDEN_SUSY = {
         ("Darboux flip a=7/10", True, FLIP),
         ("H1 eigen-relation n<=8 a=7/10", True, "coefficient-exact"),
         ("L1 eigen-relation n<=8 a=7/10", True, "coefficient-exact"),
-        ("Sturm-Liouville conjugation a=7/10", True, "worst scaled residual 1.221e-15"),
+        ("Sturm-Liouville conjugation a=7/10", True, "worst residual over its terms 5.299e-16, 0 of 63 points skipped"),
         ("node counts n<=8 a=7/10", True, "psi_n crosses zero exactly n times"),
         ("square root L1^2 = H1 a=7/10", True, "bands agree at every degree"),
         ("superpotential factorization a=7/10", True, FACTORED),
@@ -269,7 +269,7 @@ GOLDEN_SUSY = {
         ("Darboux flip a=3", True, FLIP),
         ("H1 eigen-relation n<=9 a=3", True, "coefficient-exact"),
         ("L1 eigen-relation n<=9 a=3", True, "coefficient-exact"),
-        ("Sturm-Liouville conjugation a=3", True, "worst scaled residual 5.551e-16"),
+        ("Sturm-Liouville conjugation a=3", True, "worst residual over its terms 2.261e-16, 0 of 60 points skipped"),
         ("node counts n<=9 a=3", True, "psi_n crosses zero exactly n times"),
         ("square root L1^2 = H1 a=3", True, "bands agree at every degree"),
         ("superpotential factorization a=3", True, FACTORED),
