@@ -17,7 +17,7 @@ from functools import lru_cache
 from operator import mul
 from typing import Optional, Sequence
 
-from .polys import Poly, as_fraction, recurrence_step, terminating_2f1
+from .polys import Poly, as_fraction, over_common_denominator, recurrence_step, terminating_2f1
 
 __all__ = [
     "FloatRangeError",
@@ -78,9 +78,7 @@ def recurrence_coeffs(params: ParamPair, n: int) -> tuple[Optional[Fraction], Fr
     alpha, beta = params.alpha, params.beta
     if n == 0:
         return None, (alpha + 1) / (alpha + beta + 2)
-    d = math.lcm(alpha.denominator, beta.denominator)
-    a = alpha.numerator * (d // alpha.denominator)
-    b = beta.numerator * (d // beta.denominator)
+    d, (a, b) = over_common_denominator((alpha, beta))
     nd = n * d
     low = 2 * nd + a + b  # D (2n + alpha + beta) > 0 for n >= 1
     if n % 2:  # theta_n = 0, (-1)^n = -1
@@ -202,8 +200,7 @@ class MomentFunctional:
         top = 2 * len(polys) - 2
         if top >= len(self.moments):
             raise ValueError(f"inner product needs moment {top}, have 0..{len(self.moments) - 1}")
-        den = math.lcm(*(c.denominator for c in self.moments[: top + 1]))
-        scaled = [c.numerator * (den // c.denominator) for c in self.moments[: top + 1]]
+        den, scaled = over_common_denominator(self.moments[: top + 1])
         return [
             Poly.from_ints(
                 [sum(map(mul, p.nums, scaled[j:])) for j in range(len(p.nums))], den * p.den
@@ -228,8 +225,7 @@ class MomentFunctional:
         if 2 * n >= len(self.moments):
             raise ValueError(f"Hankel determinant of order {n} needs moment {2 * n}")
         size = n + 1
-        den = math.lcm(*(c.denominator for c in self.moments[: 2 * n + 1]))
-        scaled = [c.numerator * (den // c.denominator) for c in self.moments[: 2 * n + 1]]
+        den, scaled = over_common_denominator(self.moments[: 2 * n + 1])
         # rows[r] holds columns k..n of row r at step k
         rows, scales = [], []
         for i in range(size):

@@ -29,6 +29,7 @@ __all__ = [
     "horner3",
     "horner_rows",
     "monomial",
+    "over_common_denominator",
     "pochhammer",
     "recurrence_step",
     "reflect",
@@ -98,6 +99,13 @@ def horner3(rows: Sequence[tuple[float, float, float]], x: float) -> tuple[float
     return u, v, w
 
 
+def over_common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(D, [v D for v in values]) for D the lcm of the values'
+    denominators: the values as integers over one positive denominator."""
+    den = math.lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def _scaled(nums: Sequence[int], factor: int) -> Sequence[int]:
     return nums if factor == 1 else [factor * c for c in nums]
 
@@ -128,8 +136,8 @@ class Poly:
         cs = [as_fraction(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        den = math.lcm(*(c.denominator for c in cs))
-        self.nums: tuple[int, ...] = tuple([c.numerator * (den // c.denominator) for c in cs])
+        den, nums = over_common_denominator(cs)
+        self.nums: tuple[int, ...] = tuple(nums)
         self.den: int = den
 
     @classmethod

@@ -28,14 +28,13 @@ against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .family import ParamPair, generate_monic
 from .operators import dunkl_band, dunkl_intertwiner, raising_band
-from .polys import Poly, as_fraction, recurrence_step
+from .polys import Poly, as_fraction, over_common_denominator, recurrence_step
 
 __all__ = [
     "JacobiParams",
@@ -88,13 +87,6 @@ def _sequence(n_max: int, coeffs: Callable[[int], tuple[Fraction, Fraction]]) ->
     return out
 
 
-def _over_common_denominator(jp: JacobiParams) -> tuple[int, int, int]:
-    """(D, xi D, eta D) for D the lcm of the parameters' denominators."""
-    xi, eta = jp.xi, jp.eta
-    d = math.lcm(xi.denominator, eta.denominator)
-    return d, xi.numerator * (d // xi.denominator), eta.numerator * (d // eta.denominator)
-
-
 def jacobi_sequence(jp: JacobiParams, n_max: int) -> list[Poly]:
     """The monic standard Jacobi polynomials J_0..J_n_max on [-1,1], weight
     (1-x)^xi (1+x)^eta, from the monic Jacobi recurrence (Koekoek, Lesky
@@ -107,7 +99,7 @@ def jacobi_sequence(jp: JacobiParams, n_max: int) -> list[Poly]:
     coefficient is one Fraction of two integers, scaled by the common
     denominator D of a and b as `family.recurrence_coeffs` does.
     """
-    d, a, b = _over_common_denominator(jp)
+    d, (a, b) = over_common_denominator((jp.xi, jp.eta))
 
     def coeffs(n: int) -> tuple[Fraction, Fraction]:
         if n == 0:
@@ -133,7 +125,7 @@ def gegenbauer_sequence(jp: JacobiParams, n_max: int) -> list[Poly]:
     which covers the removable 0/0 at xi + eta + 1 = 0.  Each coefficient
     is one Fraction of two integers over the common denominator D.
     """
-    d, xi, eta = _over_common_denominator(jp)
+    d, (xi, eta) = over_common_denominator((jp.xi, jp.eta))
     zero = Fraction(0)
 
     def coeffs(n: int) -> tuple[Fraction, Fraction]:

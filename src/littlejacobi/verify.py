@@ -514,36 +514,27 @@ def _suite_susy(opts: SuiteOptions) -> list[CheckResult]:
     # subnormal has lost its digits, and one whose terms are 0 has none
     grid = susyqm.default_grid(opts.points)
     sub = susyqm.WellGrid(a, grid[:: max(1, len(grid) // 20)])
-    phi = sub.values(susyqm.PhiPoly(a, Poly.ONE))
-    scaled, skipped = [], 0
-    for p in (Poly.ONE, Poly.X, Poly([Fraction(-1, 2), 0, 1])):
+    normal = [phi >= sys.float_info.min for phi in sub.values(susyqm.PhiPoly(a, Poly.ONE))]
+    tests = (Poly.ONE, Poly.X, Poly([Fraction(-1, 2), 0, 1]))
+    scaled = []
+    for p in tests:
         f = susyqm.PhiPoly(a, p)
-        q = h1.table(p.degree).apply(p)
-        for y, u, phi_y, value, lhs, rhs in zip(
-            sub.ys, sub.potential, phi, sub.values(f), sub.h1_images(f),
-            sub.values(susyqm.PhiPoly(a, q)),
-        ):
-            terms = abs(f.d2(y)) + abs(u * value) + abs(rhs)
-            if phi_y < sys.float_info.min or not terms:
-                skipped += 1
-            else:
-                scaled.append(abs(lhs - rhs) / terms)
+        rhs = sub.values(susyqm.PhiPoly(a, h1.table(p.degree).apply(p)))
+        images = zip(sub.ys, sub.potential, normal, sub.values(f), sub.h1_images(f), rhs)
+        for y, u, is_normal, value, lhs, phi_q in images:
+            terms = abs(f.d2(y)) + abs(u * value) + abs(phi_q)
+            if is_normal and terms:
+                scaled.append(abs(lhs - phi_q) / terms)
     name = f"Sturm-Liouville conjugation a={a}"
+    total = len(tests) * len(sub.ys)
     if not scaled:
-        results.append(
-            _skip("susy", name, "Phi is subnormal or the terms are 0 at every grid point")
-        )
+        reason = "Phi is subnormal or the terms are 0 at every grid point"
+        results.append(_skip("susy", name, reason))
     else:
         worst = max(scaled)
-        results.append(
-            CheckResult(
-                "susy",
-                name,
-                worst <= 1e-8,
-                f"worst residual over its terms {worst:.3e}, "
-                f"{skipped} of {skipped + len(scaled)} points skipped",
-            )
-        )
+        detail = f"worst residual over its terms {worst:.3e}, "
+        detail += f"{total - len(scaled)} of {total} points skipped"
+        results.append(CheckResult("susy", name, worst <= 1e-8, detail))
     return results
 
 

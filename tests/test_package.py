@@ -2,6 +2,7 @@
 benchmark's tracer (`perfbench/tracing.py`) wraps, and the calls its
 workloads (`perfbench/workloads.py`) make."""
 
+import ast
 import importlib
 import pkgutil
 import re
@@ -14,6 +15,7 @@ import littlejacobi
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(littlejacobi.__path__) if info.name != "__main__"
 )
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -23,8 +25,63 @@ def test_every_exported_name_exists(name):
     assert missing == []
 
 
+#: exported names that nothing in src/ or perfbench/ calls, and why they stay
+UNCALLED_EXPORTS = {
+    "polys.pochhammer": "the tests' closed-form reference",
+    "eigensolver.ode_residual": "acceptance criterion 12's checker until it is a verify row",
+}
+
+
+def _is_getattr(node) -> bool:
+    return isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "getattr"
+
+
+def _references(tree) -> set[str]:
+    """Every name a module reads: bare names, attributes, imported names,
+    getattr's string arguments and the strings a loop feeds to getattr."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif _is_getattr(node) and len(node.args) > 1 and isinstance(node.args[1], ast.Constant):
+            names.add(node.args[1].value)
+        elif (
+            isinstance(node, ast.For)
+            and isinstance(node.target, ast.Name)
+            and isinstance(node.iter, (ast.Tuple, ast.List))
+            and any(
+                _is_getattr(call)
+                and len(call.args) > 1
+                and isinstance(call.args[1], ast.Name)
+                and call.args[1].id == node.target.id
+                for call in ast.walk(node)
+            )
+        ):
+            names.update(e.value for e in node.iter.elts if isinstance(e, ast.Constant))
+    return names
+
+
+def test_every_exported_name_has_a_caller():
+    # a name in __all__ that no module of the package or the benchmark
+    # reads is dead surface; the listed exceptions say why they stay
+    referenced = set()
+    for path in [*(ROOT / "src" / "littlejacobi").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        referenced |= _references(ast.parse(path.read_text()))
+    uncalled = [
+        f"{name}.{attr}"
+        for name in MODULES
+        for attr in importlib.import_module(f"littlejacobi.{name}").__all__
+        if attr not in referenced
+    ]
+    assert sorted(uncalled) == sorted(UNCALLED_EXPORTS)
+
+
 def test_version_matches_the_project_metadata():
-    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    pyproject = ROOT / "pyproject.toml"
     declared = re.search(r'^version = "(.+)"$', pyproject.read_text(), re.MULTILINE)
     assert littlejacobi.__version__
     assert littlejacobi.__version__ == declared.group(1)

@@ -15,6 +15,7 @@ from littlejacobi.polys import (
     horner3,
     horner_rows,
     monomial,
+    over_common_denominator,
     pochhammer,
     recurrence_step,
     reflect,
@@ -36,6 +37,22 @@ def test_zero_polynomial_degree():
 def test_trailing_zeros_are_stripped():
     assert Poly([1, 2, 0, 0]) == Poly([1, 2])
     assert Poly([1, 2, 0, 0]).degree == 1
+
+
+def test_over_common_denominator():
+    assert over_common_denominator([Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(5)]) == (
+        6,
+        [3, -2, 0, 30],
+    )
+    assert over_common_denominator(()) == (1, [])
+
+
+@given(st.lists(rationals, max_size=8))
+def test_over_common_denominator_is_exact_and_least(values):
+    den, ints = over_common_denominator(values)
+    assert [Fraction(c, den) for c in ints] == values
+    assert all(den % v.denominator == 0 for v in values)
+    assert math.gcd(den, *ints) == 1
 
 
 def test_leading_coefficient_of_zero_raises():
