@@ -39,14 +39,6 @@ def test_trailing_zeros_are_stripped():
     assert Poly([1, 2, 0, 0]).degree == 1
 
 
-def test_over_common_denominator():
-    assert over_common_denominator([Fraction(1, 2), Fraction(-1, 3), Fraction(0), Fraction(5)]) == (
-        6,
-        [3, -2, 0, 30],
-    )
-    assert over_common_denominator(()) == (1, [])
-
-
 @given(st.lists(rationals, max_size=8))
 def test_over_common_denominator_is_exact_and_least(values):
     den, ints = over_common_denominator(values)
