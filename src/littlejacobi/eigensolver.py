@@ -32,9 +32,12 @@ __all__ = ["EigenSolution", "build_solution", "ode_residual", "sample_rows"]
 
 _TRUNC_CAP = 400
 #: Largest residual of the even part's equation, relative to the summed
-#: magnitudes of its three terms, that `sample_rows` accepts at a point.
-#: It stays below 4e-11 for |lambda| <= 30 at (alpha, beta) in [-9/10, 3]^2,
-#: and is near 1 where the float series has lost every digit.
+#: magnitudes of its three terms (the third taken by the two parts of its
+#: factor 2(alpha+beta)+4-lambda), that `sample_rows` accepts at a point.
+#: On (alpha, beta) in [-9/10, 29/10]^2 in steps of 1/5, at 0.1 <= |lambda|
+#: <= 30 and at lambda_1 = 2(alpha+beta+2), it stays below 3e-10 (2.7e-10
+#: at (29/10, 3/10), lambda = -30); it is near 1 where the float series
+#: has lost every digit.
 _RESIDUAL_LIMIT = 1e-8
 #: Truncation reference point: terms are compared at z = 0.95**2, the
 #: worst |x| the residual checks are allowed to visit.
@@ -197,6 +200,10 @@ def sample_rows(params: ParamPair, lam: float, points: int) -> list[dict]:
     beta = float(params.beta)
     lam = float(lam)
     elementary = lam == 2.0 * (beta + 1.0)
+    # t3 is lambda x f times 2(alpha+beta)+4-lambda, judged by the sizes of
+    # that factor's two parts: at lambda_1 = 2(alpha+beta+2) they cancel,
+    # f is 1 and all three terms are rounding noise
+    t3_parts = abs(2.0 * (alpha + beta) + 4.0) + abs(lam)
     sol = build_solution(params, lam)
     x_max = 0.9  # inside the residual's |x| < 0.95
     rows = []
@@ -218,7 +225,7 @@ def sample_rows(params: ParamPair, lam: float, points: int) -> list[dict]:
             raise ValueError(
                 f"eigenfunction at lambda={lam} overflows the float range at x={x}"
             )
-        size = abs(t1) + abs(t2) + abs(t3)
+        size = abs(t1) + abs(t2) + abs(lam * x * f) * t3_parts
         ratio = residual / size if size else 0.0
         if ratio > worst:
             worst, worst_x = ratio, x

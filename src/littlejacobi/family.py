@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence
 
 from .polys import Poly, as_fraction, over_common_denominator, recurrence_step, terminating_2f1
@@ -44,7 +44,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ParamPair:
-    """Family parameters; positivity of the weight needs both > -1."""
+    """Family parameters; positivity of the weight needs both > -1.
+
+    The pair is the key of the family's caches, so its hash, that of
+    (alpha, beta), is taken once, when it is made.
+    """
 
     alpha: Fraction
     beta: Fraction
@@ -56,6 +60,10 @@ class ParamPair:
             raise ValueError("alpha must be > -1")
         if self.beta <= -1:
             raise ValueError("beta must be > -1")
+        object.__setattr__(self, "_hash", hash((self.alpha, self.beta)))
+
+    def __hash__(self):
+        return self._hash
 
 
 def recurrence_coeffs(params: ParamPair, n: int) -> tuple[Optional[Fraction], Fraction]:
@@ -128,32 +136,45 @@ def generate_monic(params: ParamPair, n: int) -> Poly:
 def explicit_poly(params: ParamPair, n: int) -> Poly:
     """Monic family member from the closed hypergeometric brackets.
 
-    Even degrees combine two terminating series in x**2 (the second one
-    carrying a single factor of x); odd degrees likewise with shifted
-    parameters.  The bracket is rescaled by its leading coefficient,
-    which cannot vanish for alpha, beta > -1.
+    The bracket is first + scale x second, two terminating series in x**2:
+    at even n = 2m
+        2F1(-m, (n+alpha+beta+2)/2; (alpha+1)/2) with
+        scale n/(alpha+1) on 2F1(-(m-1), (n+alpha+beta+2)/2; (alpha+3)/2),
+    and at odd n = 2m+1
+        2F1(-m, (n+alpha+beta+1)/2; (alpha+1)/2) with
+        scale -(alpha+beta+n+1)/(alpha+1) on 2F1(-m, (n+alpha+beta+3)/2; (alpha+3)/2).
+    The parameters are formed from alpha and beta as integers over one
+    denominator, one Fraction each.  The bracket is combined on the
+    series' numerators over the product of the denominators and
+    normalised once, by its leading coefficient, which cannot vanish for
+    alpha, beta > -1.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    alpha, beta = params.alpha, params.beta
+    d, (a, b) = over_common_denominator((params.alpha, params.beta))
+    m = n // 2
+    # (alpha + 1) / 2, (alpha + 3) / 2 and d (alpha + beta + n + 1)
+    low, high = Fraction(a + d, 2 * d), Fraction(a + 3 * d, 2 * d)
+    s = a + b + (n + 1) * d
     if n % 2 == 0:
-        m = n // 2
-        bracket = terminating_2f1(-m, (n + alpha + beta + 2) / 2, (alpha + 1) / 2, arg_power=2)
-        if m >= 1:
-            second = terminating_2f1(
-                -(m - 1), (n + alpha + beta + 2) / 2, (alpha + 3) / 2, arg_power=2
-            )
-            bracket = bracket + (Fraction(n) / (alpha + 1)) * Poly.X * second
+        shared = Fraction(s + d, 2 * d)
+        first = terminating_2f1(-m, shared, low, arg_power=2)
+        if not m:
+            return first
+        scale = Fraction(n * d, a + d)
+        second = terminating_2f1(1 - m, shared, high, arg_power=2)
     else:
-        m = (n - 1) // 2
-        first = terminating_2f1(-m, (n + alpha + beta + 1) / 2, (alpha + 1) / 2, arg_power=2)
-        second = terminating_2f1(-m, (n + alpha + beta + 3) / 2, (alpha + 3) / 2, arg_power=2)
-        bracket = first - ((alpha + beta + n + 1) / (alpha + 1)) * Poly.X * second
-    if bracket.degree != n:
-        raise RuntimeError(
-            f"explicit bracket degenerated: expected degree {n}, got {bracket.degree}"
-        )
-    return bracket / bracket.leading_coefficient
+        first = terminating_2f1(-m, Fraction(s, 2 * d), low, arg_power=2)
+        scale = Fraction(-s, a + d)
+        second = terminating_2f1(-m, Fraction(s + 2 * d, 2 * d), high, arg_power=2)
+    # first + scale x second over first.den * scale.denominator * second.den
+    f, g = second.den * scale.denominator, first.den * scale.numerator
+    out = [f * c for c in first.nums] + [0] * (n + 1 - len(first.nums))
+    for k, c in enumerate(second.nums, 1):
+        out[k] += g * c
+    if not out[n]:
+        raise RuntimeError(f"explicit bracket degenerated: its coefficient of x**{n} is 0")
+    return Poly.from_ints(out, out[n])
 
 
 # -- moment functional -------------------------------------------------------
@@ -189,24 +210,40 @@ class MomentFunctional:
         """Row n holds sigma_n(j) = L[x^j polys[n]], j = 0..n, as the
         coefficients of a Poly, so <q, polys[n]> = sum_j q[j] sigma_n(j) for
         deg q <= n.  polys holds one polynomial of each degree 0..N in order,
-        so polys[0..n-1] span degree < n.  Row n is sum_i p_n[i] C_{i+j} over
-        D d_n, with C_k = D c_k the moments scaled once to integers over a
-        common denominator and p_n[i] / d_n the coefficients of polys[n]
-        (``Poly.nums``, ``Poly.den``): O(N^3) integer multiply-adds and no
-        Fraction per entry.
+        so polys[0..n-1] span degree < n.
+
+        The family's moments come in pairs, c_{2m-1} = c_{2m}, so with
+        E_m = D c_{2m} the even moments scaled once to integers over a
+        common denominator D, and p_n[i] / d_n the coefficients of
+        polys[n] (``Poly.nums``, ``Poly.den``),
+            D d_n sigma_n(2t)   = sum_m (p_n[2m-1] + p_n[2m]) E_{t+m},
+            D d_n sigma_n(2t-1) = sum_m (p_n[2m] + p_n[2m+1]) E_{t+m},
+        with p_n[-1] = 0: each member's coefficients are folded in pairs
+        once, and each entry is a dot product against the even moments,
+        half the products of summing against every moment.  O(N^3)
+        integer multiply-adds in all and no Fraction per entry.  Raises
+        ValueError on a slice whose moments are not paired.
         """
         if not polys or [p.degree for p in polys] != list(range(len(polys))):
             raise ValueError("mixed moments need one polynomial of each degree 0..N, in order")
         top = 2 * len(polys) - 2
         if top >= len(self.moments):
             raise ValueError(f"inner product needs moment {top}, have 0..{len(self.moments) - 1}")
-        den, scaled = over_common_denominator(self.moments[: top + 1])
-        return [
-            Poly.from_ints(
-                [sum(map(mul, p.nums, scaled[j:])) for j in range(len(p.nums))], den * p.den
-            )
-            for p in polys
-        ]
+        if self.moments[1 : top + 1 : 2] != self.moments[2 : top + 1 : 2]:
+            raise ValueError("mixed moments need paired moments, c_{2m-1} = c_{2m}")
+        den, even = over_common_denominator(self.moments[: top + 1 : 2])
+        rows = []
+        for p in polys:
+            nums = [*p.nums, 0]
+            # low[m] pairs (2m-1, 2m) and high[m] pairs (2m, 2m+1)
+            low = [nums[0], *map(add, nums[1::2], nums[2::2])]
+            high = list(map(add, nums[0::2], nums[1::2]))
+            size = len(p.nums)
+            out = [0] * size
+            out[0::2] = [sum(map(mul, low, even[t:])) for t in range((size + 1) // 2)]
+            out[1::2] = [sum(map(mul, high, even[t:])) for t in range(1, size // 2 + 1)]
+            rows.append(Poly.from_ints(out, den * p.den))
+        return rows
 
     def hankel_determinant(self, n: int) -> Fraction:
         """det of the (n+1) x (n+1) moment matrix (c_{i+j}), exact.

@@ -13,7 +13,9 @@ as a band.
 A `BandedOp` is a table: for every n up to a truncation degree it
 records op(x**n) as a sparse {output power: coefficient} map with
 Fraction entries.  It is what `apply` runs on: a stock operator's table
-at N is its band's `table(N)`.  The Dunkl intertwiner, whose diagonal is
+at N is its band's `table(N)`.  A table is never mutated, so its first
+`apply` turns its rows into integers over one denominator and every
+later `apply` reads them.  The Dunkl intertwiner, whose diagonal is
 a product and not a polynomial in n, exists only as a table.
 
 Tables also add, compose and compare, with conservative truncation.
@@ -25,12 +27,11 @@ be a truncation artifact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from .polys import Poly, as_fraction, horner
+from .polys import Poly, as_fraction, horner, over_common_denominator
 
 __all__ = [
     "Band",
@@ -70,9 +71,14 @@ def _clean(action) -> dict[int, Fraction]:
 
 
 class BandedOp:
-    """Linear operator known by its action on x**n for n = 0..trunc_degree."""
+    """Linear operator known by its action on x**n for n = 0..trunc_degree.
 
-    __slots__ = ("actions", "max_raise")
+    A table is never mutated: every operation builds a new one.  So the
+    integer form of its rows, which `apply` reads, is made once, on the
+    first `apply`; the table algebra never makes it.
+    """
+
+    __slots__ = ("actions", "max_raise", "_ints")
 
     def __init__(self, actions: Sequence[dict]):
         self.actions: tuple[dict[int, Fraction], ...] = tuple(
@@ -85,12 +91,13 @@ class BandedOp:
         #: Largest degree increase over the table; >= 0 so composition
         #: bounds stay conservative even for pure lowering operators.
         self.max_raise = raise_by
+        self._ints = None
 
     @classmethod
     def _from_clean(cls, actions: list[dict[int, Fraction]], max_raise: int) -> "BandedOp":
         """A table from rows already in `_clean` form and their max_raise."""
         op = object.__new__(cls)
-        op.actions, op.max_raise = tuple(actions), max_raise
+        op.actions, op.max_raise, op._ints = tuple(actions), max_raise, None
         return op
 
     @classmethod
@@ -108,8 +115,10 @@ class BandedOp:
         """op(p), exact, accumulated over integers.
 
         p is read as integer numerators over its denominator d, and the
-        rows it reaches (0..deg p) are scaled to integers over theirs, D.
-        The result is the int sums of products over d D, normalised once:
+        table's rows as integers over theirs, D, the lcm of every entry's
+        denominator: each row as (output power, entry times D) pairs,
+        made on the first apply and read by every later one.  The result
+        is the int sums of products over d D, normalised once:
         O(deg p * band) int multiply-adds and no Fraction.
         """
         if p.degree > self.trunc_degree:
@@ -119,13 +128,16 @@ class BandedOp:
             )
         if p.is_zero():
             return Poly.ZERO
-        rows = self.actions[: len(p.nums)]
-        den = math.lcm(*(a.denominator for row in rows for a in row.values()))
+        if self._ints is None:
+            den, nums = over_common_denominator([a for row in self.actions for a in row.values()])
+            ints = iter(nums)
+            self._ints = den, [[(k, next(ints)) for k in row] for row in self.actions]
+        den, rows = self._ints
         acc = [0] * (len(p.nums) + self.max_raise)
         for c, row in zip(p.nums, rows):
             if c:
-                for k, a in row.items():
-                    acc[k] += c * a.numerator * (den // a.denominator)
+                for k, a in row:
+                    acc[k] += c * a
         return Poly.from_ints(acc, p.den * den)
 
     # -- linear combinations ----------------------------------------------

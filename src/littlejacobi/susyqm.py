@@ -139,9 +139,11 @@ def potential_numerator(a) -> Poly:
 
 
 def l1_band(a) -> Band:
-    """(L1 Phi p)/Phi on p(s): 1/2 little_jacobi_band(0, 2a+1) - (a+1)."""
-    a = as_fraction(a)
-    return Fraction(1, 2) * little_jacobi_band(0, 2 * a + 1) - (a + 1) * IDENTITY_BAND
+    """(L1 Phi p)/Phi on p(s): 1/2 little_jacobi_band(0, 2a+1) - (a+1),
+    the band of the well's family."""
+    well = SchrodingerParams(a)
+    pair = well.family
+    return Fraction(1, 2) * little_jacobi_band(pair.alpha, pair.beta) - (well.a + 1) * IDENTITY_BAND
 
 
 def h1_band(a) -> Band:

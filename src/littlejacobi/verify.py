@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, Optional, Sequence
@@ -72,7 +72,13 @@ class CheckResult:
     skipped: bool = False
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "suite": self.suite,
+            "name": self.name,
+            "passed": self.passed,
+            "detail": self.detail,
+            "skipped": self.skipped,
+        }
 
 
 @dataclass(frozen=True)

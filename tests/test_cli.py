@@ -701,6 +701,30 @@ def test_sample_eigenfunction_answers_at_moderate_lambda(alpha, beta, capsys):
         assert len(capsys.readouterr().out.splitlines()) == 202
 
 
+#: (alpha, beta) with lambda = lambda_1 = 2(alpha+beta+2), the family's
+#: first odd eigenvalue, as the benchmark's cli-interactive stream draws
+#: them (seeds 21, 29, 32, 36, 42 and 50)
+FIRST_EIGENVALUE_CASES = [
+    ("-3/5", "-1/2"),
+    ("11/5", "-2/5"),
+    ("-4/5", "-3/4"),
+    ("-9/10", "-7/10"),
+    ("-3/5", "-3/4"),
+    ("-9/10", "-1/2"),
+]
+
+
+@pytest.mark.parametrize("alpha, beta", FIRST_EIGENVALUE_CASES, ids=str)
+def test_sample_eigenfunction_answers_at_the_first_eigenvalue(alpha, beta, capsys):
+    # the f series terminates at f = 1, so every term of the even part's
+    # equation is rounding noise; the grid used to exit 2 there
+    lam = 2 * (Fraction(alpha) + Fraction(beta) + 2)
+    assert run(["sample", "eigenfunction", f"--alpha={alpha}", f"--beta={beta}", f"--lambda={lam}"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 201
+    assert all(abs(float(row["f"]) - 1.0) <= 1e-15 for row in rows)
+
+
 #: sha256 of `sample` output at the defaults and two other argument sets
 #: per target; every number in the grids is pinned to the bit.
 SAMPLE_DIGESTS = [

@@ -258,11 +258,13 @@ admissible = st.fractions(min_value=Fraction(-9, 10), max_value=3, max_denominat
 @st.composite
 def eigen_cases(draw):
     params = ParamPair(draw(admissible), draw(admissible))
-    kind = draw(st.sampled_from(["generic", "polynomial", "elementary"]))
+    kind = draw(st.sampled_from(["generic", "polynomial", "first odd", "elementary"]))
     if kind == "generic":
         lam = draw(st.fractions(min_value=-30, max_value=30, max_denominator=10))
     elif kind == "polynomial":
         lam = Fraction(-4 * draw(st.integers(min_value=0, max_value=7)))
+    elif kind == "first odd":  # lambda_1, where f = 1 and the terms are noise
+        lam = 2 * (params.alpha + params.beta + 2)
     else:
         lam = 2 * (params.beta + 1)
     return params, float(lam)

@@ -24,7 +24,7 @@ from littlejacobi.family import (
     weight_moment,
     weight_moments,
 )
-from littlejacobi.polys import Poly, monomial, pochhammer
+from littlejacobi.polys import Poly, monomial, pochhammer, terminating_2f1
 
 PAIRS = [
     ParamPair(Fraction(1, 2), Fraction(3, 2)),
@@ -44,6 +44,19 @@ def test_param_validation():
         ParamPair(Fraction(-2), Fraction(0))
     with pytest.raises(ValueError, match="beta must be > -1"):
         ParamPair(Fraction(0), Fraction(-1))
+
+
+def test_equal_pairs_hash_alike_and_share_one_cache_entry():
+    pairs = [ParamPair("1/2", "3/2"), ParamPair(Fraction(1, 2), Fraction(3, 2)), ParamPair(0.5, 1.5)]
+    assert len(set(pairs)) == 1
+    assert {hash(p) for p in pairs} == {hash((Fraction(1, 2), Fraction(3, 2)))}
+    assert repr(pairs[2]) == "ParamPair(alpha=Fraction(1, 2), beta=Fraction(3, 2))"
+    generate_monic.cache_clear()
+    first = generate_monic(pairs[0], 3)
+    before = generate_monic.cache_info()
+    assert all(generate_monic(p, 3) is first for p in pairs[1:])
+    after = generate_monic.cache_info()
+    assert (after.misses, after.hits, after.currsize) == (before.misses, before.hits + 2, before.currsize)
 
 
 def test_b0_equals_first_moment():
@@ -179,6 +192,33 @@ def test_explicit_matches_recurrence():
             assert explicit_poly(params, n) == generate_monic(params, n)
 
 
+def _explicit_bracket_reference(params, n):
+    # the bracket as Poly operations, each normalised on its own
+    alpha, beta = params.alpha, params.beta
+    if n % 2 == 0:
+        m = n // 2
+        bracket = terminating_2f1(-m, (n + alpha + beta + 2) / 2, (alpha + 1) / 2, arg_power=2)
+        if m >= 1:
+            second = terminating_2f1(
+                -(m - 1), (n + alpha + beta + 2) / 2, (alpha + 3) / 2, arg_power=2
+            )
+            bracket = bracket + (Fraction(n) / (alpha + 1)) * Poly.X * second
+    else:
+        m = (n - 1) // 2
+        first = terminating_2f1(-m, (n + alpha + beta + 1) / 2, (alpha + 1) / 2, arg_power=2)
+        second = terminating_2f1(-m, (n + alpha + beta + 3) / 2, (alpha + 3) / 2, arg_power=2)
+        bracket = first - ((alpha + beta + n + 1) / (alpha + 1)) * Poly.X * second
+    assert bracket.degree == n
+    return bracket / bracket.leading_coefficient
+
+
+@pytest.mark.parametrize("pair", ["1/2 3/2", "7/10 5/3", "-9/10 -9/10", "0 0", "3 -1/2"])
+def test_explicit_matches_the_poly_bracket(pair):
+    params = ParamPair(*pair.split())
+    for n in range(61):
+        assert explicit_poly(params, n) == _explicit_bracket_reference(params, n)
+
+
 @given(admissible, admissible)
 @settings(max_examples=25, deadline=None)
 def test_explicit_matches_recurrence_across_parameters(alpha, beta):
@@ -275,6 +315,20 @@ def test_mixed_moments_need_enough_moments():
     mf = moments(PAIRS[0], 4)
     with pytest.raises(ValueError, match="inner product needs moment 6"):
         mf.mixed_moments([generate_monic(PAIRS[0], k) for k in range(4)])
+
+
+def test_mixed_moments_need_paired_moments():
+    # the rows fold c_{2m-1} = c_{2m}; a slice without that pairing is refused
+    paired = moments(PAIRS[0], 8).moments
+    members = [generate_monic(PAIRS[0], k) for k in range(5)]
+    for k in range(1, 9):
+        values = list(paired)
+        values[k] += 1
+        with pytest.raises(ValueError, match="paired moments"):
+            MomentFunctional(PAIRS[0], tuple(values)).mixed_moments(members)
+    # moments past the top index the rows read are not checked
+    extended = MomentFunctional(PAIRS[0], (*paired, Fraction(7)))
+    assert extended.mixed_moments(members) == moments(PAIRS[0], 8).mixed_moments(members)
 
 
 @pytest.mark.parametrize(

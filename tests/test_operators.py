@@ -83,16 +83,6 @@ rows = st.integers(min_value=0, max_value=10).flatmap(
 )
 
 
-@given(rows, st.lists(rationals, max_size=11))
-@settings(max_examples=60, deadline=None)
-def test_apply_matches_fraction_reference(actions, coeffs):
-    op = BandedOp(actions)
-    p = Poly(coeffs[: op.trunc_degree + 1])  # zero coefficients and Poly() included
-    out = op.apply(p)
-    assert out == _apply_reference(op, p)
-    assert all(isinstance(c, Fraction) for c in out.coeffs)
-
-
 def test_apply_edge_cases():
     op = BandedOp([{}, {0: 0}, {3: Fraction(2, 3), 1: Fraction(-1, 5)}, {}])
     assert op.apply(Poly()).is_zero()
@@ -448,6 +438,27 @@ bands = st.tuples(
         *({d: p * _bottom(parity, d) for d, p in row.items()} for parity, row in enumerate(rows))
     )
 )
+
+
+# tables from dicts, from Band.table and from @ of two band tables
+tables = st.one_of(
+    rows.map(BandedOp),
+    st.builds(lambda band, n: band.table(n), bands, st.integers(0, 10)),
+    st.builds(lambda a, b, n: a.table(n) @ b.table(n), bands, bands, st.integers(2, 12)),
+)
+
+
+@given(tables, st.lists(rationals, max_size=11))
+@settings(max_examples=90, deadline=None)
+def test_apply_matches_fraction_reference(op, coeffs):
+    p = Poly(coeffs[: op.trunc_degree + 1])  # zero coefficients and Poly() included
+    out = op.apply(p)
+    assert out == _apply_reference(op, p)
+    assert all(isinstance(c, Fraction) for c in out.coeffs)
+    # the second apply reads the integer rows that the first one built
+    assert op.apply(p) == out
+    q = Poly(coeffs[::-1][: op.trunc_degree + 1])
+    assert op.apply(q) == _apply_reference(op, q)
 
 
 @given(bands, bands, rationals, st.integers(min_value=2, max_value=12))

@@ -6,6 +6,7 @@ import ast
 import importlib
 import pkgutil
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -147,3 +148,27 @@ def test_one_block_of_each_workload_passes_its_oracles(workload, count, monkeypa
     tally = workloads.evaluate(workload, phase.records, oracles.load_mpmath())
     assert tally.attempted > 0
     assert tally.failures == []
+
+
+#: (seed, index) of the cli-interactive tasks whose lambda is the family's
+#: first odd eigenvalue 2(alpha+beta+2); `sample eigenfunction` refused
+#: them with exit 2 until its residual judged the third term by its parts
+FIRST_EIGENVALUE_TASKS = [(21, 4279), (29, 6867), (32, 7692), (36, 247), (42, 8023), (50, 223)]
+
+
+@pytest.mark.parametrize("seed, index", FIRST_EIGENVALUE_TASKS, ids=str)
+def test_stream_tasks_at_the_first_eigenvalue_pass_their_oracle(seed, index, monkeypatch):
+    mp = pytest.importorskip("mpmath")
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    oracles = importlib.import_module("oracles")
+    workloads = importlib.import_module("workloads")
+    task = inputs.first_tasks("cli-interactive", seed, index + 1)[index]
+    assert task["kind"] == "eigenfunction"
+    alpha, beta = Fraction(task["alpha"]), Fraction(task["beta"])
+    assert Fraction(task["lambda"]) == 2 * (alpha + beta + 2)
+    call = workloads._cli("sample eigenfunction", task["argv"])
+    assert (call.error, call.rc, call.err) == (None, 0, "")
+    checks = oracles.eigenfunction(task, oracles.condense(task, call.out), mp)
+    assert len(checks) == 3
+    assert [check for check in checks if not check[1]] == []
