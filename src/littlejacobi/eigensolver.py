@@ -3,12 +3,11 @@
 For L F = lambda F with the family's first-order reflection-differential
 operator, the even part f and odd part g of F are Gauss hypergeometric
 series in x**2 on |x| < 1.  This module evaluates those series with
-term-recurrence arithmetic (`build_solution`), measures the residual of
-the even part's second-order equation with term-wise differentiated
-series (`ode_residual`), and samples both parts on a grid over
-[-0.9, 0.9] (`sample_rows`).  At lambda = 2(beta+1) the residual and
-the grid take the even part from its elementary closed form
-(1-x^2)^(-(beta+1)/2).
+term-recurrence arithmetic (`build_solution`) and samples both parts on
+a grid over [-0.9, 0.9] (`sample_rows`), with the residual of the even
+part's second-order equation at each point, from term-wise
+differentiated series.  At lambda = 2(beta+1) the grid takes the even
+part from its elementary closed form (1-x^2)^(-(beta+1)/2).
 
 The differentiated coefficients of f are built once per solution, and
 one fused Horner pass (`polys.horner3`) per point yields f, f' and f''
@@ -28,19 +27,20 @@ from dataclasses import dataclass, field
 from .family import FloatRangeError, ParamPair
 from .polys import horner, horner3, horner_rows
 
-__all__ = ["EigenSolution", "build_solution", "ode_residual", "sample_rows"]
+__all__ = ["EigenSolution", "build_solution", "sample_rows"]
 
 _TRUNC_CAP = 400
 #: Largest residual of the even part's equation, relative to the summed
 #: magnitudes of its three terms (the third taken by the two parts of its
-#: factor 2(alpha+beta)+4-lambda), that `sample_rows` accepts at a point.
+#: factor 2(alpha+beta)+4-lambda), that `sample_rows` accepts at a point
+#: of its grid, |x| <= 0.9.
 #: On (alpha, beta) in [-9/10, 29/10]^2 in steps of 1/5, at 0.1 <= |lambda|
 #: <= 30 and at lambda_1 = 2(alpha+beta+2), it stays below 3e-10 (2.7e-10
 #: at (29/10, 3/10), lambda = -30); it is near 1 where the float series
 #: has lost every digit.
 _RESIDUAL_LIMIT = 1e-8
-#: Truncation reference point: terms are compared at z = 0.95**2, the
-#: worst |x| the residual checks are allowed to visit.
+#: Truncation reference point: terms are compared at z = 0.95**2, a
+#: margin beyond the grid's |x| <= 0.9.
 _Z_REF = 0.95**2
 
 
@@ -159,27 +159,6 @@ def _ode_terms(
     )
 
 
-def ode_residual(params: ParamPair, lam: float, x: float) -> float:
-    """Absolute residual of the second-order equation for the even part:
-    4x(x^2-1) f'' + 4((alpha+beta+3)x^2 - alpha) f' + lambda x (2(alpha+beta)+4-lambda) f.
-
-    Dispatches to the elementary closed form at lambda = 2(beta+1);
-    otherwise differentiates the series term-wise.  Needs |x| < 0.95.
-    """
-    x = float(x)
-    if not abs(x) < 0.95:
-        raise ValueError("residual evaluation needs |x| < 0.95")
-    alpha = float(params.alpha)
-    beta = float(params.beta)
-    lam = float(lam)
-    if lam == 2.0 * (beta + 1.0):
-        f, fp, fpp = _elementary_derivatives(beta, x)
-    else:
-        f, fp, fpp = build_solution(params, lam)._f_jet(x)
-    t1, t2, t3 = _ode_terms(alpha, beta, lam, f, fp, fpp, x)
-    return abs(t1 + t2 + t3)
-
-
 def sample_rows(params: ParamPair, lam: float, points: int) -> list[dict]:
     """Evaluation grid for CSV emission on [-0.9, 0.9]: x, F, f, g,
     residual columns.
@@ -205,7 +184,7 @@ def sample_rows(params: ParamPair, lam: float, points: int) -> list[dict]:
     # f is 1 and all three terms are rounding noise
     t3_parts = abs(2.0 * (alpha + beta) + 4.0) + abs(lam)
     sol = build_solution(params, lam)
-    x_max = 0.9  # inside the residual's |x| < 0.95
+    x_max = 0.9  # inside the truncation's reference |x| = 0.95 (_Z_REF)
     rows = []
     worst, worst_x = 0.0, 0.0
     for i in range(points):

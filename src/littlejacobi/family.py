@@ -47,7 +47,10 @@ class ParamPair:
     """Family parameters; positivity of the weight needs both > -1.
 
     The pair is the key of the family's caches, so its hash, that of
-    (alpha, beta), is taken once, when it is made.
+    (alpha, beta), is taken once, when it is made.  So are its integers
+    ``ints = (D, A, B)``: alpha = A/D and beta = B/D over D, the least
+    common denominator, which the exact kernels read.  Neither is a
+    field, so equality and repr are those of (alpha, beta).
     """
 
     alpha: Fraction
@@ -61,6 +64,8 @@ class ParamPair:
         if self.beta <= -1:
             raise ValueError("beta must be > -1")
         object.__setattr__(self, "_hash", hash((self.alpha, self.beta)))
+        d, (a, b) = over_common_denominator((self.alpha, self.beta))
+        object.__setattr__(self, "ints", (d, a, b))
 
     def __hash__(self):
         return self._hash
@@ -76,17 +81,16 @@ def recurrence_coeffs(params: ParamPair, n: int) -> tuple[Optional[Fraction], Fr
     b_0 reduces to (alpha+1)/(alpha+beta+2); that form also covers the
     removable 0/0 of the general expression at alpha + beta = 0.
 
-    For n >= 1 both are built from integers: with alpha = A/D and
-    beta = B/D over D = lcm of their denominators, numerator and
-    denominator are scaled by D^2 and each coefficient is one Fraction
-    of two integers, reduced once.
+    Both are built from the pair's integers: with alpha = A/D and
+    beta = B/D (`ParamPair.ints`), b_0 = (A+D)/(A+B+2D), and for n >= 1
+    numerator and denominator are scaled by D^2, so each coefficient is
+    one Fraction of two integers, reduced once.
     """
     if n < 0:
         raise ValueError("recurrence index must be nonnegative")
-    alpha, beta = params.alpha, params.beta
+    d, a, b = params.ints
     if n == 0:
-        return None, (alpha + 1) / (alpha + beta + 2)
-    d, (a, b) = over_common_denominator((alpha, beta))
+        return None, Fraction(a + d, a + b + 2 * d)
     nd = n * d
     low = 2 * nd + a + b  # D (2n + alpha + beta) > 0 for n >= 1
     if n % 2:  # theta_n = 0, (-1)^n = -1
@@ -143,15 +147,15 @@ def explicit_poly(params: ParamPair, n: int) -> Poly:
     and at odd n = 2m+1
         2F1(-m, (n+alpha+beta+1)/2; (alpha+1)/2) with
         scale -(alpha+beta+n+1)/(alpha+1) on 2F1(-m, (n+alpha+beta+3)/2; (alpha+3)/2).
-    The parameters are formed from alpha and beta as integers over one
-    denominator, one Fraction each.  The bracket is combined on the
+    The parameters are formed from the pair's integers (`ParamPair.ints`),
+    one Fraction each.  The bracket is combined on the
     series' numerators over the product of the denominators and
     normalised once, by its leading coefficient, which cannot vanish for
     alpha, beta > -1.
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    d, (a, b) = over_common_denominator((params.alpha, params.beta))
+    d, a, b = params.ints
     m = n // 2
     # (alpha + 1) / 2, (alpha + 3) / 2 and d (alpha + beta + n + 1)
     low, high = Fraction(a + d, 2 * d), Fraction(a + 3 * d, 2 * d)
@@ -303,18 +307,17 @@ class MomentFunctional:
 def moments(params: ParamPair, max_index: int) -> MomentFunctional:
     """Moments c_0..c_max_index: c_0 = 1 and pairwise-equal tail
     c_{2m} = c_{2m-1} = ((alpha+1)/2)_m / ((alpha+beta+2)/2)_m, by the
-    running product c_{2m} = c_{2m-2} (top + m - 1) / (bottom + m - 1):
-    one Fraction product per m.
+    running product c_{2m} = c_{2m-2} (A + (2m-1)D) / (A + B + 2mD) with
+    alpha = A/D and beta = B/D (`ParamPair.ints`): one Fraction of two
+    integers and one Fraction product per m.
     """
     if max_index < 0:
         raise ValueError("moment range must be nonnegative")
-    alpha, beta = params.alpha, params.beta
+    d, a, b = params.ints
     out = [Fraction(1)] * (max_index + 1)
-    top = (alpha + 1) / 2
-    bottom = (alpha + beta + 2) / 2
     val = Fraction(1)
     for m in range(1, max_index // 2 + 2):
-        val *= (top + m - 1) / (bottom + m - 1)
+        val *= Fraction(a + (2 * m - 1) * d, a + b + 2 * m * d)
         for idx in (2 * m - 1, 2 * m):
             if idx <= max_index:
                 out[idx] = val

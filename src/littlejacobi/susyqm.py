@@ -43,13 +43,15 @@ the well, so the nodes of psi_n are the zeros of p_n in (-1, 1), which
 Floats are left to the evaluation boundary.  A WellGrid takes the
 per-point pieces sin y, cos y, Phi(y) and the log-derivative of Phi (a
 sin, a cos, a sqrt and a pow) at most once per grid point and shares
-them across every state it evaluates, so the values of many states and
-their H1 images on one grid pay for the trigonometry once.  Phi's pieces
-wait for the first state, so a grid that reads only U takes sin and cos
-alone.  A state then costs its Horner passes (one over p for a value,
-one fused pass over p, p' and p'' for the full jet, see PhiPoly).
-potential and apply_H1 are views of a grid on their one point;
-apply_L1 and PhiPoly's value/d1/d2 take a point's pieces themselves.
+them across every state it evaluates, so the values and jets
+(F, F', F'') of many states on one grid pay for the trigonometry once.
+Phi's pieces wait for the first state, so a grid that reads only U
+takes sin and cos alone.  A state then costs its Horner passes (one
+over p for a value, one fused pass over p, p' and p'' for the jet, see
+PhiPoly).  potential and apply_H1 are views of a grid on their one
+point, and apply_H1 forms -F'' + U F from the jet, as verify's boundary
+row does on its grid; apply_L1 and PhiPoly's value/d1/d2 take a point's
+pieces themselves.
 """
 
 from __future__ import annotations
@@ -285,8 +287,9 @@ class WellGrid:
     sin y, cos y and U(y) are taken when the grid is made.  Phi and its
     log-derivative at y (a sqrt and a pow) are taken when a state is
     first evaluated, so a grid that only reads U pays for no more.  A
-    state's values then cost one Horner pass per point, and its H1 image
-    one jet per point, with no sin, cos, sqrt or pow.
+    state's values then cost one Horner pass per point, and its jets
+    (f, f', f''), from which a caller forms H1 f = -f'' + U f, one fused
+    pass per point, with no sin, cos, sqrt or pow.
     """
 
     __slots__ = ("a", "ys", "potential", "_sin_cos", "_here")
@@ -309,14 +312,10 @@ class WellGrid:
         _check_state(self.a, f)
         return [f._value(here) for here in self._pieces_here()]
 
-    def h1_images(self, f: PhiPoly) -> list[float]:
-        """(H1 f)(y) = -f''(y) + U(y) f(y) at each grid point."""
+    def jets(self, f: PhiPoly) -> list[tuple[float, float, float]]:
+        """(f, f', f'') at each grid point; f equals `values` bit for bit."""
         _check_state(self.a, f)
-        out = []
-        for here, u in zip(self._pieces_here(), self.potential):
-            f0, _, f2 = f._jet(here)
-            out.append(-f2 + u * f0)
-        return out
+        return [f._jet(here) for here in self._pieces_here()]
 
 
 def potential(a, y) -> float:
@@ -336,8 +335,10 @@ def apply_L1(a, f: PhiPoly, y) -> float:
 
 
 def apply_H1(a, f: PhiPoly, y) -> float:
-    """-f''(y) + U(y) f(y), `WellGrid.h1_images` at y."""
-    return WellGrid(a, (y,)).h1_images(f)[0]
+    """-f''(y) + U(y) f(y), from `WellGrid.jets` on the one point y."""
+    grid = WellGrid(a, (y,))
+    [(f0, _, f2)] = grid.jets(f)
+    return -f2 + grid.potential[0] * f0
 
 
 def node_count(a, n: int) -> int:

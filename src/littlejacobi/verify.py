@@ -514,23 +514,23 @@ def _suite_susy(opts: SuiteOptions) -> list[CheckResult]:
         ),
     ]
 
-    # the float boundary: the grid's H1 images against Phi times h1's exact
-    # image, on every (points // 20)-th grid point.  Each miss is judged
-    # against its terms |F''| + |U F| + |Phi q|; a point where Phi is
-    # subnormal has lost its digits, and one whose terms are 0 has none
+    # the float boundary: H1 F = -F'' + U F from the grid's jets against
+    # Phi times h1's exact image, on every (points // 20)-th grid point.
+    # Each miss is judged against its terms |F''| + |U F| + |Phi q|; a
+    # point where Phi is subnormal has lost its digits, and one whose
+    # terms are 0 has none
     grid = susyqm.default_grid(opts.points)
     sub = susyqm.WellGrid(a, grid[:: max(1, len(grid) // 20)])
     normal = [phi >= sys.float_info.min for phi in sub.values(susyqm.PhiPoly(a, Poly.ONE))]
     tests = (Poly.ONE, Poly.X, Poly([Fraction(-1, 2), 0, 1]))
     scaled = []
     for p in tests:
-        f = susyqm.PhiPoly(a, p)
         rhs = sub.values(susyqm.PhiPoly(a, h1.table(p.degree).apply(p)))
-        images = zip(sub.ys, sub.potential, normal, sub.values(f), sub.h1_images(f), rhs)
-        for y, u, is_normal, value, lhs, phi_q in images:
-            terms = abs(f.d2(y)) + abs(u * value) + abs(phi_q)
+        jets = sub.jets(susyqm.PhiPoly(a, p))
+        for u, is_normal, (value, _, second), phi_q in zip(sub.potential, normal, jets, rhs):
+            terms = abs(second) + abs(u * value) + abs(phi_q)
             if is_normal and terms:
-                scaled.append(abs(lhs - phi_q) / terms)
+                scaled.append(abs(-second + u * value - phi_q) / terms)
     name = f"Sturm-Liouville conjugation a={a}"
     total = len(tests) * len(sub.ys)
     if not scaled:

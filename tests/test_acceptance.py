@@ -13,9 +13,8 @@ from functools import cache
 
 import pytest
 
-from littlejacobi.eigensolver import build_solution, ode_residual
+from littlejacobi.eigensolver import build_solution, sample_rows
 from littlejacobi.family import ParamPair, eigenvalue
-from littlejacobi.operators import commutator, little_jacobi_band, sturm_liouville_band
 from littlejacobi.verify import DEFAULT_PAIRS, SuiteOptions, run_suites
 
 
@@ -96,19 +95,23 @@ def test_suite_criterion(number, suite, prefixes, seconds, claim, extra):
 
 
 def test_criterion_09_sturm_liouville_identities():
-    # identities between bands, so they hold at every degree
-    ok = True
-    for a in (Fraction(3, 2), Fraction(5, 2)):
-        ell = little_jacobi_band(Fraction(0), 2 * a + 1)
-        ess = sturm_liouville_band(a)
-        ok = ok and commutator(ell, ess).scalar() == 0
-        combo = ell @ ell - (4 * (1 + a)) * ell + 4 * ess
-        ok = ok and combo.scalar() == 0
+    # with L = little_jacobi_band(0, 2a+1) and S = sturm_liouville_band(a),
+    # the susy suite's l1 = L/2 - (a+1) and h1 = (a+1)^2 - S, so its band
+    # identity L1^2 = H1 is L^2 - 4(a+1) L + 4 S = 0 at every degree
+    rows = [
+        r
+        for a in (Fraction(3, 2), Fraction(5, 2))
+        for r in run_suites(["susy"], SuiteOptions(a=a))
+        if r.name.startswith("square root L1^2 = H1")
+    ]
+    ok = len(rows) == 2 and all(r.passed for r in rows)
     _report(
         9,
         ok,
-        "alpha = 0 operator commutes with the Sturm-Liouville operator and "
-        "satisfies the exact quadratic relation at every degree",
+        "alpha = 0 operator L and Sturm-Liouville operator S satisfy the exact "
+        "quadratic relation L^2 - 4(a+1)L + 4S = 0 (the susy rows L1^2 = H1) at "
+        "every degree, a = 3/2 and 5/2; so S is a polynomial in L and commutes "
+        f"with it [{'; '.join(f'{r.name}: {r.detail}' for r in rows)}]",
     )
 
 
@@ -120,8 +123,10 @@ def test_criterion_12_general_solution_residuals():
         params = ParamPair(*pair)
         lams = (1.3, -4.0, 2.0 * (float(params.beta) + 1.0))
         for lam in lams:
-            for x in xs:
-                worst = max(worst, abs(ode_residual(params, lam, x)))
+            # 19 points step by 0.1 from -0.9, through xs
+            rows = sample_rows(params, lam, 19)
+            ok = ok and {round(row["x"], 12) for row in rows} >= set(xs)
+            worst = max(worst, *(row["residual"] for row in rows))
         solution = build_solution(params, 1.3)
         for x in xs:
             ok = ok and abs(solution.g(x) + solution.g(-x)) < 1e-12
@@ -129,6 +134,7 @@ def test_criterion_12_general_solution_residuals():
     _report(
         12,
         ok,
-        f"second-order residuals below 1e-10 (worst {worst:.2e}) including the "
-        "elementary eigenvalue; odd component exactly parity-odd",
+        f"second-order residuals on 19-point grids over [-0.9, 0.9] below 1e-10 "
+        f"(worst {worst:.2e}) including the elementary eigenvalue; odd component "
+        "exactly parity-odd",
     )

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from littlejacobi.eigensolver import build_solution, ode_residual, sample_rows
+from littlejacobi.eigensolver import build_solution, sample_rows
 from littlejacobi.family import ParamPair, explicit_poly
 from littlejacobi.polys import horner
 
@@ -100,8 +100,7 @@ def test_elementary_case_value():
 def test_elementary_ode_residual_closed_form():
     params = ParamPair(Fraction(0), Fraction(1))
     lam = 2.0 * (float(params.beta) + 1.0)
-    for x in XS:
-        assert ode_residual(params, lam, x) < 1e-12
+    assert max(row["residual"] for row in sample_rows(params, lam, 201)) < 1e-12
 
 
 def test_elementary_g_matches_series():
@@ -154,15 +153,12 @@ def test_operator_application_residual(params, lam):
 
 @pytest.mark.parametrize("params", [FLAT, GENERIC], ids=str)
 def test_ode_residuals_generic_and_polynomial(params):
+    # 19 points step by 0.1 from -0.9, through XS
     lams = [1.3, -4.0, 2.0 * (float(params.beta) + 1.0)]
     for lam in lams:
-        for x in XS:
-            assert ode_residual(params, lam, x) < 1e-10
-
-
-def test_residual_domain_bound():
-    with pytest.raises(ValueError, match="0.95"):
-        ode_residual(FLAT, 1.3, 0.96)
+        rows = sample_rows(params, lam, 19)
+        assert {round(row["x"], 12) for row in rows} >= set(XS)
+        assert max(row["residual"] for row in rows) < 1e-10
 
 
 def test_g_is_odd_in_floating_point():

@@ -51,12 +51,21 @@ def test_equal_pairs_hash_alike_and_share_one_cache_entry():
     assert len(set(pairs)) == 1
     assert {hash(p) for p in pairs} == {hash((Fraction(1, 2), Fraction(3, 2)))}
     assert repr(pairs[2]) == "ParamPair(alpha=Fraction(1, 2), beta=Fraction(3, 2))"
+    assert {p.ints for p in pairs} == {(2, 1, 3)}
     generate_monic.cache_clear()
     first = generate_monic(pairs[0], 3)
     before = generate_monic.cache_info()
     assert all(generate_monic(p, 3) is first for p in pairs[1:])
     after = generate_monic.cache_info()
     assert (after.misses, after.hits, after.currsize) == (before.misses, before.hits + 2, before.currsize)
+
+
+@given(square, square)
+def test_pair_integers_are_least(alpha, beta):
+    # alpha = A/D and beta = B/D over the least common denominator D
+    d, a, b = ParamPair(alpha, beta).ints
+    assert (Fraction(a, d), Fraction(b, d)) == (alpha, beta)
+    assert d > 0 and math.gcd(d, a, b) == 1
 
 
 def test_b0_equals_first_moment():

@@ -29,7 +29,6 @@ def test_every_exported_name_exists(name):
 #: exported names that nothing in src/ or perfbench/ calls, and why they stay
 UNCALLED_EXPORTS = {
     "polys.pochhammer": "the tests' closed-form reference",
-    "eigensolver.ode_residual": "acceptance criterion 12's checker until it is a verify row",
 }
 
 

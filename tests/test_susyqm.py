@@ -40,6 +40,11 @@ A = Fraction(3, 2)
 GRID = default_grid(200)
 
 
+def _h1_images(well, f):
+    # (H1 f)(y) = -f''(y) + U(y) f(y) from the grid's jets
+    return [-f2 + u * f0 for u, (f0, _, f2) in zip(well.potential, well.jets(f))]
+
+
 def test_potential_values():
     assert abs(potential(A, math.pi / 6) - 4.0) < 1e-12
     assert abs(potential(A, 0.0) - (float(A) + 0.5) ** 2) < 1e-15
@@ -141,7 +146,7 @@ def test_grid_images_equal_phi_times_band_images(a):
         p = Poly([Fraction(rng.randint(-30, 30), rng.randint(1, 10)) for _ in range(7)])
         f = PhiPoly(a, p)
         l1_images = [apply_L1(a, f, y) for y in well.ys]
-        for band, images in ((l1_band(a), l1_images), (h1_band(a), well.h1_images(f))):
+        for band, images in ((l1_band(a), l1_images), (h1_band(a), _h1_images(well, f))):
             expected = well.values(PhiPoly(a, band.table(p.degree).apply(p)))
             for image, value in zip(images, expected):
                 assert abs(image - value) <= 1e-12 * max(1.0, abs(image))
@@ -224,13 +229,26 @@ def test_perturbed_l1_band_fails_its_rows(monkeypatch):
 def test_boundary_row_detects_a_sign_error_in_the_h1_image(options, monkeypatch):
     # F'' with its sign flipped: the miss is 2|F''|, as large as the terms
     # themselves, even where Phi < 1 at every point and the miss is tiny
-    def flipped(self, f):
-        return [f.d2(y) + u * v for y, u, v in zip(self.ys, self.potential, self.values(f))]
+    exact = WellGrid.jets
 
-    monkeypatch.setattr(WellGrid, "h1_images", flipped)
+    def flipped(self, f):
+        return [(f0, f1, -f2) for f0, f1, f2 in exact(self, f)]
+
+    monkeypatch.setattr(WellGrid, "jets", flipped)
     [row] = [r for r in run_suites(["susy"], options) if r.name.startswith("Sturm-Liouville")]
     assert not row.passed and not row.skipped
     assert row.detail.startswith("worst residual over its terms 1.000e+00, 0 of ")
+
+
+def test_susy_suite_takes_no_point_derivative(monkeypatch):
+    # the boundary row reads F'' from the grid's jets, whose pieces the
+    # grid took once, not from PhiPoly.d2, which retakes them at y
+    def refuse(self, y):
+        raise AssertionError("PhiPoly.d2 called")
+
+    monkeypatch.setattr(PhiPoly, "d2", refuse)
+    rows = run_suites(["susy"], SuiteOptions())
+    assert all(r.passed and not r.skipped for r in rows)
 
 
 def test_darboux_flip_at_origin():
@@ -252,7 +270,7 @@ def test_conjugation_holds_on_the_grid():
     well = WellGrid(A, GRID[::10])
     for p in (Poly.ONE, Poly.X, Poly([Fraction(-1, 2), 0, 1])):
         q = (A + 1) ** 2 * p - sturm_liouville_band(A).table(p.degree).apply(p)
-        images = well.h1_images(PhiPoly(A, p))
+        images = _h1_images(well, PhiPoly(A, p))
         for lhs, rhs in zip(images, well.values(PhiPoly(A, q))):
             assert abs(lhs - rhs) / max(1.0, abs(rhs)) < 1e-8
 
@@ -368,7 +386,7 @@ def test_grid_equals_per_point_evaluation(a, n, points):
     assert well.values(state) == [state.value(y) for y in ys]
     for y, here in zip(ys, well._here):
         assert state._jet(here) == (state.value(y), state.d1(y), state.d2(y))
-    assert well.h1_images(state) == [_h1_ref(a, state, y) for y in ys]
+    assert _h1_images(well, state) == [_h1_ref(a, state, y) for y in ys]
     # apply_L1 reads the pieces at -y itself
     assert [apply_L1(a, state, y) for y in ys] == [_l1_ref(a, state, y) for y in ys]
     # the per-point potential and H1 are views of a one-point grid
@@ -405,6 +423,18 @@ phi_polys = st.lists(
 def _reads(state, order):
     # value takes one pass over p; d1 and d2 read the fused jet
     return (state.value, state.d1, state.d2)[order]
+
+
+@given(wells, phi_polys, st.integers(min_value=2, max_value=40))
+@settings(max_examples=60, deadline=None)
+def test_grid_jets_equal_the_point_jets(a, p, points):
+    # the grid's jets are PhiPoly's jets at the grid's pieces, and their
+    # F column is the grid's values, sign of zero included
+    well = WellGrid(a, default_grid(points))
+    state = PhiPoly(a, p)
+    jets = well.jets(state)
+    assert [_signed(jet) for jet in jets] == [_signed(state._jet(here)) for here in well._here]
+    assert _signed([jet[0] for jet in jets]) == _signed(well.values(state))
 
 
 @given(wells, phi_polys, st.floats(min_value=-1.57, max_value=1.57), st.integers(0, 2))
