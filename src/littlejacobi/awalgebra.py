@@ -5,15 +5,17 @@ and Z the twisted reflection (x-1)R, the three anticommutators close
 linearly: YZ+ZY = 0, ZX+XZ = Y + beta I, XY+YX = Z + omega3 I with
 omega3 = -alpha.  This is the q = -1 degeneration of the three-generator
 Askey-Wilson algebra, and Y^2 + Z^2 is its Casimir element, equal to the
-identity in this realization.
+identity in this realization.  The identity commutes with every
+operator, so the Casimir's centrality follows from Y^2 + Z^2 = I and is
+not checked apart.
 
 The structure constants are extracted from exact operators rather than
 assumed; callers compare them with (0, beta, -alpha).  One function,
-`band_relations`, reads the three closures, the Casimir and its
-commutators from either form of the triple.  On the generators' bands
-(`operators.Band`) they are identities of polynomials in n and hold at
-every degree; `verify_relations` and `verify_casimir` run it on the
-truncated tables of `generators`, on the degrees below their truncation.
+`band_relations`, reads the three closures and the Casimir from either
+form of the triple.  On the generators' bands (`operators.Band`) they
+are identities of polynomials in n and hold at every degree;
+`verify_relations` and `verify_casimir` run it on the truncated tables
+of `generators`, on the degrees below their truncation.
 """
 
 from __future__ import annotations
@@ -27,8 +29,8 @@ from .operators import (
     MULT_X_BAND,
     Band,
     BandedOp,
+    TruncationError,
     anticommutator,
-    commutator,
     little_jacobi_band,
 )
 
@@ -82,6 +84,14 @@ class AWStructure:
     casimir_is_identity: bool
 
 
+def _closure_scalar(name: str, residual: Band | BandedOp) -> Fraction:
+    """The residual's scalar; the algebra does not close if there is none."""
+    scalar = residual.scalar()
+    if scalar is None:
+        raise RuntimeError(f"residual of {name} is not a scalar multiple of the identity")
+    return scalar
+
+
 def band_relations(
     x_op: Band | BandedOp, y_op: Band | BandedOp, z_op: Band | BandedOp
 ) -> AWStructure:
@@ -91,38 +101,33 @@ def band_relations(
     Each residual (anticommutator minus its linear part) must be a
     scalar multiple of the identity; a non-scalar residual means the
     algebra does not close and raises.  The Casimir Y^2 + Z^2 must be
-    the identity and commute with all three generators.  On bands each
-    holds at every degree, on tables on their trusted degrees.
+    the identity; the identity commutes with X, Y and Z, so it is then
+    central too.  On bands each holds at every degree, on tables on
+    their trusted degrees.
     """
-    residuals = {
-        "YZ+ZY": anticommutator(y_op, z_op),
-        "ZX+XZ-Y": anticommutator(z_op, x_op) - y_op,
-        "XY+YX-Z": anticommutator(x_op, y_op) - z_op,
-    }
-    scalars = {}
-    for name, op in residuals.items():
-        scalar = op.scalar()
-        if scalar is None:
-            raise RuntimeError(
-                f"residual of {name} is not a scalar multiple of the identity"
-            )
-        scalars[name] = scalar
-    casimir = y_op @ y_op + z_op @ z_op
-    central = all(commutator(casimir, gen).scalar() == 0 for gen in (x_op, y_op, z_op))
     return AWStructure(
-        omega1=scalars["YZ+ZY"],
-        omega2=scalars["ZX+XZ-Y"],
-        omega3=scalars["XY+YX-Z"],
-        casimir_is_identity=casimir.scalar() == 1 and central,
+        omega1=_closure_scalar("YZ+ZY", anticommutator(y_op, z_op)),
+        omega2=_closure_scalar("ZX+XZ-Y", anticommutator(z_op, x_op) - y_op),
+        omega3=_closure_scalar("XY+YX-Z", anticommutator(x_op, y_op) - z_op),
+        casimir_is_identity=(y_op @ y_op + z_op @ z_op).scalar() == 1,
     )
 
 
 def verify_relations(params: ParamPair, trunc_degree: int = 24) -> AWStructure:
-    """`band_relations` on the tables of `generators` at trunc_degree."""
+    """`band_relations` on the tables of `generators` at trunc_degree.
+
+    Needs trunc_degree >= 2: below it a product of two generators is
+    trusted on constants at most (at 0, on no degree), too few degrees
+    for the relations to say anything.
+    """
+    if trunc_degree < 2:
+        raise TruncationError(
+            f"the relations need generator tables of degree >= 2, got {trunc_degree}"
+        )
     return band_relations(*generators(params, trunc_degree))
 
 
 def verify_casimir(params: ParamPair, trunc_degree: int = 24) -> bool:
-    """Y^2 + Z^2 equals the identity and commutes with all generators,
-    on the tables of `generators` at trunc_degree."""
-    return band_relations(*generators(params, trunc_degree)).casimir_is_identity
+    """Y^2 + Z^2 equals the identity, and so commutes with all
+    generators, on the tables of `generators` at trunc_degree (>= 2)."""
+    return verify_relations(params, trunc_degree).casimir_is_identity

@@ -103,12 +103,15 @@ def recurrence_coeffs(params: ParamPair, n: int) -> tuple[Optional[Fraction], Fr
 
 
 def eigenvalue(params: ParamPair, n: int) -> Fraction:
-    """Eigenvalue of the reflection-differential operator on degree n."""
+    """Eigenvalue of the reflection-differential operator on degree n:
+    -2n for even n, 2(alpha + beta + n + 1) for odd n, the latter one
+    Fraction of the pair's integers (`ParamPair.ints`)."""
     if n < 0:
         raise ValueError("eigenvalue index must be nonnegative")
     if n % 2 == 0:
         return Fraction(-2 * n)
-    return 2 * (params.alpha + params.beta + n + 1)
+    d, a, b = params.ints
+    return Fraction(2 * (a + b + (n + 1) * d), d)
 
 
 #: Largest number of nested recurrence steps one generate_monic call makes.

@@ -42,7 +42,6 @@ __all__ = [
     "OpIdentityReport",
     "TruncationError",
     "anticommutator",
-    "commutator",
     "derivative",
     "dunkl_band",
     "dunkl_derivative",
@@ -75,7 +74,9 @@ class BandedOp:
 
     A table is never mutated: every operation builds a new one.  So the
     integer form of its rows, which `apply` reads, is made once, on the
-    first `apply`; the table algebra never makes it.
+    first `apply`; the table algebra never makes it.  Sums, multiples and
+    compositions drop their zero entries and track max_raise as they
+    build, so their rows skip `_clean`.
     """
 
     __slots__ = ("actions", "max_raise", "_ints")
@@ -145,22 +146,32 @@ class BandedOp:
     def __add__(self, other: "BandedOp") -> "BandedOp":
         if not isinstance(other, BandedOp):
             return NotImplemented
-        safe = min(self.trunc_degree, other.trunc_degree)
         out = []
-        for n in range(safe + 1):
-            action = dict(self.actions[n])
-            for k, c in other.actions[n].items():
-                action[k] = action.get(k, Fraction(0)) + c
+        raise_by = 0
+        for n, (mine, theirs) in enumerate(zip(self.actions, other.actions)):
+            action = dict(mine)
+            for k, c in theirs.items():
+                if k in action:
+                    c += action[k]
+                    if not c:
+                        del action[k]
+                        continue
+                action[k] = c
+            if action:
+                raise_by = max(raise_by, max(action) - n)
             out.append(action)
-        return BandedOp(out)
+        return BandedOp._from_clean(out, raise_by)
 
     def __sub__(self, other: "BandedOp") -> "BandedOp":
         return self + (-1) * other
 
     def __rmul__(self, scalar) -> "BandedOp":
         scalar = as_fraction(scalar)
-        return BandedOp(
-            [{k: scalar * c for k, c in action.items()} for action in self.actions]
+        if not scalar:
+            return BandedOp._from_clean([{} for _ in self.actions], 0)
+        return BandedOp._from_clean(
+            [{k: scalar * c for k, c in action.items()} for action in self.actions],
+            self.max_raise,
         )
 
     def __matmul__(self, inner: "BandedOp") -> "BandedOp":
@@ -174,13 +185,17 @@ class BandedOp:
                 f"(outer {self.trunc_degree}, inner raises by {inner.max_raise})"
             )
         out = []
+        raise_by = 0
         for n in range(safe + 1):
             action: dict[int, Fraction] = {}
             for k, c in inner.actions[n].items():
                 for j, d in self.actions[k].items():
-                    action[j] = action.get(j, Fraction(0)) + c * d
+                    action[j] = action[j] + c * d if j in action else c * d
+            action = {j: c for j, c in action.items() if c}
+            if action:
+                raise_by = max(raise_by, max(action) - n)
             out.append(action)
-        return BandedOp(out)
+        return BandedOp._from_clean(out, raise_by)
 
     def scalar(self) -> Optional[Fraction]:
         """The c with self = c * identity on its table, or None."""
@@ -200,10 +215,6 @@ class BandedOp:
     def __repr__(self):
         return f"BandedOp(trunc_degree={self.trunc_degree}, max_raise={self.max_raise})"
 
-
-def commutator(a, b):
-    """ab - ba, for two tables or two bands."""
-    return a @ b - b @ a
 
 def anticommutator(a, b):
     """ab + ba, for two tables or two bands."""

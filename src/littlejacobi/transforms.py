@@ -262,16 +262,18 @@ def dunkl_classical_check(params: ParamPair, n: int) -> bool:
 
 def raising_sides(params: ParamPair, top: int) -> _Sides:
     """n -> (Theta P_n, nu_{n+1} P_{n+1} at (alpha, beta-2)),
-    nu_m = m + beta - 1 + (1-(-1)^m) alpha/2.  Needs beta > 1 so the
-    target parameters stay admissible."""
+    nu_m = m + beta - 1 + (1-(-1)^m) alpha/2, one Fraction of the pair's
+    integers (`ParamPair.ints`).  Needs beta > 1 so the target
+    parameters stay admissible."""
     if params.beta <= 1:
         raise ValueError("raising lands at beta-2, so beta must exceed 1")
     op = raising_band(params.alpha, params.beta).table(top)
     lowered = ParamPair(params.alpha, params.beta - 2)
+    d, a, b = params.ints
 
     def sides(n: int) -> tuple[Poly, Poly]:
         m = n + 1
-        nu = m + params.beta - 1 + Fraction(1 - (-1) ** m, 2) * params.alpha
+        nu = Fraction((m - 1) * d + b + (a if m % 2 else 0), d)
         return op.apply(generate_monic(params, n)), nu * generate_monic(lowered, m)
 
     return sides

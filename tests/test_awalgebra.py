@@ -184,3 +184,41 @@ def test_casimir_band_is_an_exact_equality(form):
     # Casimir is 4 I
     doubled = band_relations(x_op, 2 * y_op, 2 * z_op)
     assert doubled == AWStructure(0, 2 * params.beta, -2 * params.alpha, False)
+
+
+def _casimir_rule_with_commutators(x_op, y_op, z_op):
+    # the rule before centrality was read off Y^2 + Z^2 = I: the Casimir is
+    # the identity and its commutators with X, Y and Z are zero
+    casimir = y_op @ y_op + z_op @ z_op
+    return casimir.scalar() == 1 and all(
+        (casimir @ gen - gen @ casimir).scalar() == 0 for gen in (x_op, y_op, z_op)
+    )
+
+
+@pytest.mark.parametrize(
+    "form",
+    FORMS
+    + [
+        pytest.param(lambda band: band.table(2), id="table2"),
+        pytest.param(lambda band: band.table(12), id="table12"),
+    ],
+)
+@pytest.mark.parametrize("params", BAND_PAIRS, ids=str)
+def test_casimir_status_needs_no_commutators(params, form):
+    # Y^2 + Z^2 = I commutes with everything, so dropping the commutators
+    # changes no Casimir status, on bands and on tables
+    x_band, y_band, z_band = generator_bands(params)
+    x_op, y_op, z_op = form(x_band), form(y_band), form(z_band)
+    assert band_relations(x_op, y_op, z_op).casimir_is_identity
+    assert _casimir_rule_with_commutators(x_op, y_op, z_op)
+    # 2Y and 2Z close with a Casimir of 4 I: both rules say no
+    doubled = band_relations(x_op, 2 * y_op, 2 * z_op)
+    assert not doubled.casimir_is_identity
+    assert not _casimir_rule_with_commutators(x_op, 2 * y_op, 2 * z_op)
+    # Y + I/2 leaves YZ+ZY non-scalar, so the triple does not close; its
+    # Casimir (Y + I/2)^2 + Z^2 is not the identity by either rule
+    y_shifted = form(y_band + Fraction(1, 2) * IDENTITY_BAND)
+    with pytest.raises(RuntimeError, match="not a scalar multiple"):
+        band_relations(x_op, y_shifted, z_op)
+    assert (y_shifted @ y_shifted + z_op @ z_op).scalar() != 1
+    assert not _casimir_rule_with_commutators(x_op, y_shifted, z_op)
