@@ -7,7 +7,10 @@ plotting elsewhere.  Exit codes: 0 success (skipped checks included), 1
 failed checks, 2 usage or domain errors and an ``--output`` path that
 cannot be opened for writing.  An ``--output`` file is written only after
 the command has finished, so an exit-2 error leaves it as it was.
-Rational inputs take the exact "p/q" form.
+Rational inputs take the exact "p/q" form; one that a command reads as
+a float goes through `family.to_float`, so one beyond the float range
+exits 2 naming its option.  The table's rows and the verify records'
+JSON are formatted here and nowhere else.
 """
 
 from __future__ import annotations
@@ -19,11 +22,12 @@ import io
 import json
 import re
 import sys
+from dataclasses import asdict
 from fractions import Fraction
 
 from . import susyqm
 from .eigensolver import sample_rows as eigenfunction_rows
-from .family import ParamPair, generate_monic, table_rows, weight_values
+from .family import ParamPair, eigenvalue, generate_monic, recurrence_coeffs, to_float, weight_values
 from .verify import DEFAULT_PAIRS, SUITE_NAMES, SuiteOptions, run_suites
 
 __all__ = ["main"]
@@ -56,14 +60,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _require_floats(args, *names: str) -> None:
-    """Exit-2 domain error for a rational option that the command reads as
-    a float but that lies beyond the float range (float() would overflow)."""
+    """Exit-2 domain error, naming the flag, for a rational option that the
+    command reads as a float but that lies beyond the float range."""
     for name in names:
-        try:
-            float(getattr(args, name))
-        except OverflowError:
-            flag = "lambda" if name == "lam" else name
-            raise ValueError(f"--{flag} lies beyond the float range") from None
+        to_float(getattr(args, name), "--lambda" if name == "lam" else f"--{name}")
 
 
 def _writer(out) -> "csv.writer":
@@ -74,25 +74,21 @@ def _cmd_table(args, out) -> int:
     params = ParamPair(args.alpha, args.beta)
     if args.n < 0:
         raise ValueError("--n must be nonnegative")
-    rows = table_rows(params, args.n)
-    for row in rows:
-        row["coefficients"] = generate_monic(params, row["n"]).to_strings()
+    columns = ("n", "u", "b", "lambda", "coefficients")
+    rows = []
+    for n in range(args.n + 1):
+        u, b = recurrence_coeffs(params, n)
+        u = None if u is None else str(u)
+        coefficients = generate_monic(params, n).to_strings()
+        rows.append((n, u, str(b), str(eigenvalue(params, n)), coefficients))
     if args.format == "json":
-        json.dump(rows, out, indent=2)
+        json.dump([dict(zip(columns, row)) for row in rows], out, indent=2)
         out.write("\n")
         return 0
+    # csv writes u_0 = None as an empty field
     writer = _writer(out)
-    writer.writerow(["n", "u", "b", "lambda", "coefficients"])
-    for row in rows:
-        writer.writerow(
-            [
-                row["n"],
-                row["u"] if row["u"] is not None else "",
-                row["b"],
-                row["lambda"],
-                ",".join(row["coefficients"]),
-            ]
-        )
+    writer.writerow(columns)
+    writer.writerows((*row[:-1], ",".join(row[-1])) for row in rows)
     return 0
 
 
@@ -119,7 +115,7 @@ def _cmd_verify(args, out) -> int:
     if args.format == "json":
         json.dump(
             {
-                "results": [r.to_dict() for r in results],
+                "results": [asdict(r) for r in results],
                 "passed": passed,
                 "failed": failed,
                 "skipped": skipped,
@@ -155,7 +151,7 @@ def _cmd_sample(args, out) -> int:
 
     if args.target == "eigenfunction":
         _require_floats(args, "alpha", "beta", "lam")
-        rows = eigenfunction_rows(ParamPair(args.alpha, args.beta), float(args.lam), points)
+        rows = eigenfunction_rows(ParamPair(args.alpha, args.beta), args.lam, points)
         writer.writerow(["x", "F", "f", "g", "residual"])
         writer.writerows([r["x"], r["F"], r["f"], r["g"], r["residual"]] for r in rows)
         return 0

@@ -7,7 +7,10 @@ term-recurrence arithmetic (`build_solution`) and samples both parts on
 a grid over [-0.9, 0.9] (`sample_rows`), with the residual of the even
 part's second-order equation at each point, from term-wise
 differentiated series.  At lambda = 2(beta+1) the grid takes the even
-part from its elementary closed form (1-x^2)^(-(beta+1)/2).
+part from its elementary closed form (1-x^2)^(-(beta+1)/2).  alpha,
+beta and lambda become floats through `family.to_float`, so an input
+beyond the float range raises FloatRangeError, as a series coefficient
+or grid value beyond it does.
 
 The differentiated coefficients of f are built once per solution, and
 one fused Horner pass (`polys.horner3`) per point yields f, f' and f''
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .family import FloatRangeError, ParamPair
+from .family import FloatRangeError, ParamPair, to_float
 from .polys import horner, horner3, horner_rows
 
 __all__ = ["EigenSolution", "build_solution", "sample_rows"]
@@ -123,18 +126,19 @@ def build_solution(params: ParamPair, lam: float) -> EigenSolution:
 
     f carries parameters (lam/4, (alpha+beta)/2 + 1 - lam/4; (alpha+1)/2)
     and g is x times the series at (1 + lam/4, same; (alpha+3)/2) scaled
-    by -lam / (2(alpha+1)).  A coefficient beyond the float range (from
-    |lambda| of about 1600 at small alpha and beta) raises ValueError.
+    by -lam / (2(alpha+1)).  alpha, beta and lambda become floats through
+    `ParamPair.floats` and `to_float`; a value, or a series coefficient,
+    beyond the float range (the latter from |lambda| of about 1600 at
+    small alpha and beta) raises FloatRangeError.
     """
-    alpha = float(params.alpha)
-    beta = float(params.beta)
-    lam = float(lam)
+    alpha, beta = params.floats()
+    lam = to_float(lam, "lambda")
     b_shared = (alpha + beta) / 2.0 + 1.0 - lam / 4.0
     f_coeffs = _series(lam / 4.0, b_shared, (alpha + 1.0) / 2.0, 1.0)
     g_scale = -lam / (2.0 * (alpha + 1.0))
     g_coeffs = _series(1.0 + lam / 4.0, b_shared, (alpha + 3.0) / 2.0, g_scale)
     if not all(map(math.isfinite, f_coeffs + g_coeffs)):
-        raise ValueError(f"a series coefficient at lambda={lam} overflows the float range")
+        raise FloatRangeError(f"a series coefficient at lambda={lam} overflows the float range")
     return EigenSolution(f_series_coeffs=f_coeffs, g_series_coeffs=g_coeffs)
 
 
@@ -163,21 +167,21 @@ def sample_rows(params: ParamPair, lam: float, points: int) -> list[dict]:
     """Evaluation grid for CSV emission on [-0.9, 0.9]: x, F, f, g,
     residual columns.
 
-    alpha, beta and lambda are read as floats once per call; each point
-    then costs one `horner3` pass over the f series (f, f' and f'') and
-    one Horner pass over the g series.  A value beyond the float range
-    (the elementary closed form at large beta, or a series sum) raises
-    ValueError rather than printing inf or nan.  So does a grid whose
-    residual exceeds `_RESIDUAL_LIMIT` of the summed magnitudes of the
-    equation's three terms at some point: the float sums there have
+    alpha, beta and lambda are read as floats once per call, as
+    `build_solution` reads them; each point then costs one `horner3` pass
+    over the f series (f, f' and f'') and one Horner pass over the g
+    series.  A value beyond the float range (an input, the elementary
+    closed form at large beta, or a series sum) raises FloatRangeError
+    rather than printing inf or nan.  A grid whose residual exceeds
+    `_RESIDUAL_LIMIT` of the summed magnitudes of the equation's three
+    terms at some point raises ValueError: the float sums there have
     cancelled away the digits of f and g (large |lambda|, or a series
     stopped at its term cap).
     """
     if points < 2:
         raise ValueError("need at least two sample points")
-    alpha = float(params.alpha)
-    beta = float(params.beta)
-    lam = float(lam)
+    alpha, beta = params.floats()
+    lam = to_float(lam, "lambda")
     elementary = lam == 2.0 * (beta + 1.0)
     # t3 is lambda x f times 2(alpha+beta)+4-lambda, judged by the sizes of
     # that factor's two parts: at lambda_1 = 2(alpha+beta+2) they cancel,
@@ -201,7 +205,7 @@ def sample_rows(params: ParamPair, lam: float, points: int) -> list[dict]:
         t1, t2, t3 = _ode_terms(alpha, beta, lam, f, fp, fpp, x)
         residual = abs(t1 + t2 + t3)
         if not (math.isfinite(value) and math.isfinite(residual)):
-            raise ValueError(
+            raise FloatRangeError(
                 f"eigenfunction at lambda={lam} overflows the float range at x={x}"
             )
         size = abs(t1) + abs(t2) + abs(lam * x * f) * t3_parts

@@ -6,6 +6,9 @@ the little q-Jacobi recurrence coefficients.
 
 Everything that can be exact is exact (Fraction in, Fraction out); only
 the weight integrals and the deformation limit are floating point.
+`to_float` is the package's one conversion of an exact value to a float
+that can overflow: a value beyond the float range raises FloatRangeError
+naming it, in the weight, the eigensolver and the well alike.
 """
 
 from __future__ import annotations
@@ -33,13 +36,35 @@ __all__ = [
     "qjacobi_recurrence",
     "qlimit_error",
     "recurrence_coeffs",
-    "table_rows",
+    "to_float",
     "weight_eval",
     "weight_moment",
     "weight_moments",
     "weight_normalization",
     "weight_values",
 ]
+
+
+class FloatRangeError(ValueError):
+    """A float routine whose inputs or results lie beyond the float range.
+
+    The exact routes never raise it: it marks the float boundary, where
+    exact values become floats through `to_float`: the weight, its
+    quadrature and the q-deformation of an admissible pair, the
+    eigensolver's alpha, beta and lambda and its series, and the well's a
+    and y.  There a check can only be skipped, a command can only refuse,
+    and a Python caller gets this error, never OverflowError.
+    """
+
+
+def to_float(value, what: str) -> float:
+    """float(value), or FloatRangeError naming `what` where the value lies
+    beyond the float range: the one conversion of an exact value to a
+    float that can overflow."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise FloatRangeError(f"{what} lies beyond the float range") from None
 
 
 @dataclass(frozen=True)
@@ -69,6 +94,10 @@ class ParamPair:
 
     def __hash__(self):
         return self._hash
+
+    def floats(self) -> tuple[float, float]:
+        """(alpha, beta) as floats, by `to_float`."""
+        return to_float(self.alpha, "alpha or beta"), to_float(self.beta, "alpha or beta")
 
 
 def recurrence_coeffs(params: ParamPair, n: int) -> tuple[Optional[Fraction], Fraction]:
@@ -339,27 +368,9 @@ def norm_square(params: ParamPair, n: int) -> Fraction:
 # -- weight function ---------------------------------------------------------
 
 
-class FloatRangeError(ValueError):
-    """A float routine whose inputs or results lie beyond the float range.
-
-    The exact routes never raise it: it marks the float boundary of an
-    admissible pair (the weight, its quadrature, the q-deformation), where
-    a check can only be skipped and a command can only refuse.
-    """
-
-
 #: Absolute error allowed in a moment of the weight: the orthogonality
 #: suite's quadrature gate, and the accuracy weight_normalization promises.
 WEIGHT_TOLERANCE = 1e-8
-
-
-def _float_params(params: ParamPair) -> tuple[float, float]:
-    """(alpha, beta) as floats, or FloatRangeError for a value that float()
-    cannot hold."""
-    try:
-        return float(params.alpha), float(params.beta)
-    except OverflowError:
-        raise FloatRangeError("alpha or beta lies beyond the float range") from None
 
 
 def weight_normalization(params: ParamPair) -> float:
@@ -376,7 +387,7 @@ def weight_normalization(params: ParamPair) -> float:
     3.3 10^6), FloatRangeError says so, as it does where alpha or beta
     rounds to -1.0 and the float weight's exponent with it.
     """
-    a, b = _float_params(params)
+    a, b = params.floats()
     if a == -1.0 or b == -1.0:
         raise FloatRangeError("alpha or beta lies within float rounding of -1")
     alpha, beta = params.alpha, params.beta
@@ -399,7 +410,7 @@ def weight_eval(params: ParamPair, x: float) -> float:
 def weight_values(params: ParamPair, xs: Sequence[float]) -> list[float]:
     """weight_eval at each x, with kappa and the exponents taken once."""
     kappa = weight_normalization(params)
-    a, b = _float_params(params)
+    a, b = params.floats()
     e = (b - 1.0) / 2.0
     out = []
     for x in xs:
@@ -604,21 +615,3 @@ def qlimit_error(params: ParamPair, n: int, epsilon: float) -> tuple[Optional[fl
     du = None if n == 0 else abs(uq - float(u))
     return du, abs(bq - float(b))
 
-
-# -- tabulation ---------------------------------------------------------------
-
-
-def table_rows(params: ParamPair, max_degree: int) -> list[dict]:
-    """Rows n = 0..max_degree of exact recurrence/spectral data."""
-    rows = []
-    for n in range(max_degree + 1):
-        u, b = recurrence_coeffs(params, n)
-        rows.append(
-            {
-                "n": n,
-                "u": None if u is None else str(u),
-                "b": str(b),
-                "lambda": str(eigenvalue(params, n)),
-            }
-        )
-    return rows

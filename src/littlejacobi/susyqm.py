@@ -40,7 +40,10 @@ proves all of them as exact band and Poly identities.  Phi > 0 inside
 the well, so the nodes of psi_n are the zeros of p_n in (-1, 1), which
 `node_count` counts exactly.
 
-Floats are left to the evaluation boundary.  A WellGrid takes the
+Floats are left to the evaluation boundary, where a and y become floats
+through `family.to_float`: a value beyond the float range raises
+FloatRangeError naming it, from every entry that reads a or y, and so
+does a PhiPoly whose coefficients lie beyond it.  A WellGrid takes the
 per-point pieces sin y, cos y, Phi(y) and the log-derivative of Phi (a
 sin, a cos, a sqrt and a pow) at most once per grid point and shares
 them across every state it evaluates, so the values and jets
@@ -61,7 +64,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .family import ParamPair, generate_monic, recurrence_coeffs
+from .family import ParamPair, generate_monic, recurrence_coeffs, to_float
 from .operators import (
     DERIVATIVE_BAND,
     IDENTITY_BAND,
@@ -99,14 +102,14 @@ PARITY_BAND = Band({0: [1]}, {0: [-1]})
 
 
 def _check_a(a) -> float:
-    value = float(a)
+    value = to_float(a, "well parameter a")
     if not value > 0.5:
         raise ValueError("well parameter a must exceed 1/2")
     return value
 
 
 def _check_y(y) -> float:
-    value = float(y)
+    value = to_float(y, "y")
     if not -HALF_PI < value < HALF_PI:
         raise ValueError("y must lie strictly inside (-pi/2, pi/2)")
     return value
@@ -201,9 +204,10 @@ class PhiPoly:
         self.a = _check_a(a)
         self.poly = poly
         dp = poly.derivative()
-        self._p = tuple([float(c) for c in poly.coeffs])
-        self._dp = tuple([float(c) for c in dp.coeffs])
-        self._ddp = tuple([float(c) for c in dp.derivative().coeffs])
+        what = "a coefficient of the polynomial factor"
+        self._p = tuple([to_float(c, what) for c in poly.coeffs])
+        self._dp = tuple([to_float(c, what) for c in dp.coeffs])
+        self._ddp = tuple([to_float(c, what) for c in dp.derivative().coeffs])
         # below degree 2 p'' is empty, which the fused pass would read as
         # +0.0 where horner gives -0.0 at s < 0: such p keep three passes
         self._rows = horner_rows(self._p, self._dp, self._ddp) if self._ddp else None

@@ -40,6 +40,33 @@ def test_table_json(capsys):
     assert isinstance(data[3]["coefficients"], list)
 
 
+def test_table_json_at_the_origin(capsys):
+    assert run(["table", "--alpha", "0", "--beta", "0", "--n", "3", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["n"] for row in rows] == [0, 1, 2, 3]
+    assert rows[0]["u"] is None
+    assert rows[1]["u"] == "1/4"
+    assert rows[2]["lambda"] == "-4"
+
+
+#: sha256 of `table` output at two pairs, in both formats
+TABLE_DIGESTS = [
+    (("1/2", "3/2", "12", "csv"), "eccbd3e5bbd23e4c9e268e3b644322196dafcf4474f3d888fc5ef9e05838c2a9"),
+    (("1/2", "3/2", "12", "json"), "8a77d902a01e620fb013a83c12592d626d75d9a3762433053de7776e70ef0547"),
+    (("7/10", "5/3", "40", "csv"), "43c60926964fa165088d340163f55b7c46340fd2abab20fb1284c4e72f90af83"),
+    (("7/10", "5/3", "40", "json"), "e0c28e8a346b502cbbc4c965a66893509cab38c35621ad447a6cf13343e988c6"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", TABLE_DIGESTS, ids=[" ".join(args) for args, _ in TABLE_DIGESTS]
+)
+def test_table_output_is_pinned(args, digest, capsys):
+    alpha, beta, n, form = args
+    assert run(["table", "--alpha", alpha, "--beta", beta, "--n", n, "--format", form]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_table_negative_rational_after_space(capsys):
     assert run(["table", "--alpha", "-9/10", "--beta", "-1/2", "--n", "1"]) == 0
     out = capsys.readouterr().out
@@ -480,10 +507,16 @@ NEAR_MINUS_ONE_9 = "-999999999/1000000000"
             "the deformation's denominator in A_0 at eps=0.0001 lies below 1e-12, "
             "within float rounding of 0",
         ),
+        (
+            # h1's image of 1 is (a+1)^2, beyond the float range from a ~ 1.3e154
+            ["--suite", "susy", "--a", "1e300"],
+            "Sturm-Liouville conjugation",
+            "a coefficient of the polynomial factor lies beyond the float range",
+        ),
     ],
     ids=[
         "quadrature_1e400", "qlimit_1e400", "quadrature_1e6", "quadrature_beta_near_-1",
-        "quadrature_alpha_near_-1", "qlimit_denominator_near_-1",
+        "quadrature_alpha_near_-1", "qlimit_denominator_near_-1", "susy_boundary_1e300",
     ],
 )
 def test_verify_skips_float_checks_beyond_the_float_range(args, skipped, reason, capsys):

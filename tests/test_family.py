@@ -19,7 +19,6 @@ from littlejacobi.family import (
     qjacobi_recurrence,
     qlimit_error,
     recurrence_coeffs,
-    table_rows,
     weight_eval,
     weight_moment,
     weight_moments,
@@ -531,11 +530,3 @@ def test_qlimit_linear_convergence():
         assert 8.0 <= db3 / db4 <= 12.0
         if n > 0:
             assert 8.0 <= du3 / du4 <= 12.0
-
-
-def test_table_rows_shape():
-    rows = table_rows(ParamPair(Fraction(0), Fraction(0)), 3)
-    assert [row["n"] for row in rows] == [0, 1, 2, 3]
-    assert rows[0]["u"] is None
-    assert rows[1]["u"] == "1/4"
-    assert rows[2]["lambda"] == "-4"

@@ -1,6 +1,7 @@
-"""The package's surface: what each module exports, the names the
-benchmark's tracer (`perfbench/tracing.py`) wraps, and the calls its
-workloads (`perfbench/workloads.py`) make."""
+"""The package's surface: what each module exports, how its public
+entries refuse a value beyond the float range, the names the benchmark's
+tracer (`perfbench/tracing.py`) wraps, and the calls its workloads
+(`perfbench/workloads.py`) make."""
 
 import ast
 import importlib
@@ -12,6 +13,9 @@ from pathlib import Path
 import pytest
 
 import littlejacobi
+from littlejacobi import eigensolver, family, susyqm, verify
+from littlejacobi.family import ParamPair
+from littlejacobi.polys import Poly
 
 MODULES = sorted(
     info.name for info in pkgutil.iter_modules(littlejacobi.__path__) if info.name != "__main__"
@@ -78,6 +82,47 @@ def test_every_exported_name_has_a_caller():
         if attr not in referenced
     ]
     assert sorted(uncalled) == sorted(UNCALLED_EXPORTS)
+
+
+HUGE = Fraction(10) ** 400
+WELL = Fraction(3, 2)
+PAIR = "alpha or beta"
+
+#: (entry, the name its refusal gives) for every public entry that reads
+#: alpha, beta, lambda, a, y or a well state's coefficients as a float;
+#: each is fed HUGE in one place
+FLOAT_BOUNDARY = {
+    "build_solution": (lambda: eigensolver.build_solution(ParamPair(HUGE, 1), 1.0), PAIR),
+    "sample_rows pair": (lambda: eigensolver.sample_rows(ParamPair(HUGE, 1), 1.0, 5), PAIR),
+    "sample_rows lambda": (lambda: eigensolver.sample_rows(ParamPair(0, 0), HUGE, 5), "lambda"),
+    "SchrodingerParams": (lambda: susyqm.SchrodingerParams(HUGE), "well parameter a"),
+    "SuiteOptions a": (lambda: verify.SuiteOptions(a=HUGE), "well parameter a"),
+    "eigenstate": (lambda: susyqm.eigenstate(HUGE, 1), "well parameter a"),
+    "WellGrid a": (lambda: susyqm.WellGrid(HUGE, (0.0,)), "well parameter a"),
+    "WellGrid y": (lambda: susyqm.WellGrid(WELL, (0.0, HUGE)), "y"),
+    "PhiPoly.value": (lambda: susyqm.eigenstate(WELL, 1).value(HUGE), "y"),
+    "PhiPoly coefficients": (
+        lambda: susyqm.PhiPoly(WELL, Poly([HUGE])),
+        "a coefficient of the polynomial factor",
+    ),
+    "potential": (lambda: susyqm.potential(WELL, HUGE), "y"),
+    "apply_L1": (lambda: susyqm.apply_L1(WELL, susyqm.eigenstate(WELL, 1), HUGE), "y"),
+    "apply_H1": (lambda: susyqm.apply_H1(WELL, susyqm.eigenstate(WELL, 1), HUGE), "y"),
+    "weight_values": (lambda: family.weight_values(ParamPair(HUGE, 1), (0.5,)), PAIR),
+    "qlimit_error": (
+        lambda: family.qlimit_error(ParamPair(HUGE, 1), 1, 1e-3),
+        "the deformation at eps=0.001",
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", FLOAT_BOUNDARY)
+def test_no_overflow_error_leaves_the_float_boundary(entry):
+    # float() of such a rational raises OverflowError; every entry turns it
+    # into the FloatRangeError that names the value, as the CLI does
+    call, what = FLOAT_BOUNDARY[entry]
+    with pytest.raises(family.FloatRangeError, match=f"^{what} lies beyond the float range$"):
+        call()
 
 
 def test_version_matches_the_project_metadata():
