@@ -9,7 +9,8 @@ cannot be opened for writing.  An ``--output`` file is written only after
 the command has finished, so an exit-2 error leaves it as it was.
 Rational inputs take the exact "p/q" form; one that a command reads as
 a float goes through `family.to_float`, so one beyond the float range
-exits 2 naming its option.  The table's rows and the verify records'
+exits 2 naming its option, as does an --a whose well U(y) overflows on
+the sample grid.  The table's rows and the verify records'
 JSON are formatted here and nowhere else.
 """
 
@@ -20,6 +21,7 @@ import csv
 import functools
 import io
 import json
+import math
 import re
 import sys
 from dataclasses import asdict
@@ -166,6 +168,9 @@ def _cmd_sample(args, out) -> int:
         levels = args.n + 1
     ys = susyqm.default_grid(points)
     well = susyqm.WellGrid(args.a, ys)
+    # U(y) ~ (a+1/2)^2/cos^2 y overflows at the grid's ends from a ~ 1.3e151
+    if not all(map(math.isfinite, well.potential)):
+        raise ValueError("--a puts U(y) beyond the float range on the grid")
     columns = [well.values(susyqm.eigenstate(args.a, k)) for k in range(levels)]
     writer.writerow(["y", "U"] + [f"psi_{k}" for k in range(levels)])
     writer.writerows(zip(ys, well.potential, *columns))

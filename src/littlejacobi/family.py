@@ -414,7 +414,10 @@ def weight_values(params: ParamPair, xs: Sequence[float]) -> list[float]:
     e = (b - 1.0) / 2.0
     out = []
     for x in xs:
-        x = float(x)
+        try:
+            x = float(x)
+        except OverflowError:  # an exact x beyond the float range
+            x = math.inf
         if not -1.0 < x < 1.0:
             raise ValueError("weight argument must satisfy |x| < 1")
         if x == 0.0 and a < 0:

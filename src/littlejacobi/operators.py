@@ -53,6 +53,9 @@ __all__ = [
     "sturm_liouville_band",
 ]
 
+#: The diagonal entry `BandedOp.scalar` reads for a row without one.
+_ZERO = Fraction(0)
+
 
 class TruncationError(ValueError):
     """Raised when an operation would leave the trusted degree range."""
@@ -203,12 +206,12 @@ class BandedOp:
         for n, action in enumerate(self.actions):
             if action.keys() - {n}:
                 return None
-            c = action.get(n, Fraction(0))
+            c = action.get(n, _ZERO)
             if value is None:
                 value = c
             elif c != value:
                 return None
-        return value if value is not None else Fraction(0)
+        return value if value is not None else _ZERO
 
     # -- serialization ------------------------------------------------------
 

@@ -5,8 +5,8 @@ The little -1 Jacobi polynomials coincide with a Christoffel transform
 equivalently a two-term Geronimus combination of the same family at a
 shifted second parameter.  This module builds the classical members and
 checks, coefficient-exactly, that all three routes agree, together with
-the family's Dunkl lowering, the raising and intertwiner properties, and
-the generalized Gegenbauer lowering.
+the Dunkl lowering of both families, the raising and intertwiner
+properties.
 
 The module holds the identities only; `verify` scans their degrees.
 Each identity is written once, as a ``..._sides(params, top)`` factory
@@ -16,10 +16,15 @@ degree when all its sides are equal.  A per-n check (`identify_little`,
 `dunkl_classical_check`, `raising_check`, `intertwiner_check`) is the
 factory at its one degree and returns whether the identity holds.
 
-The classical members are built one way only: the sequences
-(`jacobi_sequence`, `gegenbauer_sequence`) give every degree up to N
-from the three-term recurrence, one integer `polys.recurrence_step` per
-degree as in `family.generate_monic`, O(N^2) in all.
+Every classical member is indexed by a family pair (alpha, beta) and
+built one way only, from a three-term recurrence, one integer
+`polys.recurrence_step` per degree, O(N^2) in all.  The Jacobi
+polynomials of the weight (1-x)^xi (1+x)^(xi+1) that the intertwiner
+maps are the family's members at (0, 2 xi + 1), as that weight is
+(1-x^2)^xi (1+x).  The generalized Gegenbauer polynomials
+(`gegenbauer_sequence`) of the weight |x|^alpha (1-x^2)^((beta-1)/2)
+are indexed by the pair whose family weight is theirs times 1+x; under
+T_{alpha/2} they lower to the pair (alpha, beta+2) as the family does.
 `symmetric_gegenbauer` and `christoffel_transform` read one or two
 members off a sequence.  The terminating-2F1 closed forms of the same
 members live in the tests, as references the sequences are checked
@@ -28,20 +33,17 @@ against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
 from .family import ParamPair, generate_monic
 from .operators import dunkl_band, dunkl_intertwiner, raising_band
-from .polys import Poly, as_fraction, over_common_denominator, recurrence_step
+from .polys import Poly, recurrence_step
 
 __all__ = [
-    "JacobiParams",
     "christoffel_transform",
     "dunkl_classical_check",
     "extract_recurrence",
-    "gegenbauer_lowering_sides",
     "gegenbauer_sequence",
     "geronimus_coefficient",
     "holds",
@@ -49,7 +51,6 @@ __all__ = [
     "identify_little",
     "intertwiner_check",
     "intertwiner_sides",
-    "jacobi_sequence",
     "lowering_sides",
     "raising_check",
     "raising_sides",
@@ -57,98 +58,51 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class JacobiParams:
-    """Jacobi weight exponents; integrability needs both > -1."""
-
-    xi: Fraction
-    eta: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "xi", as_fraction(self.xi))
-        object.__setattr__(self, "eta", as_fraction(self.eta))
-        if self.xi <= -1:
-            raise ValueError("xi must be > -1")
-        if self.eta <= -1:
-            raise ValueError("eta must be > -1")
-
-
-def _sequence(n_max: int, coeffs: Callable[[int], tuple[Fraction, Fraction]]) -> list[Poly]:
-    """P_0..P_{n_max} of the monic recurrence P_{n+1} = (x - b_n) P_n -
-    u_n P_{n-1}, coeffs(n) = (b_n, u_n): one integer `recurrence_step` per
-    degree, O(n_max^2) int operations in all."""
-    if n_max < 0:
-        raise ValueError("degree must be nonnegative")
-    out, prev = [Poly.ONE], Poly.ZERO
-    for n in range(n_max):
-        b, u = coeffs(n)
-        out.append(recurrence_step(out[-1], prev, b, u))
-        prev = out[-2]
-    return out
-
-
-def jacobi_sequence(jp: JacobiParams, n_max: int) -> list[Poly]:
-    """The monic standard Jacobi polynomials J_0..J_n_max on [-1,1], weight
-    (1-x)^xi (1+x)^eta, from the monic Jacobi recurrence (Koekoek, Lesky
-    and Swarttouw, 2010, §9.8), with a = xi, b = eta:
-      B_0 = (b - a)/(a + b + 2),
-      B_n = (b^2 - a^2)/((2n+a+b)(2n+a+b+2)),
-      A_n = 4n(n+a)(n+b)(n+a+b)/((2n+a+b)^2 (2n+a+b+1)(2n+a+b-1)),
-    and A_1 = 4(1+a)(1+b)/((2+a+b)^2 (3+a+b)) with the factor 1+a+b
-    cancelled, which covers the removable 0/0 at a + b = -1.  Each
-    coefficient is one Fraction of two integers, scaled by the common
-    denominator D of a and b as `family.recurrence_coeffs` does.
-    """
-    d, (a, b) = over_common_denominator((jp.xi, jp.eta))
-
-    def coeffs(n: int) -> tuple[Fraction, Fraction]:
-        if n == 0:
-            return Fraction(b - a, a + b + 2 * d), Fraction(0)
-        s = 2 * n * d + a + b  # D (2n + a + b) > 0 for n >= 1
-        shift = Fraction(b * b - a * a, s * (s + 2 * d))
-        if n == 1:
-            return shift, Fraction(4 * d * (d + a) * (d + b), s * s * (s + d))
-        nd = n * d
-        u = Fraction(4 * nd * (nd + a) * (nd + b) * (nd + a + b), s * s * (s + d) * (s - d))
-        return shift, u
-
-    return _sequence(n_max, coeffs)
-
-
-def gegenbauer_sequence(jp: JacobiParams, n_max: int) -> list[Poly]:
-    """The monic generalized Gegenbauer polynomials S_0..S_n_max, from the
-    monic recurrence S_{n+1} = x S_n - gamma_n S_{n-1} of the weight
-    |x|^(2 xi + 1) (1-x^2)^eta (every b_n is 0), with
+def gegenbauer_sequence(params: ParamPair, n_max: int) -> list[Poly]:
+    """The monic generalized Gegenbauer polynomials S_0..S_n_max of the
+    symmetric weight |x|^alpha (1-x^2)^((beta-1)/2), the family's weight
+    without its factor 1+x.  With xi = (alpha-1)/2 and eta = (beta-1)/2
+    they follow the monic recurrence S_{n+1} = x S_n - gamma_n S_{n-1}
+    (every b_n is 0), with
       gamma_{2m} = m(m+eta)/((2m+xi+eta)(2m+xi+eta+1)),
       gamma_{2m+1} = (m+xi+1)(m+xi+eta+1)/((2m+xi+eta+1)(2m+xi+eta+2)),
     and gamma_1 = (xi+1)/(xi+eta+2) with the factor xi+eta+1 cancelled,
     which covers the removable 0/0 at xi + eta + 1 = 0.  Each coefficient
-    is one Fraction of two integers over the common denominator D.
+    is one Fraction of two integers: xi and eta over the denominator 2D
+    of the pair's integers (`ParamPair.ints`).  One integer
+    `polys.recurrence_step` per degree, O(n_max^2) int operations in all.
     """
-    d, (xi, eta) = over_common_denominator((jp.xi, jp.eta))
+    if n_max < 0:
+        raise ValueError("degree must be nonnegative")
+    d, a, b = params.ints
+    d, xi, eta = 2 * d, a - d, b - d
     zero = Fraction(0)
 
-    def coeffs(n: int) -> tuple[Fraction, Fraction]:
+    def gamma(n: int) -> Fraction:
         if n == 0:  # gamma_0 multiplies S_{-1} = 0
-            return zero, zero
+            return zero
         md = (n // 2) * d
-        low = 2 * md + xi + eta  # D (2m + xi + eta)
+        low = 2 * md + xi + eta  # 2D (2m + xi + eta)
         if n % 2 == 0:
-            return zero, Fraction(md * (md + eta), low * (low + d))
+            return Fraction(md * (md + eta), low * (low + d))
         if n == 1:
-            return zero, Fraction(xi + d, xi + eta + 2 * d)
-        return zero, Fraction((md + xi + d) * (md + xi + eta + d), (low + d) * (low + 2 * d))
+            return Fraction(xi + d, xi + eta + 2 * d)
+        return Fraction((md + xi + d) * (md + xi + eta + d), (low + d) * (low + 2 * d))
 
-    return _sequence(n_max, coeffs)
+    out, prev = [Poly.ONE], Poly.ZERO
+    for n in range(n_max):
+        out.append(recurrence_step(out[-1], prev, zero, gamma(n)))
+        prev = out[-2]
+    return out
 
 
-def symmetric_gegenbauer(jp: JacobiParams, n: int) -> Poly:
+def symmetric_gegenbauer(params: ParamPair, n: int) -> Poly:
     """The monic generalized Gegenbauer member S_n, weight
-    |x|^(2 xi + 1) (1-x^2)^eta: the last entry of `gegenbauer_sequence`."""
-    return gegenbauer_sequence(jp, n)[n]
+    |x|^alpha (1-x^2)^((beta-1)/2): the last entry of `gegenbauer_sequence`."""
+    return gegenbauer_sequence(params, n)[n]
 
 
-def christoffel_transform(jp: JacobiParams, n: int) -> Poly:
+def christoffel_transform(params: ParamPair, n: int) -> Poly:
     """Kernel-polynomial quotient (S_{n+1} - A_n S_n)/(x+1), exact.
 
     A_n = S_{n+1}(-1)/S_n(-1); S_n(-1) never vanishes for admissible
@@ -157,7 +111,7 @@ def christoffel_transform(jp: JacobiParams, n: int) -> Poly:
     """
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    *_, s_n, s_next = gegenbauer_sequence(jp, n + 1)
+    *_, s_n, s_next = gegenbauer_sequence(params, n + 1)
     return _christoffel(s_n, s_next, n)
 
 
@@ -218,14 +172,13 @@ def identification_sides(params: ParamPair, top: int) -> _Sides:
     """n -> (P_n, Christoffel transform, Geronimus combination).
 
     The Christoffel route divides S_{n+1} - A_n S_n by x+1, with S_k the
-    generalized Gegenbauer members at xi = (alpha-1)/2, eta = (beta-1)/2.
-    The Geronimus combination S_n - B_n S_{n-1} takes its members at
-    (xi, eta+1), the Christoffel-shifted parameter: the same combination
-    at the unshifted (xi, eta) does not reproduce the family.
+    generalized Gegenbauer members at the pair.  The Geronimus combination
+    S_n - B_n S_{n-1} takes its members at (alpha, beta+2), the
+    Christoffel-shifted pair: the same combination at the unshifted pair
+    does not reproduce the family.
     """
-    jp = JacobiParams((params.alpha - 1) / 2, (params.beta - 1) / 2)
-    base = gegenbauer_sequence(jp, top + 1)
-    shifted = gegenbauer_sequence(JacobiParams(jp.xi, jp.eta + 1), top)
+    base = gegenbauer_sequence(params, top + 1)
+    shifted = gegenbauer_sequence(ParamPair(params.alpha, params.beta + 2), top)
 
     def sides(n: int) -> tuple[Poly, Poly, Poly]:
         gero = shifted[n] - geronimus_coefficient(params, n) * shifted[n - 1] if n else shifted[0]
@@ -240,17 +193,25 @@ def identify_little(params: ParamPair, n: int) -> bool:
     return holds(identification_sides(params, n)(n))
 
 
-def lowering_sides(params: ParamPair, top: int) -> _Sides:
-    """n -> (T_{alpha/2} P_n, [n] P_{n-1} at (alpha, beta+2)), n >= 1."""
+def _family_sequence(params: ParamPair, n_max: int) -> list[Poly]:
+    """P_0..P_n_max, the family's members (`generate_monic`)."""
+    return [generate_monic(params, k) for k in range(n_max + 1)]
+
+
+def lowering_sides(
+    params: ParamPair, top: int, sequence: Callable[[ParamPair, int], list[Poly]] = _family_sequence
+) -> _Sides:
+    """n -> (T_{alpha/2} M_n, [n]_{alpha/2} M_{n-1} at (alpha, beta+2)),
+    n >= 1, with [n]_mu = n + (1-(-1)^n) mu and M the members that
+    `sequence` builds: the family's by default, or the generalized
+    Gegenbauer ones (`gegenbauer_sequence`), whose lowering
+    T_{xi+1/2} S_n^(xi,eta) = [n] S_{n-1}^(xi,eta+1) is this one, as
+    xi + 1/2 = alpha/2 and eta + 1 is the shift beta -> beta + 2."""
     mu = params.alpha / 2
     op = dunkl_band(mu).table(top)
-    shifted = ParamPair(params.alpha, params.beta + 2)
-
-    def sides(n: int) -> tuple[Poly, Poly]:
-        bracket = n + mu * (1 - (-1) ** n)
-        return op.apply(generate_monic(params, n)), bracket * generate_monic(shifted, n - 1)
-
-    return sides
+    base = sequence(params, top)
+    lowered = sequence(ParamPair(params.alpha, params.beta + 2), top)
+    return lambda n: (op.apply(base[n]), (n + mu * (1 - (-1) ** n)) * lowered[n - 1])
 
 
 def dunkl_classical_check(params: ParamPair, n: int) -> bool:
@@ -285,32 +246,26 @@ def raising_check(params: ParamPair, n: int) -> bool:
 
 
 def intertwiner_sides(params: ParamPair, top: int) -> _Sides:
-    """n -> (sigma_n^{-1} V_{alpha/2} J_n, P_n), with J_n the monic standard
-    Jacobi polynomial at (xi, xi+1), xi = (alpha+beta-1)/2, and sigma_n the
-    diagonal of V_{alpha/2}.  Needs alpha + beta > -1 so that (xi, xi+1)
-    is admissible."""
-    xi = (params.alpha + params.beta - 1) / 2
-    if xi <= -1:
+    """n -> (sigma_n^{-1} V_{alpha/2} J_n, P_n), with J_n the monic Jacobi
+    polynomial of the weight (1-x)^xi (1+x)^(xi+1), xi = (alpha+beta-1)/2,
+    and sigma_n the diagonal of V_{alpha/2}.  That weight is
+    (1-x^2)^xi (1+x), the family's at (0, alpha+beta), so J_n is the family
+    member there.  Needs alpha + beta > -1 so that pair is admissible."""
+    if params.alpha + params.beta <= -1:
         raise ValueError("intertwiner route needs alpha + beta > -1")
-    mu = params.alpha / 2
-    op = dunkl_intertwiner(mu, top)
-    jacs = jacobi_sequence(JacobiParams(xi, xi + 1), top)
-    return lambda n: (op.apply(jacs[n]) / op.actions[n][n], generate_monic(params, n))
+    op = dunkl_intertwiner(params.alpha / 2, top)
+    jacobi = ParamPair(0, params.alpha + params.beta)
+
+    def sides(n: int) -> tuple[Poly, Poly]:
+        return op.apply(generate_monic(jacobi, n)) / op.actions[n][n], generate_monic(params, n)
+
+    return sides
 
 
 def intertwiner_check(params: ParamPair, n: int) -> bool:
-    """Intertwiner route: sigma_n^{-1} V_{alpha/2} applied to the standard
-    Jacobi polynomial at (xi, xi+1), xi = (alpha+beta-1)/2, equals P_n."""
+    """Intertwiner route: sigma_n^{-1} V_{alpha/2} applied to the family
+    member at (0, alpha+beta) equals P_n."""
     return holds(intertwiner_sides(params, n)(n))
-
-
-def gegenbauer_lowering_sides(jp: JacobiParams, top: int) -> _Sides:
-    """n -> (T_{xi+1/2} S_n^(xi,eta), [n] S_{n-1}^(xi,eta+1)), n >= 1."""
-    mu = jp.xi + Fraction(1, 2)
-    op = dunkl_band(mu).table(top)
-    base = gegenbauer_sequence(jp, top)
-    shifted = gegenbauer_sequence(JacobiParams(jp.xi, jp.eta + 1), top)
-    return lambda n: (op.apply(base[n]), (n + mu * (1 - (-1) ** n)) * shifted[n - 1])
 
 
 def extract_recurrence(seq: list[Poly], n: int) -> tuple[Fraction, Fraction]:

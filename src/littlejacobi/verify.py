@@ -35,9 +35,7 @@ from .family import (
 from .operators import DERIVATIVE_BAND, dunkl_band, little_jacobi_band
 from .polys import Poly, reflect
 from .transforms import (
-    JacobiParams,
     extract_recurrence,
-    gegenbauer_lowering_sides,
     gegenbauer_sequence,
     holds,
     identification_sides,
@@ -303,11 +301,10 @@ def _suite_transforms(opts: SuiteOptions) -> list[CheckResult]:
     results = []
     n_max = opts.degree(12)
     for params in opts.pairs:
-        jp = JacobiParams((params.alpha - 1) / 2, (params.beta - 1) / 2)
-        base = gegenbauer_sequence(jp, 20)
+        base = gegenbauer_sequence(params, 20)
         seq = [generate_monic(params, k) for k in range(12)]
         routes = identification_sides(params, n_max)
-        lowering = gegenbauer_lowering_sides(jp, 10)
+        lowering = lowering_sides(params, 10, gegenbauer_sequence)
         results += [
             _sweep(
                 "transforms",
@@ -391,7 +388,7 @@ def _suite_prop2(opts: SuiteOptions) -> list[CheckResult]:
     for params in pairs:
         name = f"intertwiner route n<={n_max} {_tag(params)}"
         if params.alpha + params.beta <= -1:
-            # the Jacobi pair (xi, xi+1) leaves the admissible range
+            # the Jacobi pair (0, alpha+beta) leaves the admissible range
             results.append(_skip("prop2", name, "the intertwiner route needs alpha + beta > -1"))
             continue
         sides = intertwiner_sides(params, n_max)

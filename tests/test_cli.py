@@ -4,6 +4,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -443,27 +444,44 @@ def test_sample_rejects_bad_lambda():
 
 
 @pytest.mark.parametrize(
-    "argv, option",
+    "argv, message",
     [
-        (["sample", "eigenfunction", "--lambda", "1e400"], "--lambda"),
-        (["sample", "eigenfunction", "--lambda", "-1e400"], "--lambda"),
-        (["sample", "eigenfunction", "--alpha", "1e400"], "--alpha"),
-        (["sample", "weight", "--alpha", "1e400"], "--alpha"),
-        (["sample", "wavefunction", "--a", "1e400"], "--a"),
-        (["sample", "potential", "--a", "1e400"], "--a"),
-        (["verify", "--suite", "susy", "--a", "1e400"], "--a"),
+        (["sample", "eigenfunction", "--lambda", "1e400"], "--lambda lies beyond the float range"),
+        (["sample", "eigenfunction", "--lambda", "-1e400"], "--lambda lies beyond the float range"),
+        (["sample", "eigenfunction", "--alpha", "1e400"], "--alpha lies beyond the float range"),
+        (["sample", "weight", "--alpha", "1e400"], "--alpha lies beyond the float range"),
+        (["sample", "wavefunction", "--a", "1e400"], "--a lies beyond the float range"),
+        (["sample", "potential", "--a", "1e400"], "--a lies beyond the float range"),
+        (["verify", "--suite", "susy", "--a", "1e400"], "--a lies beyond the float range"),
+        # a is a float, but U(y) ~ (a+1/2)^2/cos^2 y overflows at the
+        # grid's ends from a ~ 1.3e151; the grid printed inf
+        (["sample", "potential", "--a", "1e300"], "--a puts U(y) beyond the float range"),
+        (["sample", "wavefunction", "--a", "1e200"], "--a puts U(y) beyond the float range"),
+        (
+            ["sample", "potential", "--a", "14e150", "--points", "3"],
+            "--a puts U(y) beyond the float range",
+        ),
     ],
     ids=[
         "lambda", "negative_lambda", "eigen_alpha", "weight_alpha", "wavefunction_a",
-        "potential_a", "verify_a",
+        "potential_a", "verify_a", "potential_U", "wavefunction_U", "potential_U_threshold",
     ],
 )
-def test_rational_beyond_float_range_is_a_domain_error(argv, option, capsys):
+def test_rational_beyond_float_range_is_a_domain_error(argv, message, capsys):
     # float() of such a rational raised OverflowError: a traceback, exit 1
     assert run(argv) == 2
     captured = capsys.readouterr()
-    assert f"{option} lies beyond the float range" in captured.err
+    assert message in captured.err
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert captured.out == ""
+
+
+def test_sample_potential_answers_below_the_overflow_of_u(capsys):
+    # 13e150 keeps U(y) finite at the ends of the 3-point grid
+    assert run(["sample", "potential", "--a", "13e150", "--points", "3"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 3
+    assert all(math.isfinite(float(row["U"])) for row in rows)
 
 
 #: -1 + 10^-30: admissible, but float() rounds it to -1.0
@@ -831,6 +849,30 @@ def test_verify_output_is_pinned(args, digest, capsys):
     if args:
         args = (*args, "--n", "40", "--alpha", "7/10", "--beta", "5/3")
     assert run(["verify", *args, "--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+#: sha256 of `verify --suite S --n 40 --format json` at the pairs where
+#: the classical members meet an edge: at (-1/2,1/2) the intertwiner's
+#: Jacobi members are the family's at (0,0), and at (-1/2,-1/4) alpha < 0,
+#: so the Gegenbauer weight |x|^alpha is singular at 0, and alpha + beta < 0
+EDGE_VERIFY_DIGESTS = [
+    (("dunkl", "-1/2", "1/2"), "2359a839192fa2f3d5b31f50407f9c1e3a08d9bcd62a4889a6ab9c12e71336ac"),
+    (("transforms", "-1/2", "1/2"), "4e3f0e97e2f23273c5f1c98bb1bbdfd811f38d502d68841846f531c416caa2d6"),
+    (("prop2", "-1/2", "1/2"), "38647bcb4c30c64c0dd6abb6adcc9c45dad3ed2913dac8182856991dd3a3ef0d"),
+    (("dunkl", "-1/2", "-1/4"), "612e2f1f578714de300c90ea96c1f57f644d9b5d2a9c8b412a6f497d90eba9b4"),
+    (("transforms", "-1/2", "-1/4"), "5ab3d9a86c1deae3576624e67b531cf26026b4e93d3a1a041614389d8e49d9a5"),
+    (("prop2", "-1/2", "-1/4"), "5ad29df513f6060e7325d2b07fe79d57a08be77453672561de078ac22ab93858"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, digest", EDGE_VERIFY_DIGESTS, ids=[" ".join(args) for args, _ in EDGE_VERIFY_DIGESTS]
+)
+def test_verify_output_is_pinned_at_the_edge_pairs(args, digest, capsys):
+    suite, alpha, beta = args
+    argv = ["verify", "--suite", suite, "--n", "40", f"--alpha={alpha}", f"--beta={beta}"]
+    assert run([*argv, "--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 

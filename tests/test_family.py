@@ -470,6 +470,13 @@ def test_weight_domain():
         weight_eval(params, -1.2)
 
 
+def test_weight_refuses_an_exact_x_beyond_the_float_range():
+    # float(x) raised OverflowError before the range check could answer
+    for x in (Fraction(10) ** 400, -(Fraction(10) ** 400)):
+        with pytest.raises(ValueError, match="weight argument must satisfy"):
+            weight_eval(ParamPair(0, 0), x)
+
+
 def test_weight_singular_at_origin_for_negative_alpha():
     params = ParamPair(Fraction(-1, 2), Fraction(3, 2))
     assert weight_eval(params, 0.0) == math.inf

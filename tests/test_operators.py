@@ -121,6 +121,13 @@ def test_identity_scalar_rejects_offdiagonal():
     assert identity_scalar(Fraction(-3, 2) * IDENTITY_BAND.table(4)) == Fraction(-3, 2)
 
 
+def test_scalar_reads_a_missing_diagonal_as_a_fraction_zero():
+    for table in (derivative(4) - derivative(4), BandedOp([{}, {}]), BandedOp([])):
+        zero = table.scalar()
+        assert zero == 0 and type(zero) is Fraction
+    assert BandedOp([{}, {1: 2}]).scalar() is None
+
+
 def test_op_equal_reports_first_mismatch():
     report = op_equal(derivative(5), IDENTITY_BAND.table(5))
     assert not report.holds
